@@ -286,26 +286,35 @@ def norming_functionals(basis: np.ndarray, lam: float) -> NormingSet:
 # Embedding through the renormed model ----------------------------------------
 
 def _ambient_aggregator(model: FddModel):
-    w = model.weights()[:, None, None]
+    """Fold for the ambient norm: the running max of (1 - eps_b) d_b."""
+    w = model.weights()
 
-    def agg(stack: np.ndarray) -> np.ndarray:
-        return np.max(w * stack, axis=0)
+    def fold(n: int, blocks) -> np.ndarray:
+        out, tmp = np.zeros((n, n)), np.empty((n, n))
+        for b, d in blocks:
+            np.multiply(d, w[b - 1], out=tmp)
+            np.maximum(out, tmp, out=out)
+        return out
 
-    return agg
+    return fold
 
 
 def _norm_a_aggregator(model: FddModel):
-    amb = _ambient_aggregator(model)
+    """Fold for norm_a: max(running weighted max, running top1 + top2)."""
+    w = model.weights()
 
-    def agg(stack: np.ndarray) -> np.ndarray:
-        if stack.shape[0] == 1:
-            pair = stack[0]
-        else:
-            top = np.sort(stack, axis=0)[-2:]
-            pair = top[0] + top[1]
-        return np.maximum(amb(stack), pair)
+    def fold(n: int, blocks) -> np.ndarray:
+        amb, top1, top2, tmp = (np.zeros((n, n)) for _ in range(4))
+        for b, d in blocks:
+            np.multiply(d, w[b - 1], out=tmp)
+            np.maximum(amb, tmp, out=amb)
+            np.minimum(top1, d, out=tmp)
+            np.maximum(top2, tmp, out=top2)
+            np.maximum(top1, d, out=top1)
+        np.add(top1, top2, out=top1)
+        return np.maximum(amb, top1, out=amb)
 
-    return agg
+    return fold
 
 
 @dataclass(frozen=True)

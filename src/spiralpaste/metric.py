@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -23,6 +23,7 @@ __all__ = [
     "PointedMetricSpace",
     "DistortionReport",
     "ball",
+    "sup_pairwise",
     "distortion",
     "max_separated_subset",
     "packing_bound",
@@ -48,24 +49,42 @@ def _max_workers() -> int:
     return os.cpu_count() or 1
 
 
-def _pairwise_rows(X: np.ndarray, reducer: str) -> np.ndarray:
-    """Pairwise distances of rows of X: Chebyshev ('linf') or Euclidean ('l2').
+def sup_pairwise(V: np.ndarray, kind: str = "linf") -> np.ndarray:
+    """Pairwise distances of the rows of V: sup norm ('linf') or Euclidean ('l2').
 
-    Chunked over rows; chunks run on a thread pool sized by
-    SPIRALPASTE_THREADS (disjoint output rows, order-independent).
+    The package's one pairwise kernel.  A task takes a chunk of rows and
+    loops over the columns, folding |v_k - v_k^T| into its slice of the
+    upper triangle by max (or, for 'l2', the squares by sum), then mirrors
+    it below the diagonal; tasks write disjoint entries and run on a
+    thread pool sized by SPIRALPASTE_THREADS.  Every entry folds the
+    columns in the same order whatever the split, so results do not
+    depend on the setting.  Extra memory is one (chunk, m) buffer per task.
     """
-    n = X.shape[0]
-    out = np.empty((n, n))
+    m = V.shape[0]
+    out = np.empty((m, m))
     chunk = 64
+    l2 = kind == "l2"
 
     def fill(i0: int) -> None:
-        i1 = min(i0 + chunk, n)
-        diff = np.abs(X[i0:i1, None, :] - X[None, :, :])
-        out[i0:i1] = np.max(diff, axis=2) if reducer == "linf" else np.sqrt(np.sum(diff**2, axis=2))
+        i1 = min(i0 + chunk, m)
+        acc = out[i0:i1, i0:]
+        tmp = np.empty(acc.shape)
+        acc.fill(0.0)
+        for col in V.T:
+            np.subtract(col[i0:i1, None], col[None, i0:], out=tmp)
+            if l2:
+                np.multiply(tmp, tmp, out=tmp)
+                np.add(acc, tmp, out=acc)
+            else:
+                np.abs(tmp, out=tmp)
+                np.maximum(acc, tmp, out=acc)
+        if l2:
+            np.sqrt(acc, out=acc)
+        out[i1:, i0:i1] = out[i0:i1, i1:].T
 
-    starts = range(0, n, chunk)
-    workers = min(_max_workers(), max(1, len(starts)))
-    if workers > 1 and n > chunk:
+    starts = range(0, m, chunk)
+    workers = min(_max_workers(), len(starts))
+    if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(fill, starts))
     else:
@@ -90,6 +109,7 @@ class PointedMetricSpace:
     coords: np.ndarray | None = None
     matrix: np.ndarray | None = None
     _dmat: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _rows: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         self.ids = tuple(self.ids)
@@ -121,6 +141,23 @@ class PointedMetricSpace:
             # distinctness; the induced triangle inequality is automatic
             if len({tuple(row) for row in C}) != n:
                 raise ValueError("coordinate rows must be distinct points")
+        self._rows = {pid: i for i, pid in enumerate(self.ids)}
+
+    def _restrict(self, keep: list[int]) -> "PointedMetricSpace":
+        """Subspace on rows ``keep`` (which must hold the basepoint).
+
+        It inherits its distances from this space, which was validated
+        when it was built, so the metric axioms are not checked again.
+        """
+        sub = object.__new__(type(self))
+        sub.ids = tuple(self.ids[i] for i in keep)
+        sub.basepoint = self.basepoint
+        sub.kind = self.kind
+        sub.coords = None if self.coords is None else self.coords[keep]
+        sub._dmat = self.distance_matrix()[np.ix_(keep, keep)]
+        sub.matrix = sub._dmat if self.kind == "matrix" else None
+        sub._rows = {pid: i for i, pid in enumerate(sub.ids)}
+        return sub
 
     def _validate_matrix(self, D: np.ndarray) -> None:
         if not np.all(np.isfinite(D)):
@@ -146,9 +183,9 @@ class PointedMetricSpace:
 
     def index(self, point) -> int:
         try:
-            return self.ids.index(point)
-        except ValueError as exc:
-            raise KeyError(f"unknown point {point!r}") from exc
+            return self._rows[point]
+        except KeyError:
+            raise KeyError(f"unknown point {point!r}") from None
 
     def rel_tol(self) -> float:
         """Absolute tolerance for distances scaled to the space diameter."""
@@ -173,7 +210,7 @@ class PointedMetricSpace:
 
     def distance_matrix(self) -> np.ndarray:
         if self._dmat is None:
-            self._dmat = _pairwise_rows(self.coords, self.kind)
+            self._dmat = sup_pairwise(self.coords, self.kind)
         return self._dmat
 
     def rho(self) -> np.ndarray:
@@ -221,40 +258,80 @@ def ball(space: PointedMetricSpace, radius: float) -> PointedMetricSpace:
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     rho = space.rho()
-    keep = [i for i in range(len(space)) if rho[i] <= radius]
-    ids = tuple(space.ids[i] for i in keep)
-    if space.kind == "matrix":
-        sub = space.distance_matrix()[np.ix_(keep, keep)]
-        return PointedMetricSpace(ids, space.basepoint, "matrix", matrix=sub)
-    return PointedMetricSpace(ids, space.basepoint, space.kind, coords=space.coords[keep])
+    return space._restrict([i for i in range(len(space)) if rho[i] <= radius])
 
 
-def image_distance_stack(
+# A fold turns the stream of per-block pair distances into the pair
+# distances of the target norm: fold(n, blocks) -> (n, n) array, where
+# ``blocks`` yields (block index, (n, n) buffer) and reuses that buffer,
+# so a fold must use it before asking for the next block.
+Fold = Callable[[int, Iterator[tuple[int, np.ndarray]]], np.ndarray]
+
+
+def _block_distances(
     space: PointedMetricSpace, image: Mapping, spec: SumSpaceSpec
-) -> np.ndarray:
-    """Per-block pairwise sup-norm distance matrices, stacked (blocks, n, n)."""
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (b, D_b) for every block some image touches, D_b[i, j] = ||x_i,b - x_j,b||_inf.
+
+    Only a block's support (the points whose image has that block) goes
+    through the kernel; a pair with one point outside the support is at
+    the other point's block norm, a pair with both outside at 0.  D_b is
+    one (n, n) buffer, overwritten for every block.
+    """
     n = len(space)
-    stack = np.zeros((spec.num_blocks, n, n))
-    for b in range(1, spec.num_blocks + 1):
-        rows = np.zeros((n, spec.block_dims[b - 1]))
-        touched = False
-        for i, pid in enumerate(space.ids):
-            blk = image[pid].blocks.get(b)
-            if blk is not None:
-                rows[i] = blk
-                touched = True
-        if touched:
-            stack[b - 1] = _pairwise_rows(rows, "linf")
-    return stack
+    rows: dict[int, list[int]] = {b: [] for b in range(1, spec.num_blocks + 1)}
+    vecs: dict[int, list[np.ndarray]] = {b: [] for b in rows}
+    for i, pid in enumerate(space.ids):
+        for b, arr in image[pid].blocks.items():
+            rows[b].append(i)
+            vecs[b].append(arr)
+    buf = np.empty((n, n))
+    for b, support in rows.items():
+        if not support:
+            continue
+        V = np.stack(vecs[b])
+        norms = np.max(np.abs(V), axis=1)
+        buf.fill(0.0)
+        buf[support, :] = norms[:, None]
+        buf[:, support] = norms[None, :]
+        buf[np.ix_(support, support)] = sup_pairwise(V)
+        yield b, buf
 
 
-def aggregate_stack(stack: np.ndarray, p: float) -> np.ndarray:
-    """Blockwise stack -> pairwise sum-space distances (max-scaled, see norm)."""
-    m = np.max(stack, axis=0)
-    if p == sumspace.SUP:
-        return m
-    safe = np.where(m == 0.0, 1.0, m)
-    return m * np.sum((stack / safe) ** p, axis=0) ** (1.0 / p)
+def _max_fold(n: int, blocks: Iterator[tuple[int, np.ndarray]]) -> np.ndarray:
+    """Sup aggregation: the running max over blocks."""
+    out = np.zeros((n, n))
+    for _, d in blocks:
+        np.maximum(out, d, out=out)
+    return out
+
+
+def _power_fold(p: float) -> Fold:
+    """p-sum aggregation, streamed and overflow-safe.
+
+    Keeps the running max M and S = sum_b (d_b / M)^p; when M grows, S is
+    rescaled by (M_old / M_new)^p, so no power ever exceeds 1 (the same
+    max-scaling as ``sumspace.norm``).
+    """
+
+    def fold(n: int, blocks: Iterator[tuple[int, np.ndarray]]) -> np.ndarray:
+        M, S = np.zeros((n, n)), np.zeros((n, n))
+        grown, safe = np.empty((n, n)), np.empty((n, n))
+        for _, d in blocks:
+            np.maximum(M, d, out=grown)
+            np.copyto(safe, grown)
+            safe[safe == 0.0] = 1.0
+            np.divide(M, safe, out=M)
+            np.power(M, p, out=M)
+            np.multiply(S, M, out=S)
+            np.divide(d, safe, out=safe)
+            np.power(safe, p, out=safe)
+            np.add(S, safe, out=S)
+            M, grown = grown, M
+        np.power(S, 1.0 / p, out=S)
+        return np.multiply(M, S, out=S)
+
+    return fold
 
 
 def distortion(
@@ -262,13 +339,14 @@ def distortion(
     image: Mapping,
     target: SumSpaceSpec,
     analytic_bound: float | None = None,
-    aggregator: Callable[[np.ndarray], np.ndarray] | None = None,
+    aggregator: Fold | None = None,
 ) -> DistortionReport:
     """Measure bilipschitz distortion of ``image`` over all unordered pairs.
 
     ``image`` maps every point id to a BlockVector of ``target``.  An
-    optional ``aggregator`` turns the per-block distance stack into pair
+    optional ``aggregator`` folds the per-block pair distances into pair
     distances, replacing the p-sum (used for renormed target models).
+    Extra memory is a few (n, n) arrays, whatever the block dimensions.
     """
     n = len(space)
     if n < 2:
@@ -276,17 +354,22 @@ def distortion(
     for pid in space.ids:
         if image[pid].spec.block_dims != target.block_dims:
             raise ValueError(f"image of {pid!r} does not fit the target block layout")
-    dA = space.distance_matrix()
-    stack = image_distance_stack(space, image, target)
-    dY = aggregator(stack) if aggregator is not None else aggregate_stack(stack, target.p)
-
-    iu, ju = np.triu_indices(n, 1)
-    ratios = dY[iu, ju] / dA[iu, ju]
+    if aggregator is None:
+        aggregator = _max_fold if target.p == sumspace.SUP else _power_fold(target.p)
+    ratios = aggregator(n, _block_distances(space, image, target))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(ratios, space.distance_matrix(), out=ratios)
+    # Mask the diagonal and below; argmax/argmin then pick the first pair
+    # in row-major order over the upper triangle.
+    lower = np.tri(n, dtype=bool)
+    ratios[lower] = -np.inf
     k_max = int(np.argmax(ratios))
+    hi = float(ratios.flat[k_max])
+    ratios[lower] = np.inf
     k_min = int(np.argmin(ratios))
-    max_pair = (space.ids[iu[k_max]], space.ids[ju[k_max]])
-    min_pair = (space.ids[iu[k_min]], space.ids[ju[k_min]])
-    hi, lo = float(ratios[k_max]), float(ratios[k_min])
+    lo = float(ratios.flat[k_min])
+    max_pair = tuple(space.ids[i] for i in divmod(k_max, n))
+    min_pair = tuple(space.ids[i] for i in divmod(k_min, n))
     dist = np.inf if lo == 0.0 else hi / lo
     passed = analytic_bound is None or dist <= analytic_bound
     if lo == 0.0:

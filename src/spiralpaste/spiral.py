@@ -66,14 +66,15 @@ class RadiiSchedule:
             return 1
         # log-domain comparison against the odd radii R_1, R_3, ...; the
         # 1e-12 shift absorbs exp/log round-trip noise at the boundaries,
-        # where the clamped blends make both candidate bands agree anyway
+        # where the clamped blends make both candidate bands agree anyway.
+        # Just above R_1 the shift lands below log R_1 = 0, hence the clamp.
         odd_logs = self.log_radii[0::2]
         j = int(np.searchsorted(odd_logs, math.log(rho) - 1e-12, side="left"))
         if j >= len(odd_logs):
             raise ScheduleTooShort(
                 f"rho={rho:g} exceeds the last odd radius R_{2 * self.band_count - 1}"
             )
-        return j
+        return max(j, 1)
 
 
 def radii_schedule(epsilon: float, band_count: int) -> RadiiSchedule:

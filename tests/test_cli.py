@@ -65,6 +65,20 @@ class TestEmbed:
         assert main(["embed", "--input", line_doc, "--p", "2",
                      "--epsilon", "0.0001"]) == 3
 
+    def test_point_just_above_first_radius(self, tmp_path):
+        # rho = 1 + 1e-13 sits inside the log-domain slack at R_1 = 1
+        doc = {"basepoint": "o", "metric": "linf", "points": [
+            {"id": "o", "coords": [0.0]},
+            {"id": "a", "coords": [1.0000000000001]},
+            {"id": "b", "coords": [1e6]},
+        ]}
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "r.json"
+        assert main(["embed", "--input", str(path), "--p", "2", "--epsilon", "0.2",
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["checks"]["seams_exact"] is True
+
 
 class TestInputErrors:
     def test_missing_file(self):

@@ -1,6 +1,7 @@
 """Pointed spaces, the brute-force distortion scan, and JSON interchange."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,17 +9,24 @@ from hypothesis import given, settings, strategies as st
 
 from spiralpaste import (
     BlockVector,
+    FddModel,
     PointedMetricSpace,
     SchemaError,
     SumSpaceSpec,
     SUP,
+    ambient_norm,
     ball,
     distortion,
     load_space,
     max_separated_subset,
+    norm_a,
     packing_bound,
+    paste,
     space_to_doc,
+    tree_space,
 )
+from spiralpaste.fdd import _ambient_aggregator, _norm_a_aggregator
+from spiralpaste.sumspace import norm as sum_norm
 
 SPEC = SumSpaceSpec(SUP, (2,))
 
@@ -153,6 +161,74 @@ class TestDistortion:
         with pytest.raises(ValueError):
             distortion(sp, {"a": BlockVector(SPEC, {})}, SPEC)
 
+    def test_scan_memory_is_a_few_pair_matrices(self):
+        # guards against (chunk, n, dim) or (blocks, n, n) temporaries
+        sp = tree_space(300)
+        emb = paste(sp, 2.0, 0.2)
+        n = len(sp)
+        tracemalloc.start()
+        try:
+            distortion(sp, emb.images, emb.spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * n * n * 8
+
+
+# Sparse block images for the pair-by-pair scan check: each point touches
+# a random subset of the blocks (possibly none), the last block is never
+# touched, and a scale near 1e300 exercises the rescaled streaming sum.
+@st.composite
+def sparse_images(draw):
+    n = draw(st.integers(min_value=2, max_value=7))
+    dims = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))) + (2,)
+    scale = draw(st.sampled_from([1.0, 1e300]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    coords = rng.permutation(n)[:, None] * 1.0 + rng.uniform(0.0, 0.5, size=(n, 2))
+    blocks = []
+    for _ in range(n):
+        touched = [b for b in range(1, len(dims)) if rng.random() < 0.5]
+        blocks.append({b: scale * rng.uniform(-1.0, 1.0, size=dims[b - 1]) for b in touched})
+    ids = tuple(f"x{i}" for i in range(n))
+    sp = PointedMetricSpace(ids=ids, basepoint=ids[0], kind="linf", coords=coords)
+    eps_list = tuple(rng.uniform(0.0, 0.3, size=len(dims)))
+    return sp, dims, blocks, eps_list
+
+
+def _brute_ratios(sp, images, target_norm):
+    ratios = [
+        target_norm(images[u] - images[v]) / sp.dist(u, v)
+        for i, u in enumerate(sp.ids)
+        for v in sp.ids[i + 1:]
+    ]
+    return max(ratios), min(ratios)
+
+
+@pytest.mark.parametrize("target", [1.0, 1.5, 2.0, 3.0, SUP, "norm_a", "ambient"])
+@settings(max_examples=60, deadline=None)
+@given(case=sparse_images())
+def test_scan_matches_reference_norms_pair_by_pair(target, case):
+    sp, dims, blocks, eps_list = case
+    if isinstance(target, str):
+        model = FddModel(dims, eps_list)
+        spec = model.spec
+        if target == "norm_a":
+            ref_norm, fold = (lambda v: norm_a(model, v)), _norm_a_aggregator(model)
+        else:
+            ref_norm, fold = (lambda v: ambient_norm(model, v)), _ambient_aggregator(model)
+    else:
+        spec, fold = SumSpaceSpec(target, dims), None
+        ref_norm = sum_norm
+    images = {pid: BlockVector(spec, blocks[i]) for i, pid in enumerate(sp.ids)}
+    rep = distortion(sp, images, spec, aggregator=fold)
+    hi, lo = _brute_ratios(sp, images, ref_norm)
+    if lo == 0.0:
+        assert rep.scale_r == 0.0 and math.isinf(rep.distortion)
+    else:
+        assert rep.scale_r == pytest.approx(lo, rel=1e-12)
+        assert rep.distortion == pytest.approx(hi / lo, rel=1e-12)
+
 
 class TestSeparatedSets:
     def test_greedy_oracle(self):
@@ -201,6 +277,23 @@ class TestInterchange:
         ids = tuple(f"x{i}" for i in range(8))
         sp = PointedMetricSpace(ids=ids, basepoint="x0", kind="linf", coords=coords)
         assert sp.dist("x0", "x7") == 7.0
+
+    @pytest.mark.parametrize("kind", ["linf", "l2"])
+    def test_distance_matrix_independent_of_threads(self, monkeypatch, kind):
+        # 150 rows make three row chunks, so two workers really split them
+        coords = np.random.default_rng(3).normal(size=(150, 5))
+        ids = tuple(f"x{i}" for i in range(150))
+        mats = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("SPIRALPASTE_THREADS", threads)
+            sp = PointedMetricSpace(ids=ids, basepoint="x0", kind=kind, coords=coords)
+            mats.append(sp.distance_matrix())
+        assert np.array_equal(mats[0], mats[1])
+        diff = coords[:, None, :] - coords[None, :, :]
+        if kind == "linf":
+            assert np.array_equal(mats[0], np.max(np.abs(diff), axis=2))
+        else:
+            assert np.allclose(mats[0], np.sqrt(np.sum(diff**2, axis=2)), rtol=1e-14, atol=0.0)
 
     def test_thread_env_var_rejects_garbage(self, monkeypatch):
         monkeypatch.setenv("SPIRALPASTE_THREADS", "many")

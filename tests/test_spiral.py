@@ -63,6 +63,12 @@ class TestSchedule:
         with pytest.raises(ScheduleTooShort):
             sched.band_of(r5 * (1.0 + 1e-9))
 
+    def test_band_of_just_above_first_radius(self):
+        # the log-domain slack used to push rho in (1, 1 + 1e-12) to band 0
+        sched = radii_schedule(0.2, 3)
+        for rho in (1.0000000000001, 1.0 + 2.0**-52, math.nextafter(1.0, 2.0)):
+            assert sched.band_of(rho) == 1
+
     def test_overflow(self):
         with pytest.raises(ScheduleOverflow):
             radii_schedule(0.001, 3)
