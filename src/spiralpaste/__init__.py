@@ -51,7 +51,6 @@ from .metric import (
     ball,
     distortion,
     load_space,
-    max_separated_subset,
     packing_bound,
     space_to_doc,
 )

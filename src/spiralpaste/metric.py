@@ -25,7 +25,6 @@ __all__ = [
     "ball",
     "sup_pairwise",
     "distortion",
-    "max_separated_subset",
     "packing_bound",
     "load_space",
     "space_to_doc",
@@ -101,6 +100,9 @@ class PointedMetricSpace:
     is preserved; deterministic operations sort by id).
     kind: 'matrix' for an explicit distance matrix, 'linf'/'l2' for a
     coordinate-induced metric.
+    matrix: the distance matrix, which every distance read uses.  The
+    'matrix' kind passes it in; the coordinate kinds compute it from
+    ``coords`` when the space is built.
     """
 
     ids: tuple
@@ -108,7 +110,6 @@ class PointedMetricSpace:
     kind: str
     coords: np.ndarray | None = None
     matrix: np.ndarray | None = None
-    _dmat: np.ndarray | None = field(default=None, repr=False, compare=False)
     _rows: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -126,9 +127,6 @@ class PointedMetricSpace:
             D = np.asarray(self.matrix, dtype=float)
             if D.shape != (n, n):
                 raise ValueError(f"distance matrix shape {D.shape} does not match {n} points")
-            self.matrix = D
-            self._validate_matrix(D)
-            self._dmat = D
         else:
             if self.coords is None:
                 raise ValueError(f"{self.kind} metric requires point coordinates")
@@ -141,6 +139,12 @@ class PointedMetricSpace:
             # distinctness; the induced triangle inequality is automatic
             if len({tuple(row) for row in C}) != n:
                 raise ValueError("coordinate rows must be distinct points")
+            D = sup_pairwise(C, self.kind)
+        if not np.all(np.isfinite(D)):
+            raise ValueError("distances must be finite: an entry is NaN or overflows double range")
+        self.matrix = D
+        if self.kind == "matrix":
+            self._validate_matrix(D)
         self._rows = {pid: i for i, pid in enumerate(self.ids)}
 
     def _restrict(self, keep: list[int]) -> "PointedMetricSpace":
@@ -154,14 +158,11 @@ class PointedMetricSpace:
         sub.basepoint = self.basepoint
         sub.kind = self.kind
         sub.coords = None if self.coords is None else self.coords[keep]
-        sub._dmat = self.distance_matrix()[np.ix_(keep, keep)]
-        sub.matrix = sub._dmat if self.kind == "matrix" else None
+        sub.matrix = self.matrix[np.ix_(keep, keep)]
         sub._rows = {pid: i for i, pid in enumerate(sub.ids)}
         return sub
 
     def _validate_matrix(self, D: np.ndarray) -> None:
-        if not np.all(np.isfinite(D)):
-            raise ValueError("distances must be finite")
         tol = self.rel_tol()
         if float(np.max(np.abs(D - D.T))) > tol:
             raise ValueError("distance matrix asymmetry exceeds tolerance")
@@ -189,29 +190,13 @@ class PointedMetricSpace:
 
     def rel_tol(self) -> float:
         """Absolute tolerance for distances scaled to the space diameter."""
-        scale = 1.0
-        if self._dmat is not None:
-            scale = max(1.0, float(np.max(self._dmat)))
-        elif self.kind == "matrix" and self.matrix is not None:
-            scale = max(1.0, float(np.max(self.matrix)))
-        elif self.coords is not None and self.coords.size:
-            spread = float(np.max(self.coords) - np.min(self.coords))
-            scale = max(1.0, 2.0 * spread)
-        return TOL * scale
+        return TOL * max(1.0, float(np.max(self.matrix)))
 
     def dist(self, u, v) -> float:
-        i, j = self.index(u), self.index(v)
-        if self._dmat is not None:
-            return float(self._dmat[i, j])
-        a, b = self.coords[i], self.coords[j]
-        if self.kind == "linf":
-            return float(np.max(np.abs(a - b)))
-        return float(np.sqrt(np.sum((a - b) ** 2)))
+        return float(self.matrix[self.index(u), self.index(v)])
 
     def distance_matrix(self) -> np.ndarray:
-        if self._dmat is None:
-            self._dmat = sup_pairwise(self.coords, self.kind)
-        return self._dmat
+        return self.matrix
 
     def rho(self) -> np.ndarray:
         """Distances to the basepoint, in id construction order."""
@@ -375,17 +360,6 @@ def distortion(
     if lo == 0.0:
         passed = False
     return DistortionReport(dist, lo, max_pair, min_pair, analytic_bound, passed)
-
-
-def max_separated_subset(space: PointedMetricSpace, delta: float) -> list:
-    """Greedy maximal delta-separated subset, inserting in ascending id order."""
-    if delta <= 0:
-        raise ValueError("separation must be positive")
-    chosen: list = []
-    for pid in sorted(space.ids):
-        if all(space.dist(pid, q) >= delta for q in chosen):
-            chosen.append(pid)
-    return chosen
 
 
 def packing_bound(R: float, delta: float, m: int, C: float) -> float:

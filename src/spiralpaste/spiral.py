@@ -98,12 +98,9 @@ def radii_schedule(epsilon: float, band_count: int) -> RadiiSchedule:
 
 
 def needed_bands(epsilon: float, rho_max: float) -> int:
-    """Minimal band count whose last odd radius covers rho_max."""
-    if rho_max <= 1.0:
-        return 1
-    step = math.pi / (2.0 * epsilon) - math.log(epsilon)
-    k = 1 + math.ceil(math.log(rho_max) / step)
-    while (k - 1) * step < math.log(rho_max):  # guard the ceil against rounding
+    """Minimal band count whose last odd radius, as built, covers rho_max."""
+    k = 1
+    while radii_schedule(epsilon, k).radii[-2] < rho_max:
         k += 1
     return k
 
@@ -227,11 +224,9 @@ def analytic_bound(p: float, epsilon: float) -> float:
 
 @dataclass(frozen=True)
 class BlockLayout:
-    """Which sup-norm block hosts the ball embedding of each even radius."""
+    """The radii schedule whose even radii R_{2n} bound the ball of block n."""
 
     schedule: RadiiSchedule
-    block_of_even_index: dict[int, int]
-    block_dims: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -259,14 +254,13 @@ class PastedEmbedding:
         return worst / scale
 
 
-def _branch_image(emb: PastedEmbedding, pid, rho: float, branch: int) -> dict[int, np.ndarray]:
-    """Evaluate the branch formula: c * (ball image in block i) + s * (next block)."""
-    c, s = blend(emb.p, emb.layout.schedule, branch, rho)
+def _branch_image(providers: dict, pid, branch: int, c: float, s: float) -> dict[int, np.ndarray]:
+    """The branch formula c * (ball image in block i) + s * (next block), as blocks."""
     out: dict[int, np.ndarray] = {}
     if c > 0.0:
-        out[branch] = c * emb.providers[branch][pid]
+        out[branch] = c * np.asarray(providers[branch][pid], dtype=float)
     if s > 0.0:
-        out[branch + 1] = s * emb.providers[branch + 1][pid]
+        out[branch + 1] = s * np.asarray(providers[branch + 1][pid], dtype=float)
     return out
 
 
@@ -325,18 +319,11 @@ def paste(
             dims.append(len(ball_n))
 
     spec = SumSpaceSpec(p, tuple(dims))
-    images = {}
-    for i, pid in enumerate(space.ids):
-        b = bands_of[pid]
-        c, s = coeffs[pid]
-        blocks = {}
-        if c > 0.0:
-            blocks[b] = c * np.asarray(providers[b][pid], dtype=float)
-        if s > 0.0:
-            blocks[b + 1] = s * np.asarray(providers[b + 1][pid], dtype=float)
-        images[pid] = BlockVector(spec, blocks)
-
-    layout = BlockLayout(schedule, {2 * n: n for n in range(1, K + 1)}, spec.block_dims)
+    images = {
+        pid: BlockVector(spec, _branch_image(providers, pid, bands_of[pid], *coeffs[pid]))
+        for pid in space.ids
+    }
+    layout = BlockLayout(schedule)
     return PastedEmbedding(space, spec, layout, images, bands_of, providers, p, epsilon)
 
 
@@ -356,8 +343,10 @@ def seam_check(emb: PastedEmbedding) -> tuple[float, int]:
         r = float(rho[i])
         for band in range(1, sched.band_count):
             if sched.radii[2 * band - 1] <= r <= sched.radii[2 * band]:
-                left = _branch_image(emb, pid, r, band)
-                right = _branch_image(emb, pid, r, band + 1)
+                left, right = (
+                    _branch_image(emb.providers, pid, b, *blend(emb.p, sched, b, r))
+                    for b in (band, band + 1)
+                )
                 keys = set(left) | set(right)
                 for k in keys:
                     a = left.get(k)

@@ -1,6 +1,7 @@
 """Front-door behaviour: exit codes, report shape, determinism."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -79,6 +80,19 @@ class TestEmbed:
                      "--out", str(out)]) == 0
         assert json.loads(out.read_text())["checks"]["seams_exact"] is True
 
+    @pytest.mark.parametrize("radius", [66356239.99341138, 4403150586063176.0])
+    def test_point_one_ulp_above_an_odd_radius(self, tmp_path, radius):
+        # one ulp above R_3 and R_5 at eps = 0.1, the automatic band count's edge
+        doc = {"basepoint": "o", "metric": "linf", "points": [
+            {"id": "o", "coords": [0.0]},
+            {"id": "a", "coords": [1.0]},
+            {"id": "b", "coords": [math.nextafter(radius, math.inf)]},
+        ]}
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps(doc))
+        assert main(["embed", "--input", str(path), "--p", "2", "--epsilon", "0.1",
+                     "--out", str(tmp_path / "r.json")]) == 0
+
 
 class TestInputErrors:
     def test_missing_file(self):
@@ -103,6 +117,17 @@ class TestInputErrors:
 
     def test_empty_sweep_grid(self, line_doc):
         assert main(["sweep", "--input", line_doc, "--p", "", "--eps", "0.2"]) == 2
+
+    def test_overflowing_distances(self, tmp_path, capsys):
+        doc = {"basepoint": "o", "metric": "linf", "points": [
+            {"id": "o", "coords": [0.0]},
+            {"id": "a", "coords": [1.7e308]},
+            {"id": "b", "coords": [-1.7e308]},
+        ]}
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps(doc))
+        assert main(["embed", "--input", str(path), "--method", "frechet"]) == 2
+        assert "overflows double range" in capsys.readouterr().err
 
 
 class TestDistortionCommand:
@@ -167,6 +192,12 @@ class TestOtherCommands:
         rep = json.loads(out.read_text())
         assert rep["report"]["distortion"] == 1.0
         assert rep["checks"]["identity_exact"] is True
+
+    def test_spiral_far_range(self, tmp_path):
+        # the smallest sample gaps (~0.1) lie far below 64 ulp of the 1e20
+        # diameter: the coordinate kinds accept that, the matrix rule would not
+        assert main(["spiral", "--epsilon", "0.1", "--tmax", "1e20",
+                     "--out", str(tmp_path / "r.json")]) == 0
 
     def test_fdd_demo(self, line_doc, tmp_path):
         out = tmp_path / "r.json"

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spiralpaste import (
     PointedMetricSpace,
@@ -80,6 +80,10 @@ class TestSchedule:
 
     @given(st.floats(min_value=0.05, max_value=0.5), st.floats(min_value=1.0, max_value=1e9))
     @settings(max_examples=120)
+    # one ulp above R_3 and R_5 at eps = 0.1: only the radii as built, not
+    # a count re-derived in log domain, tell these from R_3 and R_5
+    @example(0.1, math.nextafter(66356239.99341138, math.inf))
+    @example(0.1, math.nextafter(4403150586063176.0, math.inf))
     def test_needed_bands_covers(self, eps, rho):
         k = needed_bands(eps, rho)
         sched = radii_schedule(eps, k)
