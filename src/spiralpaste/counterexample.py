@@ -160,24 +160,17 @@ def linf_distance(a: dict[int, int], b: dict[int, int]) -> int:
     return max((abs(a.get(k, 0) - b.get(k, 0)) for k in keys), default=0)
 
 
-def verify_metric_ray(points, tol: float = 0.0) -> bool:
-    """Check the metric-ray conditions under the sup norm.
+def verify_metric_ray(points) -> bool:
+    """Check the metric-ray conditions under the exact sup norm.
 
-    points: list of sparse integer dicts (exact, tol ignored) or float
-    arrays (compared to ``tol``).  Requires distances to points[0] to be
-    strictly increasing and every inner point to split distances
-    additively: d(i,k) = d(i,j) + d(j,k) for i < j < k.
+    points: list of sparse integer dicts.  Requires distances to
+    points[0] to be strictly increasing and every inner point to split
+    distances additively: d(i,k) = d(i,j) + d(j,k) for i < j < k.
     """
     m = len(points)
     if m < 2:
         return True
-    if all(isinstance(pt, dict) for pt in points):
-        dist = lambda i, k: linf_distance(points[i], points[k])
-        exact = True
-    else:
-        arrs = [np.asarray(pt, dtype=float) for pt in points]
-        dist = lambda i, k: float(np.max(np.abs(arrs[i] - arrs[k])))
-        exact = False
+    dist = lambda i, k: linf_distance(points[i], points[k])
     base = [dist(0, i) for i in range(m)]
     for i in range(1, m):
         if base[i] <= base[i - 1]:
@@ -185,8 +178,7 @@ def verify_metric_ray(points, tol: float = 0.0) -> bool:
     for i in range(m):
         for j in range(i + 1, m):
             for k in range(j + 1, m):
-                gap = dist(i, k) - (dist(i, j) + dist(j, k))
-                if (gap != 0) if exact else (abs(gap) > tol):
+                if dist(i, k) != dist(i, j) + dist(j, k):
                     return False
     return True
 

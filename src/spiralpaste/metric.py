@@ -8,6 +8,7 @@ a map into a block sum is measured by scanning every unordered pair.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -37,17 +38,6 @@ TOL = 1e-9
 _KINDS = ("matrix", "linf", "l2")
 
 
-def _max_workers() -> int:
-    raw = os.environ.get("SPIRALPASTE_THREADS", "")
-    if raw.strip():
-        try:
-            n = int(raw)
-        except ValueError as exc:
-            raise SchemaError(f"SPIRALPASTE_THREADS must be an integer, got {raw!r}") from exc
-        return max(1, n)
-    return os.cpu_count() or 1
-
-
 def sup_pairwise(V: np.ndarray, kind: str = "linf") -> np.ndarray:
     """Pairwise distances of the rows of V: sup norm ('linf') or Euclidean ('l2').
 
@@ -55,34 +45,49 @@ def sup_pairwise(V: np.ndarray, kind: str = "linf") -> np.ndarray:
     loops over the columns, folding |v_k - v_k^T| into its slice of the
     upper triangle by max (or, for 'l2', the squares by sum), then mirrors
     it below the diagonal; tasks write disjoint entries and run on a
-    thread pool sized by SPIRALPASTE_THREADS.  Every entry folds the
-    columns in the same order whatever the split, so results do not
-    depend on the setting.  Extra memory is one (chunk, m) buffer per task.
+    thread pool with one worker per CPU.  Every entry folds the columns in
+    the same order whatever the split, so results do not depend on the
+    pool size.  Extra memory is one (chunk, m) buffer per task.  For 'l2',
+    rows with an entry of at least 2^500 are divided by a power of two
+    before squaring and multiplied back after the square root, so a
+    distance that fits a double does not overflow on the way; one that
+    does not fit comes out as inf.
     """
     m = V.shape[0]
     out = np.empty((m, m))
     chunk = 64
     l2 = kind == "l2"
+    scale = 1.0
+    if l2 and V.size:
+        top = float(np.max(np.abs(V)))
+        if top >= 2.0**500:
+            scale = math.ldexp(1.0, math.frexp(top)[1] - 500)
+            V = V / scale
 
     def fill(i0: int) -> None:
-        i1 = min(i0 + chunk, m)
-        acc = out[i0:i1, i0:]
-        tmp = np.empty(acc.shape)
-        acc.fill(0.0)
-        for col in V.T:
-            np.subtract(col[i0:i1, None], col[None, i0:], out=tmp)
+        # An overflow leaves inf in the matrix, where the caller's
+        # finiteness check reports it.  Pool threads do not inherit the
+        # caller's errstate, so it is set here.
+        with np.errstate(over="ignore"):
+            i1 = min(i0 + chunk, m)
+            acc = out[i0:i1, i0:]
+            tmp = np.empty(acc.shape)
+            acc.fill(0.0)
+            for col in V.T:
+                np.subtract(col[i0:i1, None], col[None, i0:], out=tmp)
+                if l2:
+                    np.multiply(tmp, tmp, out=tmp)
+                    np.add(acc, tmp, out=acc)
+                else:
+                    np.abs(tmp, out=tmp)
+                    np.maximum(acc, tmp, out=acc)
             if l2:
-                np.multiply(tmp, tmp, out=tmp)
-                np.add(acc, tmp, out=acc)
-            else:
-                np.abs(tmp, out=tmp)
-                np.maximum(acc, tmp, out=acc)
-        if l2:
-            np.sqrt(acc, out=acc)
-        out[i1:, i0:i1] = out[i0:i1, i1:].T
+                np.sqrt(acc, out=acc)
+                np.multiply(acc, scale, out=acc)
+            out[i1:, i0:i1] = out[i0:i1, i1:].T
 
     starts = range(0, m, chunk)
-    workers = min(_max_workers(), len(starts))
+    workers = min(os.cpu_count() or 1, len(starts))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(fill, starts))
@@ -175,9 +180,18 @@ class PointedMetricSpace:
         off = D + np.eye(len(D)) * (np.max(D) + 1.0)
         if float(np.min(off)) <= resolvable:
             raise ValueError("distinct points must be at positive distance")
-        for y in range(len(D)):
-            if np.any(D > D[:, y : y + 1] + D[y : y + 1, :] + tol):
-                raise ValueError(f"triangle inequality fails through point {self.ids[y]!r}")
+        # The distance-vector map x -> (d(x, k))_k into l_inf is an
+        # isometry exactly when the triangle inequality holds, and its
+        # image distances are sup_pairwise(D)[x, z] = max_k |d(x,k) - d(z,k)|.
+        # At the first failing pair (x, z) the worst k has either
+        # d(x,k) > d(x,z) + d(z,k) or d(z,k) > d(z,x) + d(x,k); the
+        # message names the middle point of that triple.
+        bad = sup_pairwise(D) > D + tol
+        if bad.any():
+            x, z = divmod(int(np.argmax(bad)), len(D))
+            k = int(np.argmax(np.abs(D[x] - D[z])))
+            middle = z if D[x, k] > D[z, k] else x
+            raise ValueError(f"triangle inequality fails through point {self.ids[middle]!r}")
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -221,21 +235,14 @@ class DistortionReport:
     passed: bool = True
 
     def to_doc(self) -> dict:
-        bound = self.analytic_bound
         return {
-            "distortion": _json_num(self.distortion),
+            "distortion": self.distortion,
             "scale_r": self.scale_r,
             "max_pair": [str(p) for p in self.max_pair],
             "min_pair": [str(p) for p in self.min_pair],
-            "analytic_bound": None if bound is None else _json_num(bound),
+            "analytic_bound": self.analytic_bound,
             "pass": self.passed,
         }
-
-
-def _json_num(x: float):
-    if np.isinf(x):
-        return "inf"
-    return float(x)
 
 
 def ball(space: PointedMetricSpace, radius: float) -> PointedMetricSpace:

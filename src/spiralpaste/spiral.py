@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ScheduleOverflow, ScheduleTooShort
 from .frechet import frechet_embed
 from .metric import PointedMetricSpace, ball, distortion as measure_distortion, DistortionReport
-from .sumspace import BlockVector, SumSpaceSpec
+from .sumspace import BlockVector, SumSpaceSpec, block_profile
 
 __all__ = [
     "RadiiSchedule",
@@ -239,8 +239,6 @@ class PastedEmbedding:
     images: dict
     band_of: dict
     providers: dict
-    p: float
-    epsilon: float
 
     def norm_preservation_error(self) -> float:
         """max over points of | ||Tx|| - rho(x) |, scaled by max(1, rho_max)."""
@@ -324,7 +322,7 @@ def paste(
         for pid in space.ids
     }
     layout = BlockLayout(schedule)
-    return PastedEmbedding(space, spec, layout, images, bands_of, providers, p, epsilon)
+    return PastedEmbedding(space, spec, layout, images, bands_of, providers)
 
 
 def seam_check(emb: PastedEmbedding) -> tuple[float, int]:
@@ -344,18 +342,11 @@ def seam_check(emb: PastedEmbedding) -> tuple[float, int]:
         for band in range(1, sched.band_count):
             if sched.radii[2 * band - 1] <= r <= sched.radii[2 * band]:
                 left, right = (
-                    _branch_image(emb.providers, pid, b, *blend(emb.p, sched, b, r))
+                    BlockVector(emb.spec, _branch_image(
+                        emb.providers, pid, b, *blend(emb.spec.p, sched, b, r)))
                     for b in (band, band + 1)
                 )
-                keys = set(left) | set(right)
-                for k in keys:
-                    a = left.get(k)
-                    b = right.get(k)
-                    if a is None or b is None:
-                        missing = a if a is not None else b
-                        worst = max(worst, float(np.max(np.abs(missing))))
-                    else:
-                        worst = max(worst, float(np.max(np.abs(a - b))))
+                worst = max(worst, float(np.max(block_profile(left - right))))
                 checked += 1
     return worst, checked
 

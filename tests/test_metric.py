@@ -1,11 +1,12 @@
 """Pointed spaces, the brute-force distortion scan, and JSON interchange."""
 
 import math
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from spiralpaste import (
     BlockVector,
@@ -37,6 +38,47 @@ def tri_space():
     return PointedMetricSpace(ids=ids, basepoint="a", kind="matrix", matrix=D)
 
 
+def triangle_loop_accepts(D):
+    """Reference triangle check: one (n, n) comparison per middle point y."""
+    tol = 1e-9 * max(1.0, float(np.max(D)))
+    for y in range(len(D)):
+        if np.any(D > D[:, y : y + 1] + D[y : y + 1, :] + tol):
+            return False
+    return True
+
+
+@st.composite
+def perturbed_metrics(draw):
+    """A sup metric or tree metric with one symmetric pair moved by delta.
+
+    delta is 0, +-tol/2 (within tolerance), +-2 tol (just beyond it) or
+    +-0.1 diameter; sup metrics on integer coordinates and path metrics
+    on trees have many triangles that hold with equality.
+    """
+    n = draw(st.integers(min_value=3, max_value=9))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if draw(st.booleans()):
+        rng = np.random.default_rng(seed)
+        coords = rng.integers(0, 12, size=(n, draw(st.integers(1, 3)))).astype(float)
+        coords = np.unique(coords, axis=0)
+        assume(len(coords) >= 3)
+        sp = PointedMetricSpace(ids=tuple(range(len(coords))), basepoint=0, kind="linf",
+                                coords=coords)
+    else:
+        sp = tree_space(n, r_max=draw(st.sampled_from([10.0, 1e3, 1e9])), seed=seed)
+    D = sp.distance_matrix().copy()
+    n = len(D)
+    i = draw(st.integers(0, n - 2))
+    j = draw(st.integers(i + 1, n - 1))
+    diam = float(D.max())
+    tol = 1e-9 * max(1.0, diam)
+    delta = draw(st.sampled_from([0.0, 0.5 * tol, 2.0 * tol, 0.1 * diam]))
+    delta *= draw(st.sampled_from([1.0, -1.0]))
+    assume(D[i, j] + delta > 0.0)
+    D[i, j] = D[j, i] = D[i, j] + delta
+    return D, tuple(f"p{k}" for k in range(n))
+
+
 class TestValidation:
     def test_duplicate_ids(self):
         with pytest.raises(ValueError):
@@ -55,7 +97,7 @@ class TestValidation:
 
     def test_triangle_violation(self):
         D = np.array([[0, 1, 10], [1, 0, 1], [10, 1, 0]], dtype=float)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="through point 'b'"):
             PointedMetricSpace(ids=("a", "b", "c"), basepoint="a", kind="matrix", matrix=D)
 
     def test_zero_off_diagonal(self):
@@ -67,6 +109,21 @@ class TestValidation:
         with pytest.raises(ValueError):
             PointedMetricSpace(ids=("a", "b"), basepoint="a", kind="linf",
                                coords=np.array([[1.0], [1.0]]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=perturbed_metrics())
+    def test_triangle_check_matches_the_loop(self, case):
+        D, ids = case
+        try:
+            PointedMetricSpace(ids=ids, basepoint=ids[0], kind="matrix", matrix=D)
+        except ValueError as exc:
+            assert "triangle" in str(exc)
+            assert not triangle_loop_accepts(D)
+            middle = ids.index(str(exc).split("through point ")[1].strip("'"))
+            tol = 1e-9 * max(1.0, float(D.max()))
+            assert np.any(D > D[:, middle, None] + D[None, middle, :] + tol)
+        else:
+            assert triangle_loop_accepts(D)
 
     def test_tolerance_scales_with_diameter(self):
         # absolute 1e-9 asymmetry is far below double resolution at 1e9
@@ -85,6 +142,19 @@ class TestBasics:
         coords = np.array([[0.0, 0.0], [3.0, -1.0], [1.0, 5.0]])
         sp = PointedMetricSpace(ids=("o", "u", "v"), basepoint="o", kind="linf", coords=coords)
         assert sp.dist("u", "v") == 6.0
+
+    def test_l2_distances_beyond_squared_range(self):
+        # the squares of these distances overflow a double, the distances do not
+        line = load_space({"basepoint": "o", "metric": "l2", "points": [
+            {"id": "o", "coords": [0.0]},
+            {"id": "a", "coords": [1.0]},
+            {"id": "b", "coords": [1e160]},
+        ]})
+        assert line.dist("o", "a") == 1.0
+        assert line.dist("o", "b") == line.dist("a", "b") == 1e160
+        plane = PointedMetricSpace(ids=("o", "c"), basepoint="o", kind="l2",
+                                   coords=np.array([[0.0, 0.0], [3e200, 4e200]]))
+        assert plane.dist("o", "c") == pytest.approx(5e200, rel=1e-15)
 
     def test_l2_matches_manual(self):
         coords = np.array([[0.0, 0.0], [3.0, 4.0]])
@@ -267,21 +337,14 @@ class TestInterchange:
             load_space({"basepoint": "a", "metric": "taxicab",
                         "points": [{"id": "a", "coords": [0.0]}]})
 
-    def test_thread_env_var(self, monkeypatch):
-        monkeypatch.setenv("SPIRALPASTE_THREADS", "2")
-        coords = np.array([[float(i), 0.0] for i in range(8)])
-        ids = tuple(f"x{i}" for i in range(8))
-        sp = PointedMetricSpace(ids=ids, basepoint="x0", kind="linf", coords=coords)
-        assert sp.dist("x0", "x7") == 7.0
-
     @pytest.mark.parametrize("kind", ["linf", "l2"])
     def test_distance_matrix_independent_of_threads(self, monkeypatch, kind):
         # 150 rows make three row chunks, so two workers really split them
         coords = np.random.default_rng(3).normal(size=(150, 5))
         ids = tuple(f"x{i}" for i in range(150))
         mats = []
-        for threads in ("1", "2"):
-            monkeypatch.setenv("SPIRALPASTE_THREADS", threads)
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
             sp = PointedMetricSpace(ids=ids, basepoint="x0", kind=kind, coords=coords)
             mats.append(sp.distance_matrix())
         assert np.array_equal(mats[0], mats[1])
@@ -290,13 +353,6 @@ class TestInterchange:
             assert np.array_equal(mats[0], np.max(np.abs(diff), axis=2))
         else:
             assert np.allclose(mats[0], np.sqrt(np.sum(diff**2, axis=2)), rtol=1e-14, atol=0.0)
-
-    def test_thread_env_var_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv("SPIRALPASTE_THREADS", "many")
-        coords = np.array([[0.0], [1.0]])
-        with pytest.raises(SchemaError):
-            sp = PointedMetricSpace(ids=("a", "b"), basepoint="a", kind="linf", coords=coords)
-            sp.distance_matrix()
 
 
 @settings(max_examples=40, deadline=None)
