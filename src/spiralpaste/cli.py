@@ -133,7 +133,7 @@ def _load_map(doc) -> tuple[SumSpaceSpec, dict]:
                 idx = int(key)
             except ValueError as exc:
                 raise SchemaError(f"block key {key!r} of {pid!r} is not an integer") from exc
-            if not isinstance(vals, list):
+            if not isinstance(vals, list) or not all(isinstance(v, (int, float)) for v in vals):
                 raise SchemaError(f"block {key} of {pid!r} must be a list of numbers")
             parsed[idx] = [float(v) for v in vals]
         images[pid] = BlockVector(spec, parsed)
@@ -280,8 +280,8 @@ def _cmd_fdd_demo(cfg: RunConfig) -> tuple[dict, bool]:
     checks = {
         "pair_isometry": pair_dev <= 1e-12,
         "equivalence_within_bound": eq.max_ratio <= eq.bound + 1e-12,
-        "renormed_within_bound": result.report_a is None or result.report_a.passed,
-        "ambient_within_bound": result.report_ambient is None or result.report_ambient.passed,
+        "renormed_within_bound": result.report_a.passed,
+        "ambient_within_bound": result.report_ambient.passed,
     }
     payload = {
         "model": {"block_dims": list(model.block_dims), "eps_list": list(model.eps_list)},
@@ -291,10 +291,8 @@ def _cmd_fdd_demo(cfg: RunConfig) -> tuple[dict, bool]:
             "samples": eq.samples,
         },
         "pair_isometry_deviation": pair_dev,
-        "report_renormed": None if result.report_a is None else result.report_a.to_doc(),
-        "report_ambient": None
-        if result.report_ambient is None
-        else result.report_ambient.to_doc(),
+        "report_renormed": result.report_a.to_doc(),
+        "report_ambient": result.report_ambient.to_doc(),
         "checks": checks,
     }
     return payload, all(checks.values())

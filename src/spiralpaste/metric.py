@@ -87,13 +87,8 @@ def sup_pairwise(V: np.ndarray, kind: str = "linf") -> np.ndarray:
             out[i1:, i0:i1] = out[i0:i1, i1:].T
 
     starts = range(0, m, chunk)
-    workers = min(os.cpu_count() or 1, len(starts))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, starts))
-    else:
-        for i0 in starts:
-            fill(i0)
+    with ThreadPoolExecutor(max_workers=max(1, min(os.cpu_count() or 1, len(starts)))) as pool:
+        list(pool.map(fill, starts))
     return out
 
 
@@ -400,7 +395,10 @@ def load_space(doc: dict) -> PointedMetricSpace:
         if kind != "matrix":
             if "coords" not in entry:
                 raise SchemaError(f"point {entry['id']!r} missing coords")
-            coords.append([float(c) for c in entry["coords"]])
+            vals = entry["coords"]
+            if not isinstance(vals, list) or not all(isinstance(c, (int, float)) for c in vals):
+                raise SchemaError(f"coords of point {entry['id']!r} must be a list of numbers")
+            coords.append([float(c) for c in vals])
     try:
         if kind == "matrix":
             if "matrix" not in doc:

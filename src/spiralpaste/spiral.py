@@ -61,16 +61,13 @@ class RadiiSchedule:
     radii: np.ndarray
 
     def band_of(self, rho: float) -> int:
-        """Index i of the branch whose domain (R_{2i-1}, R_{2i+1}] holds rho."""
-        if rho <= self.radii[0]:
-            return 1
-        # log-domain comparison against the odd radii R_1, R_3, ...; the
-        # 1e-12 shift absorbs exp/log round-trip noise at the boundaries,
-        # where the clamped blends make both candidate bands agree anyway.
-        # Just above R_1 the shift lands below log R_1 = 0, hence the clamp.
-        odd_logs = self.log_radii[0::2]
-        j = int(np.searchsorted(odd_logs, math.log(rho) - 1e-12, side="left"))
-        if j >= len(odd_logs):
+        """Index i of the branch whose domain (R_{2i-1}, R_{2i+1}] holds rho.
+
+        Compared with the odd radii as built, like ``blend`` and
+        ``needed_bands``; rho <= R_1 belongs to band 1.
+        """
+        j = int(np.searchsorted(self.radii[0::2], rho, side="left"))
+        if j >= self.band_count:
             raise ScheduleTooShort(
                 f"rho={rho:g} exceeds the last odd radius R_{2 * self.band_count - 1}"
             )
@@ -283,11 +280,6 @@ def paste(
     rho_max = float(np.max(rho))
     K = needed_bands(epsilon, rho_max) if bands is None else int(bands)
     schedule = radii_schedule(epsilon, K)
-    if rho_max > schedule.radii[-2]:
-        raise ScheduleTooShort(
-            f"max rho {rho_max:g} exceeds last odd radius {schedule.radii[-2]:g} "
-            f"({K} bands)"
-        )
 
     bands_of = {}
     used_blocks: set[int] = set()

@@ -67,7 +67,7 @@ class TestEmbed:
                      "--epsilon", "0.0001"]) == 3
 
     def test_point_just_above_first_radius(self, tmp_path):
-        # rho = 1 + 1e-13 sits inside the log-domain slack at R_1 = 1
+        # rho = 1 + 1e-13, just above R_1 = 1
         doc = {"basepoint": "o", "metric": "linf", "points": [
             {"id": "o", "coords": [0.0]},
             {"id": "a", "coords": [1.0000000000001]},
@@ -128,6 +128,39 @@ class TestInputErrors:
         path.write_text(json.dumps(doc))
         assert main(["embed", "--input", str(path), "--method", "frechet"]) == 2
         assert "overflows double range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("coords", [5, [[0]]])
+    def test_coords_not_a_list_of_numbers(self, tmp_path, capsys, coords):
+        doc = {"basepoint": "o", "metric": "linf", "points": [
+            {"id": "o", "coords": [0.0]},
+            {"id": "a", "coords": coords},
+        ]}
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps(doc))
+        assert main(["embed", "--input", str(path), "--p", "2", "--epsilon", "0.2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_map_block_not_a_list_of_numbers(self, int_doc, tmp_path, capsys):
+        path, sp = int_doc
+        doc = {"p": "sup", "block_dims": [1], "images": {pid: {"1": [[1]]} for pid in sp.ids}}
+        map_path = tmp_path / "map.json"
+        map_path.write_text(json.dumps(doc))
+        assert main(["distortion", "--input", path, "--map", str(map_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["embed", "--p", "2", "--epsilon", "0.2"],
+        ["fdd-demo", "--epsilon", "0.2"],
+        ["sweep", "--p", "2", "--eps", "0.2"],
+    ])
+    def test_one_point_space(self, tmp_path, capsys, argv):
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps(
+            {"basepoint": "o", "metric": "linf", "points": [{"id": "o", "coords": [0.0]}]}))
+        assert main(argv + ["--input", str(path)]) == 2
+        assert capsys.readouterr().err == "error: distortion needs at least two points\n"
 
 
 class TestDistortionCommand:

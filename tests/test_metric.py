@@ -26,7 +26,7 @@ from spiralpaste import (
     space_to_doc,
     tree_space,
 )
-from spiralpaste.fdd import _ambient_aggregator, _norm_a_aggregator
+from spiralpaste.fdd import _norm_a_aggregator, _weighted
 from spiralpaste.sumspace import norm as sum_norm
 
 SPEC = SumSpaceSpec(SUP, (2,))
@@ -291,18 +291,19 @@ def _brute_ratios(sp, images, target_norm):
 @given(case=sparse_images())
 def test_scan_matches_reference_norms_pair_by_pair(target, case):
     sp, dims, blocks, eps_list = case
-    if isinstance(target, str):
-        model = FddModel(dims, eps_list)
-        spec = model.spec
-        if target == "norm_a":
-            ref_norm, fold = (lambda v: norm_a(model, v)), _norm_a_aggregator(model)
-        else:
-            ref_norm, fold = (lambda v: ambient_norm(model, v)), _ambient_aggregator(model)
-    else:
-        spec, fold = SumSpaceSpec(target, dims), None
-        ref_norm = sum_norm
+    model = FddModel(dims, eps_list)
+    spec = model.spec if isinstance(target, str) else SumSpaceSpec(target, dims)
     images = {pid: BlockVector(spec, blocks[i]) for i, pid in enumerate(sp.ids)}
-    rep = distortion(sp, images, spec, aggregator=fold)
+    if target == "norm_a":
+        ref_norm = lambda v: norm_a(model, v)
+        rep = distortion(sp, images, spec, aggregator=_norm_a_aggregator(model))
+    elif target == "ambient":
+        # the ambient norm is the sup norm of the block-weighted image
+        ref_norm = lambda v: ambient_norm(model, v)
+        rep = distortion(sp, _weighted(model, images), spec)
+    else:
+        ref_norm = sum_norm
+        rep = distortion(sp, images, spec)
     hi, lo = _brute_ratios(sp, images, ref_norm)
     if lo == 0.0:
         assert rep.scale_r == 0.0 and math.isinf(rep.distortion)

@@ -50,15 +50,15 @@ class TestSchedule:
             assert math.isclose(r[2 * i] / r[2 * i - 1], 1 / 0.2, rel_tol=1e-12)
 
     def test_band_of_boundaries(self):
-        # the classifier works in log domain, so probe with a bump the log
-        # actually resolves; right at a boundary either band is acceptable
-        # because the clamped blends agree there
+        # the classifier compares rho with the odd radii as built; a radius
+        # itself belongs to the band below it, the next double to the band above
         sched = radii_schedule(0.2, 3)
         r3, r5 = float(sched.radii[2]), float(sched.radii[4])
         assert sched.band_of(0.5) == 1
         assert sched.band_of(1.0) == 1
         assert sched.band_of(r3) == 1  # band domain is (R_1, R_3]
         assert sched.band_of(r3 * (1.0 + 1e-9)) == 2
+        assert sched.band_of(math.nextafter(r3, math.inf)) == 2
         assert sched.band_of(r5) == 2
         with pytest.raises(ScheduleTooShort):
             sched.band_of(r5 * (1.0 + 1e-9))
