@@ -28,10 +28,10 @@ from .counterexample import (
     verify_metric_ray,
     verify_separation_epsilon,
 )
-from .errors import SchemaError, ScheduleOverflow, SpiralPasteError
+from .errors import ModelInvalid, SchemaError, ScheduleOverflow, SpiralPasteError
 from .fdd import embed_no_cotype, equivalence_ratio, pair_isometry_check
 from .frechet import frechet_embed
-from .metric import distortion as measure_distortion, load_space, packing_bound
+from .metric import _is_number, distortion as measure_distortion, load_space, packing_bound
 from .spiral import analytic_bound, paste, seam_check, spiral_distortion
 from .sumspace import SUP, BlockVector, SumSpaceSpec
 
@@ -102,6 +102,8 @@ def _read_json(path: str):
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON in {path}: {exc}") from exc
+    except RecursionError as exc:
+        raise SchemaError(f"JSON in {path} nests too deeply") from exc
 
 
 def _load_map(doc) -> tuple[SumSpaceSpec, dict]:
@@ -114,10 +116,10 @@ def _load_map(doc) -> tuple[SumSpaceSpec, dict]:
     p = doc["p"]
     if p == "sup":
         p = SUP
-    if not isinstance(p, (int, float)):
+    if not _is_number(p):
         raise SchemaError("map field 'p' must be a number or \"sup\"")
     dims = doc["block_dims"]
-    if not isinstance(dims, list) or not all(isinstance(d, int) for d in dims):
+    if not isinstance(dims, list) or not all(_is_number(d) and isinstance(d, int) for d in dims):
         raise SchemaError("map field 'block_dims' must be a list of integers")
     spec = SumSpaceSpec(float(p), tuple(dims))
     raw = doc["images"]
@@ -133,7 +135,7 @@ def _load_map(doc) -> tuple[SumSpaceSpec, dict]:
                 idx = int(key)
             except ValueError as exc:
                 raise SchemaError(f"block key {key!r} of {pid!r} is not an integer") from exc
-            if not isinstance(vals, list) or not all(isinstance(v, (int, float)) for v in vals):
+            if not isinstance(vals, list) or not all(_is_number(v) for v in vals):
                 raise SchemaError(f"block {key} of {pid!r} must be a list of numbers")
             parsed[idx] = [float(v) for v in vals]
         images[pid] = BlockVector(spec, parsed)
@@ -271,7 +273,11 @@ def _cmd_fdd_demo(cfg: RunConfig) -> tuple[dict, bool]:
     space = load_space(_read_json(cfg.input))
     if cfg.epsilon is None:
         raise SchemaError("fdd-demo needs --epsilon")
-    result = embed_no_cotype(space, cfg.epsilon, eps_list=cfg.eps_list)
+    try:
+        result = embed_no_cotype(space, cfg.epsilon, eps_list=cfg.eps_list)
+    except ModelInvalid as exc:
+        # only the --eps-list product condition raises here: bad input, not a failed check
+        raise SchemaError(f"--eps-list: {exc}") from exc
     model = result.model
     eq = equivalence_ratio(model, cfg.epsilon, seed=cfg.seed, n=cfg.samples)
     pair_dev = 0.0

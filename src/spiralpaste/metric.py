@@ -373,6 +373,11 @@ def packing_bound(R: float, delta: float, m: int, C: float) -> float:
 
 # JSON interchange -----------------------------------------------------------
 
+def _is_number(x) -> bool:
+    """A JSON number; JSON true/false load as bool, a subclass of int."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def load_space(doc: dict) -> PointedMetricSpace:
     """Build a space from its JSON document form (see README for the schema)."""
     if not isinstance(doc, dict):
@@ -396,7 +401,7 @@ def load_space(doc: dict) -> PointedMetricSpace:
             if "coords" not in entry:
                 raise SchemaError(f"point {entry['id']!r} missing coords")
             vals = entry["coords"]
-            if not isinstance(vals, list) or not all(isinstance(c, (int, float)) for c in vals):
+            if not isinstance(vals, list) or not all(_is_number(c) for c in vals):
                 raise SchemaError(f"coords of point {entry['id']!r} must be a list of numbers")
             coords.append([float(c) for c in vals])
     try:

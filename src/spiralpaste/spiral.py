@@ -7,9 +7,9 @@ isometric ball image over two consecutive sup-norm blocks.  Outside its
 blend window a point sits in a single block, which makes adjacent band
 formulas agree exactly on the overlap.
 
-The analytic distortion bound combines a worst case over blend positions
-with a separate ratio covering pairs whose norms differ by the schedule's
-shrink factor.
+The analytic distortion bound is a closed form, rounded outward: the worst
+case over blend positions sits at the symmetric blend, and a separate
+ratio covers pairs whose norms differ by the schedule's shrink factor.
 """
 
 from __future__ import annotations
@@ -159,64 +159,51 @@ def small_norm_ratio(epsilon: float) -> float:
     return (1.0 + epsilon) ** 3 / denom
 
 
-def _golden(f: Callable[[float], float], a: float, b: float, xtol: float = 1e-10) -> float:
-    """Golden-section minimum of f on [a, b]; returns the best f value."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > xtol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return min(fc, fd, f(a), f(b))
+def _up(x: float) -> float:
+    """The double just above x."""
+    return math.nextafter(x, math.inf)
 
 
 def analytic_bound(p: float, epsilon: float) -> float:
     """Worst-case distortion bound for the pasted map at exponent p.
 
-    max(band ratio, small-norm ratio) where the band ratio scans blend
-    positions c in [0, 1], s = (1 - c^p)^(1/p), with slack K*eps on top
-    and K*eps*(1+eps) below (K = 2 for p <= 2, else the derivative
-    constant).  Returns +inf when the lower envelope touches zero, i.e.
-    eps is too large for the bound to say anything.
+    max(band ratio, small-norm ratio).  With K = 2 for p <= 2, else
+    ``c_constant(p)``, u = K eps and d = K eps (1 + eps), the band ratio is
+    (1 + eps) max ||(c, s) + (u, u)||_p / min ||((c - d)+, (s - d)+)||_p
+    over blends c^p + s^p = 1.  Both extremes sit at c = s = 2^(-1/p):
+    by Minkowski ||(c, s) + (u, u)||_p <= 1 + 2^(1/p) u, and by the reverse
+    triangle inequality on (c, s) = ((c - d)+, (s - d)+) + (min(c, d),
+    min(s, d)), ||((c - d)+, (s - d)+)||_p >= 1 - 2^(1/p) d, with equality
+    when d <= 2^(-1/p).  So with a = 2^(1/p) K the band ratio is
+    (1 + eps)(1 + a eps) / (1 - a eps (1 + eps)), +inf once the denominator
+    is <= 0, and the bound is 1+: bound - 1 = eps (1 + 2a) + O(eps^2).
+
+    The band ratio dominates ``small_norm_ratio``: a >= 2 sqrt 2 for p <= 2,
+    c_constant >= 3 for p > 2, the band ratio grows with a, and at a = r >= 2
+    cross-multiplying the two ratios leaves (2r - 4) eps + (r - 1) eps^2 +
+    (1 + 3r) eps^3 + 2r eps^4 > 0.  The max is kept so the bound names both.
+
+    Each rounded step is moved outward, so the result is never below the
+    exact formula at the given doubles; it is +inf where that is, and also a
+    few ulps short of the pole, where that exceeds 1e12.
     """
     if not 1.0 <= p < math.inf:
         raise ValueError(f"exponent must be a finite real >= 1, got {p}")
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    K = 2.0 if p <= 2.0 else c_constant(p)
-    up = K * epsilon
-    down = K * epsilon * (1.0 + epsilon)
-
-    def s_of(c: float) -> float:
-        return (max(1.0 - c**p, 0.0)) ** (1.0 / p)
-
-    def upper(c: float) -> float:
-        s = s_of(c)
-        return (1.0 + epsilon) * ((c + up) ** p + (s + up) ** p) ** (1.0 / p)
-
-    def lower(c: float) -> float:
-        s = s_of(c)
-        return (max(c - down, 0.0) ** p + max(s - down, 0.0) ** p) ** (1.0 / p)
-
-    grid = np.linspace(0.0, 1.0, 10_000)
-    u_vals = np.array([upper(c) for c in grid])
-    l_vals = np.array([lower(c) for c in grid])
-    iu = int(np.argmax(u_vals))
-    il = int(np.argmin(l_vals))
-    u_max = -_golden(
-        lambda c: -upper(c), grid[max(iu - 1, 0)], grid[min(iu + 1, len(grid) - 1)]
-    )
-    l_min = _golden(lower, grid[max(il - 1, 0)], grid[min(il + 1, len(grid) - 1)])
-    if l_min <= 0.0:
+    # c_constant's roundings and pow calls err by < (6.7 + 3.5 p) 2^-53 relative
+    # (its second exponent is <= p); 16 + 4p also covers the second order.
+    K = 2.0 if p <= 2.0 else _up(c_constant(p) * _up(1.0 + (16.0 + 4.0 * p) * 2.0**-53))
+    # One step up bounds a correctly rounded op and two bound libm pow (error
+    # < 1 ulp); 2^x grows with its already raised exponent.
+    a_eps = _up(_up(_up(_up(2.0 ** _up(1.0 / p))) * K) * epsilon)
+    one_eps = _up(1.0 + epsilon)
+    # The denominator is lowered: its subtrahend is raised, then 1 - it rounded down.
+    den = math.nextafter(1.0 - _up(a_eps * one_eps), -math.inf)
+    if den <= 0.0:
         return math.inf
-    return float(max(u_max / l_min, small_norm_ratio(epsilon)))
+    num = _up(one_eps * _up(1.0 + a_eps))
+    return max(_up(num / den), small_norm_ratio(epsilon))
 
 
 @dataclass(frozen=True)

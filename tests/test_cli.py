@@ -19,6 +19,16 @@ def line_doc(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def pair_doc(tmp_path_factory):
+    path = tmp_path_factory.mktemp("spaces") / "pair.json"
+    path.write_text(json.dumps({"basepoint": "o", "metric": "linf", "points": [
+        {"id": "o", "coords": [0.0]},
+        {"id": "a", "coords": [1.0]},
+    ]}))
+    return str(path)
+
+
+@pytest.fixture(scope="module")
 def int_doc(tmp_path_factory):
     sp = random_integer_space(np.random.default_rng(12), n_max=12)
     path = tmp_path_factory.mktemp("spaces") / "ints.json"
@@ -129,7 +139,7 @@ class TestInputErrors:
         assert main(["embed", "--input", str(path), "--method", "frechet"]) == 2
         assert "overflows double range" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("coords", [5, [[0]]])
+    @pytest.mark.parametrize("coords", [5, [[0]], [True]])
     def test_coords_not_a_list_of_numbers(self, tmp_path, capsys, coords):
         doc = {"basepoint": "o", "metric": "linf", "points": [
             {"id": "o", "coords": [0.0]},
@@ -141,14 +151,42 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
-    def test_map_block_not_a_list_of_numbers(self, int_doc, tmp_path, capsys):
+    def test_map_block_not_a_list_of_numbers(self, int_doc, pair_doc, tmp_path, capsys):
         path, sp = int_doc
-        doc = {"p": "sup", "block_dims": [1], "images": {pid: {"1": [[1]]} for pid in sp.ids}}
+        good = {"p": "sup", "block_dims": [1], "images": {"o": {"1": [0]}, "a": {"1": [1]}}}
+        cases = [
+            (path, {"p": "sup", "block_dims": [1],
+                    "images": {pid: {"1": [[1]]} for pid in sp.ids}}),
+            # JSON true/false load as bool, which Python counts as an int
+            (pair_doc, dict(good, images={"o": {"1": [False]}, "a": {"1": [True]}})),
+            (pair_doc, dict(good, block_dims=[True])),
+            (pair_doc, dict(good, p=True)),
+        ]
         map_path = tmp_path / "map.json"
-        map_path.write_text(json.dumps(doc))
-        assert main(["distortion", "--input", path, "--map", str(map_path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "Traceback" not in err
+        map_path.write_text(json.dumps(good))
+        assert main(["distortion", "--input", pair_doc, "--map", str(map_path)]) == 0
+        capsys.readouterr()
+        for space_path, doc in cases:
+            map_path.write_text(json.dumps(doc))
+            assert main(["distortion", "--input", space_path, "--map", str(map_path)]) == 2, doc
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "Traceback" not in err
+
+    def test_deeply_nested_json(self, int_doc, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        for argv in (["embed", "--input", str(deep), "--p", "2", "--epsilon", "0.2"],
+                     ["distortion", "--input", int_doc[0], "--map", str(deep)]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert "nests too deeply" in err and "Traceback" not in err
+
+    def test_eps_list_product_too_small(self, pair_doc, capsys):
+        # prod(1 - eps_n) = 0.5 is not above 1 - epsilon = 0.8: bad input, like a
+        # list of the wrong length, not a failed check
+        assert main(["fdd-demo", "--input", pair_doc, "--epsilon", "0.2",
+                     "--eps-list", "0.5"]) == 2
+        assert capsys.readouterr().err.startswith("error: --eps-list: prod(1 - eps_n)")
 
     @pytest.mark.parametrize("argv", [
         ["embed", "--p", "2", "--epsilon", "0.2"],

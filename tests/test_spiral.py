@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -26,6 +27,66 @@ from spiralpaste import (
 )
 
 P_MENU = (1.0, 1.5, 2.0, 3.0, 4.0)
+
+
+def _golden(f, a, b, xtol=1e-10):
+    """Golden-section minimum of f on [a, b]; returns the best f value."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > xtol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    return min(fc, fd, f(a), f(b))
+
+
+def sampled_bound(p, eps):
+    """The band ratio found by scanning blend positions, max'd with the small-norm ratio.
+
+    A dense grid over c in [0, 1], s = (1 - c^p)^(1/p), refined by golden
+    sections around the worst upper and lower envelope values.
+    """
+    K = 2.0 if p <= 2.0 else c_constant(p)
+    up = K * eps
+    down = K * eps * (1.0 + eps)
+
+    def s_of(c):
+        return (max(1.0 - c**p, 0.0)) ** (1.0 / p)
+
+    def upper(c):
+        return (1.0 + eps) * ((c + up) ** p + (s_of(c) + up) ** p) ** (1.0 / p)
+
+    def lower(c):
+        return (max(c - down, 0.0) ** p + max(s_of(c) - down, 0.0) ** p) ** (1.0 / p)
+
+    grid = np.linspace(0.0, 1.0, 10_000)
+    iu = int(np.argmax([upper(c) for c in grid]))
+    il = int(np.argmin([lower(c) for c in grid]))
+    u_max = -_golden(lambda c: -upper(c), grid[max(iu - 1, 0)], grid[min(iu + 1, len(grid) - 1)])
+    l_min = _golden(lower, grid[max(il - 1, 0)], grid[min(il + 1, len(grid) - 1)])
+    if l_min <= 0.0:
+        return math.inf
+    return max(u_max / l_min, small_norm_ratio(eps))
+
+
+def exact_bound(p, eps):
+    """The closed-form band and small-norm ratios at 60 digits, at the given doubles."""
+    with mpmath.workdps(60):
+        p, e = mpmath.mpf(p), mpmath.mpf(eps)
+        K = 2 if p <= 2 else 2 ** (1 - 2 / p) * (1 + 2 ** (1 + (p - 1) * (p - 2) / (2 * p)))
+        a = 2 ** (1 / p) * K
+        den = 1 - a * e * (1 + e)
+        band = (1 + e) * (1 + a * e) / den if den > 0 else mpmath.inf
+        small_den = (1 - e) * (1 - e - e * e)
+        small = (1 + e) ** 3 / small_den if small_den > 0 else mpmath.inf
+        return band, small
 
 
 class TestSchedule:
@@ -159,13 +220,28 @@ class TestBoundFunctions:
             d = 2.0 * math.sqrt(2.0) * eps
             band = (1 + eps) * (1 + d) / (1 - d * (1 + eps))
             small = (1 + eps) ** 3 / ((1 - eps) * (1 - eps - eps * eps))
-            assert analytic_bound(2.0, eps) == pytest.approx(max(band, small), rel=1e-9)
+            assert analytic_bound(2.0, eps) == pytest.approx(max(band, small), rel=1e-12)
 
     def test_bound_regression_freezes(self):
         assert analytic_bound(1.0, 0.1) == pytest.approx(2.75, rel=1e-12)
         assert analytic_bound(2.0, 0.1) == pytest.approx(2.0484573359348652, rel=1e-12)
-        assert analytic_bound(3.0, 0.1) == pytest.approx(4.449083855015291, rel=1e-9)
-        assert analytic_bound(4.0, 0.05) == pytest.approx(2.334846061260024, rel=1e-9)
+        assert analytic_bound(3.0, 0.1) == pytest.approx(4.449083855015291, rel=1e-12)
+        assert analytic_bound(4.0, 0.05) == pytest.approx(2.334846061260024, rel=1e-12)
+
+    @given(st.floats(min_value=1.0, max_value=16.0), st.floats(min_value=1e-6, max_value=0.99))
+    @settings(max_examples=50, deadline=None)
+    def test_bound_is_a_certified_envelope(self, p, eps):
+        got = analytic_bound(p, eps)
+        band, small = exact_bound(p, eps)
+        exact = max(band, small)
+        assert got >= exact
+        assert got >= sampled_bound(p, eps)
+        # outward rounding may reach the pole a few ulps early, where the
+        # exact bound is astronomically large anyway
+        assert math.isinf(got) == mpmath.isinf(exact) or exact > 1e12
+        if exact < 100:
+            assert got - exact <= 1e-10 * exact
+        assert small_norm_ratio(eps) <= band
 
     def test_bound_degenerates_to_inf(self):
         assert math.isinf(analytic_bound(2.0, 0.5))
