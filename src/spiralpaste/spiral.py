@@ -106,7 +106,9 @@ def blend_theta(p: float, theta: float) -> tuple[float, float]:
     """Blend coefficients at angle theta in [0, pi/2]; c^p + s^p = 1.
 
     For 1 <= p <= 2 these are cos/sin raised to 2/p; for p > 2 cos/sin
-    renormalised by the p-mean (cos^p t + sin^p t)^(1/p).
+    renormalised by the p-mean (cos^p t + sin^p t)^(1/p), taken after
+    dividing both by the larger, as ``sumspace.norm`` does, so that at large
+    p the two powers cannot both underflow to 0.
     """
     if not 1.0 <= p < math.inf:
         raise ValueError(f"blend needs a finite exponent p >= 1, got {p}")
@@ -114,6 +116,8 @@ def blend_theta(p: float, theta: float) -> tuple[float, float]:
     ct, st = math.cos(theta), math.sin(theta)
     if p <= 2.0:
         return ct ** (2.0 / p), st ** (2.0 / p)
+    m = max(ct, st)
+    ct, st = ct / m, st / m
     denom = (ct**p + st**p) ** (1.0 / p)
     return ct / denom, st / denom
 
@@ -193,7 +197,11 @@ def analytic_bound(p: float, epsilon: float) -> float:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     # c_constant's roundings and pow calls err by < (6.7 + 3.5 p) 2^-53 relative
     # (its second exponent is <= p); 16 + 4p also covers the second order.
-    K = 2.0 if p <= 2.0 else _up(c_constant(p) * _up(1.0 + (16.0 + 4.0 * p) * 2.0**-53))
+    # A K beyond double range (p > ~2050) is read as +inf, and so is the bound.
+    try:
+        K = 2.0 if p <= 2.0 else _up(c_constant(p) * _up(1.0 + (16.0 + 4.0 * p) * 2.0**-53))
+    except OverflowError:
+        K = math.inf
     # One step up bounds a correctly rounded op and two bound libm pow (error
     # < 1 ulp); 2^x grows with its already raised exponent.
     a_eps = _up(_up(_up(_up(2.0 ** _up(1.0 / p))) * K) * epsilon)

@@ -103,6 +103,22 @@ class TestEmbed:
         assert main(["embed", "--input", str(path), "--p", "2", "--epsilon", "0.1",
                      "--out", str(tmp_path / "r.json")]) == 0
 
+    @pytest.mark.parametrize("x", [5.0, math.exp(math.pi / 0.4)])
+    def test_huge_exponent(self, tmp_path, capsys, x):
+        # 5 sits early in the first blend window; e^(pi/(4 eps)) at its middle
+        doc = {"basepoint": "o", "metric": "linf", "points": [
+            {"id": "o", "coords": [0.0]},
+            {"id": "a", "coords": [1.0]},
+            {"id": "b", "coords": [x]},
+        ]}
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "r.json"
+        assert main(["embed", "--input", str(path), "--p", "3000", "--epsilon", "0.1",
+                     "--out", str(out)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        assert json.loads(out.read_text())["report"]["analytic_bound"] == "inf"
+
 
 class TestInputErrors:
     def test_missing_file(self):
@@ -114,10 +130,18 @@ class TestInputErrors:
         bad.write_text("{oops")
         assert main(["embed", "--input", str(bad), "--p", "2", "--epsilon", "0.2"]) == 2
 
-    def test_schema_violation(self, tmp_path):
+    def test_schema_violation(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"metric": "linf"}))
         assert main(["embed", "--input", str(bad), "--p", "2", "--epsilon", "0.2"]) == 2
+        pair = {"basepoint": "o", "metric": "matrix", "points": [{"id": "o"}, {"id": "a"}]}
+        for matrix in ([[False, True], [True, False]], [["0", "1"], ["1", "0"]],
+                       [[0, {"d": 1}], [1, 0]]):
+            bad.write_text(json.dumps(dict(pair, matrix=matrix)))
+            capsys.readouterr()
+            assert main(["embed", "--input", str(bad), "--method", "frechet"]) == 2, matrix
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "Traceback" not in err
 
     def test_unknown_subcommand(self):
         assert main(["frobnicate"]) == 2

@@ -12,8 +12,11 @@ from spiralpaste import (
     FddModel,
     ModelInvalid,
     NetTooCoarse,
+    SUP,
+    SumSpaceSpec,
     ambient_norm,
     analytic_bound,
+    distortion,
     embed_no_cotype,
     equivalence_ratio,
     norm_a,
@@ -169,6 +172,18 @@ class TestEmbedNoCotype:
                 worst_hi = max(worst_hi, ratio)
                 worst_lo = min(worst_lo, ratio)
         assert res.report_a.distortion == pytest.approx(worst_hi / worst_lo, rel=1e-12)
+
+    def test_ambient_report_is_the_sup_distortion(self, line, tree):
+        # with unit weights the fold's ambient array is the sup distance itself
+        for space in (line, tree):
+            res = embed_no_cotype(space, 0.2)
+            direct = distortion(
+                space,
+                res.embedding.images,
+                SumSpaceSpec(SUP, res.model.block_dims),
+                analytic_bound=res.report_ambient.analytic_bound,
+            )
+            assert res.report_ambient == direct
 
     def test_ambient_within_equivalence_factor(self, line):
         res = embed_no_cotype(line, 0.2)

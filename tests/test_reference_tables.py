@@ -1,0 +1,27 @@
+"""The benchmark's committed verdict tables still match the package.
+
+``perfbench/gate.py`` fails a benchmark op whose verdict numbers move
+from the tables under ``perfbench/reference/``, but only when the
+benchmark runs.  This recomputes seed 0 of each declared workload in
+process and compares it under the gate's own rule (rel 1e-12).
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.mark.parametrize("workload", ["embed-tree", "fdd-tree"])
+def test_seed_zero_matches_committed_table(monkeypatch, workload):
+    # gate imports its sibling modules by name; no bytecode is written beside them
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    import gate
+
+    problems = []
+    want = gate.stored_reference(workload, 0)
+    gate._compare(workload, gate.compute_reference(workload, 0), want, problems)
+    assert problems == []

@@ -154,6 +154,8 @@ class TestSchedule:
 
 class TestBlend:
     @given(st.sampled_from(P_MENU), st.floats(min_value=0.0, max_value=math.pi / 2))
+    # cos^p and sin^p of the symmetric blend both underflow at this p
+    @example(3000.0, math.pi / 4)
     @settings(max_examples=300)
     def test_partition_of_unity(self, p, theta):
         c, s = blend_theta(p, theta)
@@ -246,6 +248,9 @@ class TestBoundFunctions:
     def test_bound_degenerates_to_inf(self):
         assert math.isinf(analytic_bound(2.0, 0.5))
         assert math.isinf(analytic_bound(3.0, 0.2))
+        # c_constant(3000) leaves double range
+        assert math.isinf(analytic_bound(3000.0, 0.1))
+        assert math.isinf(analytic_bound(3000.0, 1e-300))
 
     def test_bound_monotone_in_eps(self):
         for p in (1.0, 2.0):

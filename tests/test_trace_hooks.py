@@ -22,7 +22,7 @@ PASTE_SPANS = {"metric.load", "spiral.paste", "frechet.embed", "spiral.bound"}
 
 @pytest.mark.parametrize("argv, spans, scans", [
     (["embed", "--p", "2", "--epsilon", "0.2"], PASTE_SPANS, 1),
-    (["fdd-demo", "--epsilon", "0.2"], PASTE_SPANS | {"fdd.validate"}, 2),
+    (["fdd-demo", "--epsilon", "0.2"], PASTE_SPANS | {"fdd.validate"}, 1),
 ])
 def test_traced_cli_records_layer_spans(tmp_path, argv, spans, scans):
     space = tmp_path / "line.json"
