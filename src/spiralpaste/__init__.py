@@ -26,7 +26,6 @@ from .errors import (
     ModelInvalid,
     NetTooCoarse,
     NotARay,
-    ScheduleOverflow,
     ScheduleTooShort,
     SchemaError,
     SpiralPasteError,

@@ -1,9 +1,10 @@
 """Command-line front door: parse inputs, dispatch, emit reports.
 
 Reports are deterministic given (input, flags, seed): keys are sorted,
-floats are emitted verbatim (infinities as the string "inf"), and nothing
-time- or host-dependent is written.  Exit codes: 0 all checks pass,
-1 a contract was violated, 2 bad input or schema, 3 schedule overflow.
+floats are emitted verbatim (infinities as the string "inf", which is how
+schedule radii past double range appear), and nothing time- or
+host-dependent is written.  Exit codes: 0 all checks pass, 1 a contract
+was violated, 2 bad input or schema.
 """
 
 from __future__ import annotations
@@ -28,10 +29,10 @@ from .counterexample import (
     verify_metric_ray,
     verify_separation_epsilon,
 )
-from .errors import ModelInvalid, SchemaError, ScheduleOverflow, SpiralPasteError
+from .errors import ModelInvalid, SchemaError, SpiralPasteError
 from .fdd import embed_no_cotype, equivalence_ratio, pair_isometry_check
 from .frechet import frechet_embed
-from .metric import _is_number, distortion as measure_distortion, load_space, packing_bound
+from .metric import _floats, _is_number, distortion as measure_distortion, load_space, packing_bound
 from .spiral import analytic_bound, paste, seam_check, spiral_distortion
 from .sumspace import SUP, BlockVector, SumSpaceSpec
 
@@ -118,10 +119,11 @@ def _load_map(doc) -> tuple[SumSpaceSpec, dict]:
         p = SUP
     if not _is_number(p):
         raise SchemaError("map field 'p' must be a number or \"sup\"")
+    [p] = _floats([p], "map field 'p'")
     dims = doc["block_dims"]
     if not isinstance(dims, list) or not all(_is_number(d) and isinstance(d, int) for d in dims):
         raise SchemaError("map field 'block_dims' must be a list of integers")
-    spec = SumSpaceSpec(float(p), tuple(dims))
+    spec = SumSpaceSpec(p, tuple(dims))
     raw = doc["images"]
     if not isinstance(raw, dict):
         raise SchemaError("map field 'images' must be an object keyed by point id")
@@ -137,7 +139,7 @@ def _load_map(doc) -> tuple[SumSpaceSpec, dict]:
                 raise SchemaError(f"block key {key!r} of {pid!r} is not an integer") from exc
             if not isinstance(vals, list) or not all(_is_number(v) for v in vals):
                 raise SchemaError(f"block {key} of {pid!r} must be a list of numbers")
-            parsed[idx] = [float(v) for v in vals]
+            parsed[idx] = _floats(vals, f"block {key} of {pid!r}")
         images[pid] = BlockVector(spec, parsed)
     return spec, images
 
@@ -460,9 +462,6 @@ def main(argv=None) -> int:
         else:
             payload, passed = _HANDLERS[cfg.subcommand](cfg)
             text = _render_report(cfg, payload, passed)
-    except ScheduleOverflow as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

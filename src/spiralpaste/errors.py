@@ -13,10 +13,6 @@ class DegenerateTriple(SpiralPasteError):
     """Two of the three points handed to a flat-triple check coincide."""
 
 
-class ScheduleOverflow(SpiralPasteError):
-    """Radii left double range while growing the schedule; work in logs."""
-
-
 class ScheduleTooShort(SpiralPasteError):
     """Some point lies beyond the last odd radius of the given schedule."""
 

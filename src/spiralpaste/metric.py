@@ -136,10 +136,11 @@ class PointedMetricSpace:
             if not np.all(np.isfinite(C)):
                 raise ValueError("coordinates must be finite")
             self.coords = C
-            # distinctness; the induced triangle inequality is automatic
-            if len({tuple(row) for row in C}) != n:
-                raise ValueError("coordinate rows must be distinct points")
             D = sup_pairwise(C, self.kind)
+            # distinct points at distance 0 (an l2 square can underflow) fail
+            # like equal rows; the induced triangle inequality is automatic
+            if np.count_nonzero(D == 0.0) != n:
+                raise ValueError("coordinate rows must be distinct points")
         if not np.all(np.isfinite(D)):
             raise ValueError("distances must be finite: an entry is NaN or overflows double range")
         self.matrix = D
@@ -393,6 +394,14 @@ def _is_number_type(t: type) -> bool:
     return issubclass(t, (int, float)) and not issubclass(t, bool)
 
 
+def _floats(vals: list, what: str) -> list[float]:
+    """JSON numbers as floats; an integer literal beyond double range is a schema error."""
+    try:
+        return [float(v) for v in vals]
+    except OverflowError as exc:
+        raise SchemaError(f"{what}: a number lies beyond double range") from exc
+
+
 def load_space(doc: dict) -> PointedMetricSpace:
     """Build a space from its JSON document form (see README for the schema)."""
     if not isinstance(doc, dict):
@@ -418,7 +427,7 @@ def load_space(doc: dict) -> PointedMetricSpace:
             vals = entry["coords"]
             if not isinstance(vals, list) or not all(_is_number(c) for c in vals):
                 raise SchemaError(f"coords of point {entry['id']!r} must be a list of numbers")
-            coords.append([float(c) for c in vals])
+            coords.append(_floats(vals, f"coords of point {entry['id']!r}"))
     try:
         if kind == "matrix":
             if "matrix" not in doc:
@@ -432,9 +441,11 @@ def load_space(doc: dict) -> PointedMetricSpace:
                 and all(map(_is_number_type, set().union(*(map(type, row) for row in rows))))
             ):
                 raise SchemaError(f"matrix must be a list of {n} rows of {n} numbers")
-            return PointedMetricSpace(
-                tuple(ids), str(doc["basepoint"]), "matrix", matrix=np.asarray(rows, dtype=float)
-            )
+            try:
+                matrix = np.asarray(rows, dtype=float)
+            except OverflowError as exc:
+                raise SchemaError("a matrix entry lies beyond double range") from exc
+            return PointedMetricSpace(tuple(ids), str(doc["basepoint"]), "matrix", matrix=matrix)
         lens = {len(c) for c in coords}
         if len(lens) != 1:
             raise SchemaError("all points must share one coordinate dimension")

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ScheduleOverflow, ScheduleTooShort
+from .errors import ScheduleTooShort
 from .frechet import frechet_embed
 from .metric import PointedMetricSpace, ball, distortion as measure_distortion, DistortionReport
 from .sumspace import BlockVector, SumSpaceSpec, block_profile
@@ -42,10 +42,6 @@ __all__ = [
     "spiral_distortion",
 ]
 
-# ln of the largest double; schedules beyond this cannot be materialised.
-_LOG_MAX = 709.0
-
-
 @dataclass(frozen=True)
 class RadiiSchedule:
     """Increasing radii R_1 .. R_{2K} with their logs.
@@ -53,6 +49,9 @@ class RadiiSchedule:
     R_1 = 1; eps * ln(R_{2i} / R_{2i-1}) = pi/2 (the blend window spans a
     quarter turn); R_{2i+1} / R_{2i} = 1/eps (the shrink gap).  Band i
     blends over [R_{2i-1}, R_{2i}] and hands over on (R_{2i}, R_{2i+1}].
+    Radii past double range are +inf: every rho is a finite double below
+    the true radius, so comparisons and balls come out the same, and the
+    blend angle reads the finite ``log_radii``.
     """
 
     epsilon: float
@@ -86,20 +85,22 @@ def radii_schedule(epsilon: float, band_count: int) -> RadiiSchedule:
     logs[0] = 0.0
     for i in range(1, 2 * band_count):
         logs[i] = logs[i - 1] + (half_turn if i % 2 == 1 else shrink)
-    if logs[-1] > _LOG_MAX:
-        raise ScheduleOverflow(
-            f"radii reach exp({logs[-1]:.1f}) and leave double range; "
-            "work with log_radii directly"
-        )
-    return RadiiSchedule(epsilon, band_count, logs, np.exp(logs))
+    with np.errstate(over="ignore"):
+        radii = np.exp(logs)
+    return RadiiSchedule(epsilon, band_count, logs, radii)
 
 
 def needed_bands(epsilon: float, rho_max: float) -> int:
-    """Minimal band count whose last odd radius, as built, covers rho_max."""
-    k = 1
-    while radii_schedule(epsilon, k).radii[-2] < rho_max:
-        k += 1
-    return k
+    """Minimal band count whose last odd radius, as built, covers rho_max.
+
+    Shorter schedules are prefixes of longer ones, so one schedule whose
+    last odd radius is +inf (its log passes 710 > ln of the largest double)
+    holds every answer: 1 + the number of odd radii below rho_max, the
+    rule of ``band_of``.
+    """
+    step = radii_schedule(epsilon, 2).log_radii[2]  # ln R_3, the log step between odd radii
+    sched = radii_schedule(epsilon, 2 + int(710.0 / step))
+    return 1 + int(np.searchsorted(sched.radii[0::2], rho_max, side="left"))
 
 
 def blend_theta(p: float, theta: float) -> tuple[float, float]:

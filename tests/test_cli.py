@@ -72,9 +72,38 @@ class TestEmbed:
         assert main(["embed", "--input", line_doc, "--p", "2", "--epsilon", "0.2",
                      "--bands", "1"]) == 1
 
-    def test_overflow_exit(self, line_doc):
-        assert main(["embed", "--input", line_doc, "--p", "2",
-                     "--epsilon", "0.0001"]) == 3
+    @pytest.mark.parametrize("p", ["1", "2", "3"])
+    @pytest.mark.parametrize("eps", ["0.002", "0.0001"])
+    def test_tiny_epsilon_pastes(self, line_doc, tmp_path, p, eps):
+        # R_2 = e^(pi/(2 eps)) is past double range, so radii from R_2 on are +inf
+        out = tmp_path / "r.json"
+        assert main(["embed", "--input", line_doc, "--p", p, "--epsilon", eps,
+                     "--out", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        assert all(rep["checks"].values())
+        assert rep["schedule"]["radii"][1:] == ["inf"] * (len(rep["schedule"]["radii"]) - 1)
+
+    @pytest.mark.parametrize("xs, eps, argv", [
+        # at 0.1 only R_80, the last block's ball radius, is past double range
+        ([0.0, 1.0, 1e300], "0.1", ["embed", "--p", "2"]),
+        ([0.0, 1.0, 1e300], "0.1", ["fdd-demo"]),
+        ([0.0, 1.0, 1e200, 1.7e308], "0.5", ["embed", "--p", "2"]),
+        ([0.0, 1.0, 1e200, 1.7e308], "0.5", ["fdd-demo"]),
+    ], ids=["1e300-embed", "1e300-fdd", "1.7e308-embed", "1.7e308-fdd"])
+    def test_radii_past_double_range(self, tmp_path, xs, eps, argv):
+        doc = {"basepoint": "x0", "metric": "linf",
+               "points": [{"id": f"x{i}", "coords": [x]} for i, x in enumerate(xs)]}
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "r.json"
+        assert main(argv + ["--input", str(path), "--epsilon", eps, "--out", str(out)]) == 0
+        assert all(json.loads(out.read_text())["checks"].values())
+
+    def test_sweep_past_double_range(self, line_doc, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--input", line_doc, "--p", "2", "--eps", "0.2,0.001",
+                     "--out", str(out)]) == 0
+        assert len(out.read_text().strip().splitlines()) == 3
 
     def test_point_just_above_first_radius(self, tmp_path):
         # rho = 1 + 1e-13, just above R_1 = 1
@@ -135,13 +164,26 @@ class TestInputErrors:
         bad.write_text(json.dumps({"metric": "linf"}))
         assert main(["embed", "--input", str(bad), "--p", "2", "--epsilon", "0.2"]) == 2
         pair = {"basepoint": "o", "metric": "matrix", "points": [{"id": "o"}, {"id": "a"}]}
-        for matrix in ([[False, True], [True, False]], [["0", "1"], ["1", "0"]],
-                       [[0, {"d": 1}], [1, 0]]):
-            bad.write_text(json.dumps(dict(pair, matrix=matrix)))
-            capsys.readouterr()
-            assert main(["embed", "--input", str(bad), "--method", "frechet"]) == 2, matrix
-            err = capsys.readouterr().err
-            assert err.startswith("error:") and "Traceback" not in err
+        docs = [dict(pair, matrix=matrix) for matrix in (
+            [[False, True], [True, False]], [["0", "1"], ["1", "0"]],
+            [[0, {"d": 1}], [1, 0]],
+            # an integer literal beyond double range
+            [[0, 10**400], [10**400, 0]],
+        )]
+        docs.append({"basepoint": "o", "metric": "linf", "points": [
+            {"id": "o", "coords": [0]}, {"id": "a", "coords": [10**400]}]})
+        # distinct rows whose l2 distance underflows to 0
+        docs.append({"basepoint": "o", "metric": "l2", "points": [
+            {"id": "o", "coords": [0.0]}, {"id": "a", "coords": [1e-200]},
+            {"id": "b", "coords": [1.0]}]})
+        capsys.readouterr()
+        for doc in docs:
+            bad.write_text(json.dumps(doc))
+            for argv in (["embed", "--method", "frechet"], ["embed", "--p", "2", "--epsilon", "0.2"],
+                         ["fdd-demo", "--epsilon", "0.2"]):
+                assert main(argv + ["--input", str(bad)]) == 2, doc
+                err = capsys.readouterr().err
+                assert err.startswith("error:") and "Traceback" not in err and "NaN" not in err
 
     def test_unknown_subcommand(self):
         assert main(["frobnicate"]) == 2
@@ -185,6 +227,9 @@ class TestInputErrors:
             (pair_doc, dict(good, images={"o": {"1": [False]}, "a": {"1": [True]}})),
             (pair_doc, dict(good, block_dims=[True])),
             (pair_doc, dict(good, p=True)),
+            # integer literals beyond double range
+            (pair_doc, dict(good, images={"o": {"1": [0]}, "a": {"1": [10**400]}})),
+            (pair_doc, dict(good, p=10**400)),
         ]
         map_path = tmp_path / "map.json"
         map_path.write_text(json.dumps(good))

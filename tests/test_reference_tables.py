@@ -3,7 +3,9 @@
 ``perfbench/gate.py`` fails a benchmark op whose verdict numbers move
 from the tables under ``perfbench/reference/``, but only when the
 benchmark runs.  This recomputes seed 0 of each declared workload in
-process and compares it under the gate's own rule (rel 1e-12).
+process and compares it under the gate's own rule (rel 1e-12).  The
+undeclared ``sweep-line`` table is included: it is the only committed one
+with schedules at eps = 0.05.
 """
 
 import sys
@@ -14,7 +16,7 @@ import pytest
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-@pytest.mark.parametrize("workload", ["embed-tree", "fdd-tree"])
+@pytest.mark.parametrize("workload", ["embed-tree", "fdd-tree", "sweep-line"])
 def test_seed_zero_matches_committed_table(monkeypatch, workload):
     # gate imports its sibling modules by name; no bytecode is written beside them
     monkeypatch.syspath_prepend(str(BENCH))

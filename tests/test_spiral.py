@@ -9,7 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from spiralpaste import (
     PointedMetricSpace,
-    ScheduleOverflow,
     ScheduleTooShort,
     analytic_bound,
     blend,
@@ -130,26 +129,35 @@ class TestSchedule:
         for rho in (1.0000000000001, 1.0 + 2.0**-52, math.nextafter(1.0, 2.0)):
             assert sched.band_of(rho) == 1
 
-    def test_overflow(self):
-        with pytest.raises(ScheduleOverflow):
-            radii_schedule(0.001, 3)
+    def test_radii_past_double_range_are_inf(self):
+        # R_2 = e^(pi/0.002) is past double range; no RuntimeWarning (the suite errors on one)
+        sched = radii_schedule(0.001, 3)
+        assert np.all(np.isfinite(sched.log_radii))
+        assert np.all(sched.radii[1:] == math.inf)
 
     def test_rejects_bad_epsilon(self):
         for eps in (0.0, 1.0, -0.1):
             with pytest.raises(ValueError):
                 radii_schedule(eps, 2)
 
-    @given(st.floats(min_value=0.05, max_value=0.5), st.floats(min_value=1.0, max_value=1e9))
-    @settings(max_examples=120)
+    @given(st.floats(min_value=1e-6, max_value=0.999), st.floats(min_value=1.0, max_value=1.7e308))
+    @settings(max_examples=120, deadline=None)
     # one ulp above R_3 and R_5 at eps = 0.1: only the radii as built, not
     # a count re-derived in log domain, tell these from R_3 and R_5
     @example(0.1, math.nextafter(66356239.99341138, math.inf))
     @example(0.1, math.nextafter(4403150586063176.0, math.inf))
+    @example(0.1, 66356239.99341138)  # R_3 itself: two bands cover it, not three
     def test_needed_bands_covers(self, eps, rho):
         k = needed_bands(eps, rho)
         sched = radii_schedule(eps, k)
         assert rho <= sched.radii[-2]  # last odd radius
         assert sched.band_of(rho) <= k
+        # minimal: one band fewer leaves rho beyond the last odd radius
+        assert k == 1 or radii_schedule(eps, k - 1).radii[-2] < rho
+        # shorter schedules are exact prefixes of longer ones
+        longer = radii_schedule(eps, 2 * k + 1)
+        assert np.array_equal(sched.log_radii, longer.log_radii[: 2 * k])
+        assert np.array_equal(sched.radii, longer.radii[: 2 * k])
 
 
 class TestBlend:
