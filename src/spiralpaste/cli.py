@@ -462,10 +462,7 @@ def main(argv=None) -> int:
         else:
             payload, passed = _HANDLERS[cfg.subcommand](cfg)
             text = _render_report(cfg, payload, passed)
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (SchemaError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SpiralPasteError as exc:

@@ -9,8 +9,6 @@ a map into a block sum is measured by scanning every unordered pair.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping
 
@@ -37,58 +35,71 @@ TOL = 1e-9
 
 _KINDS = ("matrix", "linf", "l2")
 
+# Entries of sup_pairwise's two work buffers together: 1 MiB of doubles.
+# A 4 MiB cap timed within noise of it on the 600-point triangle check.
+_SLAB = 1 << 17
+
 
 def sup_pairwise(V: np.ndarray, kind: str = "linf") -> np.ndarray:
     """Pairwise distances of the rows of V: sup norm ('linf') or Euclidean ('l2').
 
-    The package's one pairwise kernel.  A task takes a chunk of rows and
-    loops over the columns, folding |v_k - v_k^T| into its slice of the
-    upper triangle by max (or, for 'l2', the squares by sum), then mirrors
-    it below the diagonal; tasks write disjoint entries and run on a
-    thread pool with one worker per CPU.  Every entry folds the columns in
-    the same order whatever the split, so results do not depend on the
-    pool size.  Extra memory is one (chunk, m) buffer per task.  For 'l2',
-    rows with an entry of at least 2^500 are divided by a power of two
-    before squaring and multiplied back after the square root, so a
-    distance that fits a double does not overflow on the way; one that
-    does not fit comes out as inf.
+    The package's one pairwise kernel, serial.  It takes the columns of V
+    a slab at a time, copied out transposed so that each column is one
+    contiguous row.  For each chunk of rows of the upper triangle it
+    writes the (rows, cols, m) differences into one buffer, reduces them
+    over the columns in one numpy call (max of abs, or for 'l2' sum of
+    squares) and folds that into the chunk; the triangle is mirrored at
+    the end.  The slab copy and the difference buffer hold at most
+    ``_SLAB`` entries between them where a row allows it, so extra memory
+    stays flat whatever the number of columns.  linf entries are exact
+    maxima; an l2 entry sums its squares in numpy's order.  For 'l2', an
+    input with an entry of at least 2^500 is divided by a power of two
+    (into a copy) before squaring and the distances are multiplied back
+    after the square root, so a distance that fits a double does not
+    overflow on the way; one that does not fit comes out as inf, where
+    the caller's finiteness check reports it.
     """
-    m = V.shape[0]
-    out = np.empty((m, m))
-    chunk = 64
+    m, k = V.shape
+    out = np.zeros((m, m))
+    if not V.size:
+        return out
     l2 = kind == "l2"
     scale = 1.0
-    if l2 and V.size:
-        top = float(np.max(np.abs(V)))
+    if l2:
+        top = max(float(V.max()), -float(V.min()))
         if top >= 2.0**500:
             scale = math.ldexp(1.0, math.frexp(top)[1] - 500)
             V = V / scale
-
-    def fill(i0: int) -> None:
-        # An overflow leaves inf in the matrix, where the caller's
-        # finiteness check reports it.  Pool threads do not inherit the
-        # caller's errstate, so it is set here.
-        with np.errstate(over="ignore"):
-            i1 = min(i0 + chunk, m)
-            acc = out[i0:i1, i0:]
-            tmp = np.empty(acc.shape)
-            acc.fill(0.0)
-            for col in V.T:
-                np.subtract(col[i0:i1, None], col[None, i0:], out=tmp)
+    # (rows + 1) * cols * m <= _SLAB wherever 2 * m <= _SLAB
+    cols = max(1, min(k, _SLAB // (2 * m)))
+    rows = max(1, min(m, _SLAB // (cols * m) - 1))
+    slab = np.empty(cols * m)
+    diffs = np.empty(rows * cols * m)
+    part = np.empty(rows * m)
+    with np.errstate(over="ignore"):
+        for c0 in range(0, k, cols):
+            c1 = min(c0 + cols, k)
+            T = slab[: (c1 - c0) * m].reshape(c1 - c0, m)
+            np.copyto(T, V[:, c0:c1].T)
+            for i0 in range(0, m, rows):
+                i1 = min(i0 + rows, m)
+                acc = out[i0:i1, i0:]
+                red = part[: acc.size].reshape(acc.shape)
+                diff = diffs[: acc.size * (c1 - c0)].reshape(i1 - i0, c1 - c0, m - i0)
+                np.subtract(T[:, i0:i1].T[:, :, None], T[None, :, i0:], out=diff)
                 if l2:
-                    np.multiply(tmp, tmp, out=tmp)
-                    np.add(acc, tmp, out=acc)
+                    np.multiply(diff, diff, out=diff)
+                    np.sum(diff, axis=1, out=red)
+                    np.add(acc, red, out=acc)
                 else:
-                    np.abs(tmp, out=tmp)
-                    np.maximum(acc, tmp, out=acc)
-            if l2:
-                np.sqrt(acc, out=acc)
-                np.multiply(acc, scale, out=acc)
-            out[i1:, i0:i1] = out[i0:i1, i1:].T
-
-    starts = range(0, m, chunk)
-    with ThreadPoolExecutor(max_workers=max(1, min(os.cpu_count() or 1, len(starts)))) as pool:
-        list(pool.map(fill, starts))
+                    np.abs(diff, out=diff)
+                    np.max(diff, axis=1, out=red)
+                    np.maximum(acc, red, out=acc)
+        if l2:
+            np.sqrt(out, out=out)
+            np.multiply(out, scale, out=out)
+    for i0 in range(0, m, rows):
+        out[i0 + rows :, i0 : i0 + rows] = out[i0 : i0 + rows, i0 + rows :].T
     return out
 
 

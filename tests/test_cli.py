@@ -205,6 +205,16 @@ class TestInputErrors:
         assert main(["embed", "--input", str(path), "--method", "frechet"]) == 2
         assert "overflows double range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("metric", ["linf", "l2"])
+    def test_points_without_coordinates(self, tmp_path, capsys, metric):
+        # zero columns: every computed distance is 0
+        doc = {"basepoint": "o", "metric": metric,
+               "points": [{"id": pid, "coords": []} for pid in ("o", "a", "b")]}
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps(doc))
+        assert main(["embed", "--input", str(path), "--p", "2", "--epsilon", "0.2"]) == 2
+        assert "coordinate rows must be distinct points" in capsys.readouterr().err
+
     @pytest.mark.parametrize("coords", [5, [[0]], [True]])
     def test_coords_not_a_list_of_numbers(self, tmp_path, capsys, coords):
         doc = {"basepoint": "o", "metric": "linf", "points": [

@@ -1,7 +1,6 @@
 """Pointed spaces, the brute-force distortion scan, and JSON interchange."""
 
 import math
-import os
 import tracemalloc
 
 import numpy as np
@@ -26,6 +25,7 @@ from spiralpaste import (
     space_to_doc,
     tree_space,
 )
+from spiralpaste import metric
 from spiralpaste.fdd import _norm_a_aggregator
 from spiralpaste.sumspace import norm as sum_norm
 
@@ -162,8 +162,8 @@ class TestBasics:
         assert sp.dist("o", "u") == 5.0
 
     def test_every_read_uses_the_one_matrix(self):
-        # at 8 or more coordinates numpy's pairwise sum rounds differently
-        # from the kernel's in-order sum, so a second l2 formula would show
+        # the kernel sums each slab of squares in its own order, so an l2
+        # distance computed by a second formula can differ by an ulp
         coords = np.random.default_rng(0).uniform(size=(200, 12))
         sp = PointedMetricSpace(ids=tuple(range(200)), basepoint=0, kind="l2", coords=coords)
         tol = sp.rel_tol()
@@ -255,6 +255,34 @@ class TestDistortion:
             tracemalloc.stop()
         assert peak < 16 * n * n * 8
 
+    @pytest.mark.parametrize("kind", ["linf", "l2"])
+    def test_kernel_memory_without_columns(self, kind):
+        # a chunk of _SLAB // max(1, m * k) rows with no cap at m would
+        # allocate _SLAB rows of 600 here
+        V = np.empty((600, 0))
+        tracemalloc.start()
+        try:
+            D = metric.sup_pairwise(V, kind)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(D, np.zeros((600, 600)))
+        assert peak < 2 * D.nbytes
+
+    @pytest.mark.parametrize("kind", ["linf", "l2"])
+    def test_kernel_memory_is_flat_in_columns(self, kind):
+        V = np.random.default_rng(5).normal(size=(40, 200_000))
+        tracemalloc.start()
+        try:
+            D = metric.sup_pairwise(V, kind)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the margin holds numpy's ufunc iteration buffers, 64 KiB each
+        assert peak < D.nbytes + metric._SLAB * 8 + 256 * 1024
+        assert D[0, 1] == (np.max(np.abs(V[0] - V[1])) if kind == "linf"
+                           else pytest.approx(np.linalg.norm(V[0] - V[1]), rel=1e-14))
+
 
 # Sparse block images for the pair-by-pair scan check: each point touches
 # a random subset of the blocks (possibly none), the last block is never
@@ -336,22 +364,22 @@ class TestInterchange:
             load_space({"basepoint": "a", "metric": "taxicab",
                         "points": [{"id": "a", "coords": [0.0]}]})
 
+    @pytest.mark.parametrize("slab", [None, 460, 620])
     @pytest.mark.parametrize("kind", ["linf", "l2"])
-    def test_distance_matrix_independent_of_threads(self, monkeypatch, kind):
-        # 150 rows make three row chunks, so two workers really split them
-        coords = np.random.default_rng(3).normal(size=(150, 5))
-        ids = tuple(f"x{i}" for i in range(150))
-        mats = []
-        for cpus in (1, 2):
-            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-            sp = PointedMetricSpace(ids=ids, basepoint="x0", kind=kind, coords=coords)
-            mats.append(sp.distance_matrix())
-        assert np.array_equal(mats[0], mats[1])
+    def test_distance_matrix_across_slabs(self, monkeypatch, kind, slab):
+        # at 151 rows of 5 coordinates, 460 entries make 1-column slabs and
+        # 2-row chunks (the last of one row), 620 make 2-column slabs
+        # (2 + 2 + 1) of one row each; the default takes the input at once
+        if slab is not None:
+            monkeypatch.setattr(metric, "_SLAB", slab)
+        coords = np.random.default_rng(3).normal(size=(151, 5))
+        coords[7] *= 2.0**505  # takes the l2 rescale; its squares still fit a double
+        D = metric.sup_pairwise(coords, kind)
         diff = coords[:, None, :] - coords[None, :, :]
         if kind == "linf":
-            assert np.array_equal(mats[0], np.max(np.abs(diff), axis=2))
+            assert np.array_equal(D, np.max(np.abs(diff), axis=2))
         else:
-            assert np.allclose(mats[0], np.sqrt(np.sum(diff**2, axis=2)), rtol=1e-14, atol=0.0)
+            assert np.allclose(D, np.sqrt(np.sum(diff**2, axis=2)), rtol=1e-14, atol=0.0)
 
 
 @settings(max_examples=40, deadline=None)
