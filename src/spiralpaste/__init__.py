@@ -6,14 +6,9 @@ from .counterexample import (
     SeparationWitness,
     ball_point_count,
     build_family,
-    grouping_spec,
     in_carrier,
     linf_distance,
-    min_projection_level,
-    profile_proportionality,
-    ray_block_vectors,
     ray_point,
-    separation_epsilon,
     separation_witness,
     to_metric_space,
     verify_metric_ray,
@@ -22,10 +17,7 @@ from .counterexample import (
 from .errors import (
     CoverageViolated,
     DegenerateTriple,
-    DimensionTooLarge,
     ModelInvalid,
-    NetTooCoarse,
-    NotARay,
     ScheduleTooShort,
     SchemaError,
     SpiralPasteError,
@@ -34,12 +26,10 @@ from .fdd import (
     EquivalenceReport,
     FddModel,
     NoCotypeReport,
-    NormingSet,
     ambient_norm,
     embed_no_cotype,
     equivalence_ratio,
     norm_a,
-    norming_functionals,
     pair_isometry_check,
     validate_model,
 )
@@ -52,6 +42,7 @@ from .metric import (
     load_space,
     packing_bound,
     space_to_doc,
+    sup_pairwise,
 )
 from .spaces import grid_space, line_space, tree_space
 from .spiral import (
@@ -80,7 +71,6 @@ from .sumspace import (
     block_profile,
     flat_triple_check,
     norm,
-    project,
 )
 
 __version__ = "0.1.0"

@@ -24,6 +24,7 @@ from .counterexample import (
     CounterexampleConfig,
     build_family,
     ball_point_count,
+    in_carrier,
     ray_point,
     separation_witness,
     verify_metric_ray,
@@ -140,6 +141,8 @@ def _load_map(doc) -> tuple[SumSpaceSpec, dict]:
             if not isinstance(vals, list) or not all(_is_number(v) for v in vals):
                 raise SchemaError(f"block {key} of {pid!r} must be a list of numbers")
             parsed[idx] = _floats(vals, f"block {key} of {pid!r}")
+            if not all(map(math.isfinite, parsed[idx])):
+                raise SchemaError(f"block {key} of {pid!r} must hold finite numbers")
         images[pid] = BlockVector(spec, parsed)
     return spec, images
 
@@ -222,10 +225,11 @@ def _cmd_counterexample(cfg: RunConfig) -> tuple[dict, bool]:
     c = family.config
 
     rays = []
-    additive = True
+    additive = carried = True
     for j in range(1, c.ray_count + 1):
         pts = [ray_point(family, j, t) for t in range(c.depth + 1)]
         additive &= verify_metric_ray(pts)
+        carried &= all(in_carrier(family, pt) for pt in pts)
         rays.append({"ray": j, "points": [{str(i): v for i, v in p.items()} for p in pts]})
 
     separations = []
@@ -241,11 +245,13 @@ def _cmd_counterexample(cfg: RunConfig) -> tuple[dict, bool]:
             }
         )
 
-    # How the witness counts stack up against fixed-dimension packing limits.
+    # How the witness counts stack up against fixed-dimension packing limits,
+    # at the separation 3^(t-2) that survives projecting onto finitely many
+    # blocks with tails <= 1/9 (the equality verify_separation_epsilon checks).
     packing = []
     for t in range(2, c.depth + 1):
         radius = (3**t - 1) / 2
-        delta = float(3 ** (t - 1))
+        delta = float(3 ** (t - 2))
         row = {"level": t, "radius": radius, "delta": delta, "count": c.N[t - 2]}
         for m in (1, 2, 3):
             row[f"bound_dim_{m}"] = packing_bound(radius, delta, m, 4.0)
@@ -254,6 +260,7 @@ def _cmd_counterexample(cfg: RunConfig) -> tuple[dict, bool]:
     eps_exact = verify_separation_epsilon(12)
     checks = {
         "rays_additive": bool(additive),
+        "rays_in_carrier": carried,
         "separations_at_bound": all(s["min_distance"] >= s["bound"] for s in separations),
         "epsilon_exact": eps_exact,
     }
@@ -264,7 +271,7 @@ def _cmd_counterexample(cfg: RunConfig) -> tuple[dict, bool]:
         "rays": rays,
         "separations": separations,
         "packing": packing,
-        "separation_epsilon": "1/9",
+        "tail_epsilon": "1/9",
         "ball_points": ball_point_count(family, (3**c.depth - 1) // 2),
         "checks": checks,
     }

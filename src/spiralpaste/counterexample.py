@@ -17,27 +17,22 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import CoverageViolated, NotARay
+from .errors import CoverageViolated
 from .metric import PointedMetricSpace
-from .sumspace import BlockVector, SumSpaceSpec, SUP, block_profile, norm, project
 
 __all__ = [
     "CounterexampleConfig",
     "RayFamily",
     "build_family",
     "ray_point",
+    "in_carrier",
     "linf_distance",
     "verify_metric_ray",
     "SeparationWitness",
     "separation_witness",
-    "separation_epsilon",
     "verify_separation_epsilon",
-    "profile_proportionality",
-    "min_projection_level",
     "ball_point_count",
     "to_metric_space",
-    "ray_block_vectors",
-    "grouping_spec",
 ]
 
 
@@ -224,11 +219,6 @@ def separation_witness(family: RayFamily, t: int) -> SeparationWitness:
     return SeparationWitness(t, tuple(chosen), tuple(pts), dmin, bound)
 
 
-def separation_epsilon() -> float:
-    """Largest eps with 3^(t-1) - 2 eps 3^t >= 3^(t-2) for every level: 1/9."""
-    return 1.0 / 9.0
-
-
 def verify_separation_epsilon(t_max: int = 12) -> bool:
     """Exact check (fractions) that eps = 1/9 gives equality at t = 1..t_max
     and that any larger eps fails at every level."""
@@ -244,110 +234,13 @@ def verify_separation_epsilon(t_max: int = 12) -> bool:
     return True
 
 
-# Interplay with block sums --------------------------------------------------
-
-def grouping_spec(config: CounterexampleConfig, p: float) -> SumSpaceSpec:
-    """One block per level: dims (1, N_1, ..., N_{depth-1})."""
-    return SumSpaceSpec(p, (1,) + tuple(config.N[: config.depth - 1]))
-
-
-def ray_block_vectors(family: RayFamily, j: int, p: float, t_max: int | None = None) -> list[BlockVector]:
-    """Ray points as block vectors under the one-block-per-level grouping."""
-    cfg = family.config
-    spec = grouping_spec(cfg, p)
-    t_max = cfg.depth if t_max is None else t_max
-    starts = {t: cfg.level_positions(t)[0] for t in range(0, cfg.depth)}
-    out = []
-    for t in range(0, t_max + 1):
-        vec = ray_point(family, j, t)
-        blocks: dict[int, np.ndarray] = {}
-        for pos, val in vec.items():
-            level = 0 if pos == 1 else next(
-                lv for lv in range(1, cfg.depth) if pos in cfg.level_positions(lv)
-            )
-            arr = blocks.setdefault(level + 1, np.zeros(spec.block_dims[level]))
-            arr[pos - starts[level]] = float(val)
-        out.append(BlockVector(spec, blocks))
-    return out
-
-
-def profile_proportionality(ray: list[BlockVector], tol: float = 1e-8) -> bool:
-    """Whether every ray point's block profile is a positive multiple of the
-    first step's profile.
-
-    Preconditions (NotARay otherwise): the aggregation exponent lies
-    strictly between 1 and infinity, ray[0] is the origin, and the points
-    form a metric ray under the sum norm.  For such rays flatness forces
-    proportional profiles; this checks it numerically.
-    """
-    if len(ray) < 2:
-        raise NotARay("need at least the origin and one step")
-    p = ray[0].spec.p
-    if not 1.0 < p < SUP:
-        raise NotARay(f"profile law needs 1 < p < inf, got p={p}")
-    if norm(ray[0]) != 0.0:
-        raise NotARay("ray must start at the origin")
-    dists = [[norm(a - b) for b in ray] for a in ray]
-    scale = max(max(row) for row in dists)
-    for i in range(1, len(ray)):
-        if dists[0][i] <= dists[0][i - 1]:
-            raise NotARay("distances to the origin must increase strictly")
-    for i in range(len(ray)):
-        for j in range(i + 1, len(ray)):
-            for k in range(j + 1, len(ray)):
-                if abs(dists[i][k] - dists[i][j] - dists[j][k]) > tol * scale:
-                    raise NotARay(f"additivity fails on steps ({i},{j},{k})")
-    base = block_profile(ray[1])
-    bb = float(base @ base)
-    for i in range(1, len(ray)):
-        prof = block_profile(ray[i])
-        mult = float(prof @ base) / bb
-        if mult <= 0.0 or float(np.max(np.abs(prof - mult * base))) > tol * max(scale, 1.0):
-            return False
-    return True
-
-
-def min_projection_level(ray: list[BlockVector], epsilon: float) -> int:
-    """Smallest k with ||r_i - (blocks 1..k of r_i)|| <= eps * ||r_i|| for all i.
-
-    Also derives k from the first step alone and insists the two agree,
-    which holds for genuine rays (proportional profiles).
-    """
-    if len(ray) < 2:
-        raise NotARay("need at least the origin and one step")
-    if norm(ray[0]) != 0.0:
-        raise NotARay("ray must start at the origin")
-
-    def level_for(points: list[BlockVector]) -> int:
-        nb = points[0].spec.num_blocks
-        for k in range(1, nb + 1):
-            ok = True
-            for v in points:
-                tail = norm(v - project(v, k))
-                if tail > epsilon * norm(v):
-                    ok = False
-                    break
-            if ok:
-                return k
-        return nb
-
-    k_all = level_for(ray[1:])
-    k_one = level_for(ray[1:2])
-    if k_all != k_one:
-        raise NotARay(
-            f"projection level from the first step ({k_one}) disagrees with the "
-            f"family level ({k_all}); profiles are not proportional"
-        )
-    return k_all
-
-
 # Whole-space views -----------------------------------------------------------
 
-def _all_points(family: RayFamily, depth: int):
-    """Deduplicated ray points up to ``depth``: list of (id, sparse vector)."""
+def _all_points(family: RayFamily):
+    """Deduplicated ray points of the whole family: list of (id, sparse vector)."""
     seen: dict[tuple, str] = {}
     out = []
-    for t in range(0, depth + 1):
+    for t in range(0, family.config.depth + 1):
         for j in range(1, family.config.ray_count + 1):
             vec = ray_point(family, j, t)
             key = tuple(sorted(vec.items()))
@@ -357,20 +250,18 @@ def _all_points(family: RayFamily, depth: int):
                 out.append((pid, vec))
     return out
 
-def ball_point_count(family: RayFamily, radius: int, depth: int | None = None) -> int:
+
+def ball_point_count(family: RayFamily, radius: int) -> int:
     """How many distinct ray points lie in the closed ball around the origin.
 
-    Point norms are (3^t - 1)/2, so the count is insensitive to raising
-    ``depth`` beyond the radius (local finiteness)."""
-    depth = family.config.depth if depth is None else min(depth, family.config.depth)
-    pts = _all_points(family, depth)
-    return sum(1 for _, vec in pts if linf_distance(vec, {}) <= radius)
+    Point norms are (3^t - 1)/2, so only the first few steps of each ray
+    can lie in the ball (local finiteness)."""
+    return sum(1 for _, vec in _all_points(family) if linf_distance(vec, {}) <= radius)
 
 
-def to_metric_space(family: RayFamily, depth: int | None = None) -> PointedMetricSpace:
+def to_metric_space(family: RayFamily) -> PointedMetricSpace:
     """All distinct ray points as a pointed metric space (exact sup metric)."""
-    depth = family.config.depth if depth is None else depth
-    pts = _all_points(family, depth)
+    pts = _all_points(family)
     ids = tuple(pid for pid, _ in pts)
     n = len(pts)
     D = np.zeros((n, n))

@@ -1,5 +1,14 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "SpiralPasteError",
+    "SchemaError",
+    "DegenerateTriple",
+    "ScheduleTooShort",
+    "CoverageViolated",
+    "ModelInvalid",
+]
+
 
 class SpiralPasteError(Exception):
     """Base class for all library-specific failures."""
@@ -21,17 +30,5 @@ class CoverageViolated(SpiralPasteError):
     """The ray family cannot realise every choice at the requested level."""
 
 
-class NotARay(SpiralPasteError):
-    """The supplied points fail the metric-ray preconditions."""
-
-
 class ModelInvalid(SpiralPasteError):
     """A gluing model violates one of its defining inequalities."""
-
-
-class DimensionTooLarge(SpiralPasteError):
-    """Norming-functional construction is capped at 3-dimensional subspaces."""
-
-
-class NetTooCoarse(SpiralPasteError):
-    """Sphere net failed verification even after refinement."""

@@ -7,18 +7,16 @@ best sum ||v_j|| + ||v_k|| over two distinct blocks.  The two norms are
 equivalent, the second restricts exactly to a 1-sum on any pair of
 blocks, and pasting ball embeddings at exponent 1 lands the image of a
 pointed space inside such pairs; one pair scan measures the pasted map's
-distortion in both norms.  Sup-norm subspaces of dimension at most three
-also get explicit norming functionals from a sphere net.
+distortion in both norms.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionTooLarge, ModelInvalid, NetTooCoarse
+from .errors import ModelInvalid
 from .metric import DistortionReport, PointedMetricSpace, distortion as measure_distortion
 from .spiral import PastedEmbedding, analytic_bound, paste
 from .sumspace import SUP, BlockVector, SumSpaceSpec, block_profile
@@ -31,8 +29,6 @@ __all__ = [
     "equivalence_ratio",
     "EquivalenceReport",
     "pair_isometry_check",
-    "NormingSet",
-    "norming_functionals",
     "NoCotypeReport",
     "embed_no_cotype",
 ]
@@ -192,78 +188,6 @@ def pair_isometry_check(
         dev = abs(norm_a(model, v) - (prof[j - 1] + prof[k - 1]))
         worst = max(worst, dev)
     return worst
-
-
-# Norming functionals ---------------------------------------------------------
-
-@dataclass(frozen=True)
-class NormingSet:
-    """Coordinate functionals (index, sign) that lam-norm a sup-norm subspace."""
-
-    functionals: tuple[tuple[int, float], ...]
-    lam: float
-    net_points: np.ndarray
-
-    def apply(self, y: np.ndarray) -> float:
-        return max(abs(s * y[i]) for i, s in self.functionals)
-
-
-def _sphere_directions(dim: int, m: int) -> np.ndarray:
-    if dim == 1:
-        return np.array([[1.0], [-1.0]])
-    if dim == 2:
-        ang = np.linspace(0.0, 2.0 * math.pi, m, endpoint=False)
-        return np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    a = np.linspace(0.0, math.pi, m)
-    b = np.linspace(0.0, 2.0 * math.pi, 2 * m, endpoint=False)
-    A, B = np.meshgrid(a, b, indexing="ij")
-    return np.stack(
-        [np.sin(A) * np.cos(B), np.sin(A) * np.sin(B), np.cos(A)], axis=-1
-    ).reshape(-1, 3)
-
-
-def norming_functionals(basis: np.ndarray, lam: float) -> NormingSet:
-    """Coordinate functionals lam-norming span(basis) in sup-norm space.
-
-    basis: rows spanning a subspace of dimension <= 3.  A (1 - lam)-net of
-    the subspace's unit sphere is built on a coefficient grid; each net
-    point donates the signed coordinate functional attaining its sup norm
-    (dual norm 1, value exactly 1 there).  The lam-norming property is
-    then verified on a finer sample; the grid refines on failure and
-    NetTooCoarse is raised if refinement stalls.
-    """
-    B = np.asarray(basis, dtype=float)
-    if B.ndim != 2:
-        raise ValueError("basis must be a 2-d array: rows are vectors")
-    dim = len(B)
-    if dim > 3:
-        raise DimensionTooLarge("norming construction is capped at 3 basis vectors")
-    if np.linalg.matrix_rank(B) != dim:
-        raise ValueError("basis rows must be linearly independent")
-    if not 0.0 < lam < 1.0:
-        raise ValueError("lam must lie strictly between 0 and 1")
-
-    m = max(16, int(math.ceil(16.0 / (1.0 - lam))))
-    for _ in range(6):
-        net = _sphere_directions(dim, m) @ B
-        net = net / np.max(np.abs(net), axis=1, keepdims=True)
-        funcs: list[tuple[int, float]] = []
-        seen = set()
-        for row in net:
-            i = int(np.argmax(np.abs(row)))
-            s = 1.0 if row[i] > 0 else -1.0
-            if (i, s) not in seen:
-                seen.add((i, s))
-                funcs.append((i, s))
-        probe = _sphere_directions(dim, 4 * m + 1) @ B
-        probe = probe / np.max(np.abs(probe), axis=1, keepdims=True)
-        ok = all(
-            max(abs(s * y[i]) for i, s in funcs) >= lam - 1e-12 for y in probe
-        )
-        if ok:
-            return NormingSet(tuple(funcs), lam, net)
-        m *= 2
-    raise NetTooCoarse(f"no valid net at resolution {m}")
 
 
 # Embedding through the renormed model ----------------------------------------

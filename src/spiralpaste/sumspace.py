@@ -21,7 +21,6 @@ __all__ = [
     "BlockVector",
     "norm",
     "block_profile",
-    "project",
     "flat_triple_check",
     "FLAT_PROPORTIONAL",
     "FLAT_NOT_PROPORTIONAL",
@@ -134,13 +133,6 @@ def aggregate_profile(prof: np.ndarray, p: float) -> float:
 def norm(v: BlockVector) -> float:
     """Sum-space norm: (sum_n ||v_n||_inf^p)^(1/p), or the max under SUP."""
     return aggregate_profile(block_profile(v), v.spec.p)
-
-
-def project(v: BlockVector, k: int) -> BlockVector:
-    """Keep blocks 1..k, zero the rest."""
-    if not 1 <= k <= v.spec.num_blocks:
-        raise IndexError(f"projection level {k} outside 1..{v.spec.num_blocks}")
-    return BlockVector(v.spec, {i: arr for i, arr in v.blocks.items() if i <= k})
 
 
 def flat_triple_check(

@@ -250,6 +250,11 @@ class TestInputErrors:
             assert main(["distortion", "--input", space_path, "--map", str(map_path)]) == 2, doc
             err = capsys.readouterr().err
             assert err.startswith("error:") and "Traceback" not in err
+        # json reads the NaN and Infinity literals; they must not reach the scan
+        for bad in (math.nan, math.inf):
+            map_path.write_text(json.dumps(dict(good, images={"o": {"1": [0]}, "a": {"1": [bad]}})))
+            assert main(["distortion", "--input", pair_doc, "--map", str(map_path)]) == 2
+            assert capsys.readouterr().err == "error: block 1 of 'a' must hold finite numbers\n"
 
     def test_deeply_nested_json(self, int_doc, tmp_path, capsys):
         deep = tmp_path / "deep.json"
@@ -335,6 +340,13 @@ class TestOtherCommands:
         assert rep["ball_points"] == 34
         assert all(rep["checks"].values())
         assert len(rep["separations"]) == 5
+        assert rep["checks"]["rays_in_carrier"] is True
+        # tips 3^(t-1) apart keep 3^(t-1) - 2 (1/9) 3^t = 3^(t-2) once tails are cut
+        assert rep["tail_epsilon"] == "1/9"
+        rows = {row["level"]: row for row in rep["packing"]}
+        assert [rows[t]["delta"] for t in range(2, 7)] == [1.0, 3.0, 9.0, 27.0, 81.0]
+        assert rows[6]["radius"] == 364.0
+        assert rows[6]["bound_dim_1"] == 4 * 364 / 81
 
     def test_spiral_zero_eps(self, capsys, tmp_path):
         out = tmp_path / "r.json"

@@ -7,23 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spiralpaste import (
-    BlockVector,
     CounterexampleConfig,
     CoverageViolated,
-    NotARay,
-    SumSpaceSpec,
     ball,
     ball_point_count,
     build_family,
-    grouping_spec,
     in_carrier,
     linf_distance,
-    min_projection_level,
-    norm,
-    profile_proportionality,
-    ray_block_vectors,
     ray_point,
-    separation_epsilon,
     separation_witness,
     to_metric_space,
     verify_metric_ray,
@@ -136,7 +127,6 @@ class TestSeparation:
             assert w.min_distance == frozen[t]
 
     def test_epsilon_value_and_exactness(self):
-        assert separation_epsilon() == pytest.approx(1 / 9, abs=0)
         assert verify_separation_epsilon(12)
 
     def test_equality_is_sharp(self):
@@ -144,60 +134,6 @@ class TestSeparation:
         eps = Fraction(1, 9)
         t = 5
         assert Fraction(3) ** (t - 1) - 2 * eps * Fraction(3) ** t == Fraction(3) ** (t - 2)
-
-
-class TestBlockView:
-    def test_grouping_dims(self):
-        cfg = CounterexampleConfig()
-        spec = grouping_spec(cfg, 2.0)
-        assert spec.block_dims == (1, 2, 3, 4, 5, 6)
-
-    def test_block_vectors_match_sparse_points(self, family):
-        vecs = ray_block_vectors(family, 1, 2.0)
-        assert norm(vecs[0]) == 0.0
-        pt = ray_point(family, 1, 3)
-        prof3 = np.zeros(6)
-        prof3[0] = pt[1]
-        prof3[1] = pt[2]
-        prof3[2] = pt[4]
-        from spiralpaste import block_profile
-
-        assert np.array_equal(block_profile(vecs[3]), prof3)
-
-    def test_counterexample_rays_break_sum_norm_additivity(self, family):
-        # the heart of the lower bound: under any finite exponent the level
-        # grouping stops these from being metric rays, so the profile law
-        # refuses them
-        for p in (1.5, 2.0, 3.0):
-            vecs = ray_block_vectors(family, 1, p)
-            with pytest.raises(NotARay):
-                profile_proportionality(vecs)
-
-    def test_multiples_ray_is_proportional(self):
-        spec = SumSpaceSpec(2.0, (2, 1))
-        u = BlockVector(spec, {1: np.array([3.0, 0.0]), 2: np.array([4.0])})
-        ray = [BlockVector(spec, {}), u, 2.0 * u, 3.0 * u]
-        assert profile_proportionality(ray)
-
-    def test_exponent_range_enforced(self):
-        spec = SumSpaceSpec(1.0, (2,))
-        u = BlockVector(spec, {1: np.array([1.0, 0.0])})
-        with pytest.raises(NotARay):
-            profile_proportionality([BlockVector(spec, {}), u, 2.0 * u])
-
-    def test_min_projection_level_boundary(self):
-        spec = SumSpaceSpec(1.0, (1, 1))
-        u = BlockVector(spec, {1: np.array([3.0]), 2: np.array([1.0])})
-        ray = [BlockVector(spec, {}), u, 2.0 * u]
-        assert min_projection_level(ray, 0.25) == 1  # 1 <= 0.25 * 4, inclusive
-        assert min_projection_level(ray, 0.20) == 2
-
-    def test_min_projection_level_rejects_mismatched_tails(self):
-        spec = SumSpaceSpec(1.0, (1, 1))
-        a = BlockVector(spec, {1: np.array([3.0]), 2: np.array([1.0])})
-        b = BlockVector(spec, {1: np.array([4.0]), 2: np.array([4.0])})
-        with pytest.raises(NotARay):
-            min_projection_level([BlockVector(spec, {}), a, b], 0.25)
 
 
 class TestWholeSpace:

@@ -1,17 +1,14 @@
-"""The renormed block model: weighted ambient norm, pair sums, norming sets."""
+"""The renormed block model: weighted ambient norm, pair sums, the no-cotype embedding."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from spiralpaste import (
     BlockVector,
-    DimensionTooLarge,
     FddModel,
     ModelInvalid,
-    NetTooCoarse,
     SUP,
     SumSpaceSpec,
     ambient_norm,
@@ -20,7 +17,6 @@ from spiralpaste import (
     embed_no_cotype,
     equivalence_ratio,
     norm_a,
-    norming_functionals,
     pair_isometry_check,
     validate_model,
 )
@@ -107,44 +103,6 @@ class TestValidateAndEquivalence:
             pair_isometry_check(MODEL3, 2, 2)
         with pytest.raises(IndexError):
             pair_isometry_check(MODEL3, 1, 9)
-
-
-class TestNorming:
-    def test_one_dimensional(self):
-        ns = norming_functionals(np.array([[0.0, 5.0, 0.0]]), 0.9)
-        vals = {(i, s) for i, s in ns.functionals}
-        assert vals == {(1, 1.0), (1, -1.0)}
-        assert ns.apply(np.array([0.0, 5.0, 0.0])) == 5.0
-
-    def test_rejects_high_dimension(self):
-        with pytest.raises(DimensionTooLarge):
-            norming_functionals(np.eye(4), 0.9)
-
-    def test_rejects_dependent_basis(self):
-        with pytest.raises(ValueError):
-            norming_functionals(np.array([[1.0, 0.0], [2.0, 0.0]]), 0.9)
-
-    @given(
-        st.lists(st.floats(-5, 5), min_size=2, max_size=2),
-        st.floats(min_value=0.5, max_value=0.95),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_norming_property_2d(self, coeffs, lam):
-        basis = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, -1.0]])
-        ns = norming_functionals(basis, lam)
-        y = coeffs[0] * basis[0] + coeffs[1] * basis[1]
-        sup = float(np.max(np.abs(y)))
-        if sup < 1e-9:
-            return
-        assert ns.apply(y) >= (lam - 1e-9) * sup
-
-    def test_norming_property_3d(self):
-        basis = np.eye(3)
-        ns = norming_functionals(basis, 0.8)
-        rng = np.random.default_rng(8)
-        for _ in range(200):
-            y = rng.normal(size=3)
-            assert ns.apply(y) >= (0.8 - 1e-9) * float(np.max(np.abs(y)))
 
 
 class TestEmbedNoCotype:

@@ -17,7 +17,6 @@ from spiralpaste import (
     block_profile,
     flat_triple_check,
     norm,
-    project,
 )
 
 SPEC3 = SumSpaceSpec(2.0, (2, 3, 1))
@@ -111,27 +110,6 @@ class TestNorm:
             vals.append(norm(vec(spec, b1=a[:2], b2=a[2:5], b3=a[5:])))
         for lo, hi in zip(vals, vals[1:]):
             assert hi <= lo + 1e-12 * (1 + lo)
-
-
-class TestProject:
-    def test_projection_keeps_initial_blocks(self):
-        v = vec(SPEC3, b1=[1, 0], b2=[1, -2, 3])
-        assert np.array_equal(block_profile(project(v, 2)), [1.0, 3.0, 0.0])
-        assert np.array_equal(block_profile(project(v, 1)), [1.0, 0.0, 0.0])
-
-    def test_projection_range(self):
-        v = vec(SPEC3, b1=[1, 1])
-        with pytest.raises(IndexError):
-            project(v, 0)
-        with pytest.raises(IndexError):
-            project(v, 4)
-
-    @given(st.lists(st.floats(-10, 10), min_size=6, max_size=6))
-    def test_projection_norm_monotone(self, a):
-        v = vec(SPEC3, b1=a[:2], b2=a[2:5], b3=a[5:])
-        norms = [norm(project(v, k)) for k in (1, 2, 3)]
-        for lo, hi in zip(norms, norms[1:]):
-            assert lo <= hi + 1e-12 * (1 + hi)
 
 
 class TestFlatTriple:
