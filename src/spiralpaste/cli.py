@@ -11,12 +11,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,30 +36,6 @@ from .spiral import analytic_bound, paste, seam_check, spiral_distortion
 from .sumspace import SUP, BlockVector, SumSpaceSpec
 
 SCHEMA_VERSION = "1"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved flags for one invocation; echoed verbatim into the report."""
-
-    subcommand: str
-    input: str | None = None
-    map: str | None = None
-    out: str | None = None
-    p: float | None = None
-    epsilon: float | None = None
-    bands: int | None = None
-    method: str = "spiral"
-    bound: float | None = None
-    depth: int = 6
-    rays: int = 8
-    levels: tuple[int, ...] | None = None
-    eps_list: tuple[float, ...] | None = None
-    samples: int = 200
-    seed: int = 0
-    tmax: float = 1e4
-    p_grid: tuple[float, ...] = ()
-    eps_grid: tuple[float, ...] = ()
 
 
 # Report plumbing -------------------------------------------------------------
@@ -87,11 +61,11 @@ def _jsonify(x):
     return x
 
 
-def _render_report(cfg: RunConfig, payload: dict, passed: bool) -> str:
+def _render_report(args: argparse.Namespace, payload: dict, passed: bool) -> str:
     doc = {
         "schema_version": SCHEMA_VERSION,
-        "command": cfg.subcommand,
-        "config": dataclasses.asdict(cfg),
+        "command": args.subcommand,
+        "config": vars(args),
         "pass": passed,
     }
     doc.update(payload)
@@ -150,9 +124,9 @@ def _load_map(doc) -> tuple[SumSpaceSpec, dict]:
 # Subcommands ------------------------------------------------------------------
 
 
-def _cmd_embed(cfg: RunConfig) -> tuple[dict, bool]:
-    space = load_space(_read_json(cfg.input))
-    if cfg.method == "frechet":
+def _cmd_embed(args: argparse.Namespace) -> tuple[dict, bool]:
+    space = load_space(_read_json(args.input))
+    if args.method == "frechet":
         fm = frechet_embed(space)
         spec = SumSpaceSpec(SUP, (fm.dimension,))
         images = {pid: BlockVector(spec, {1: fm[pid]}) for pid in space.ids}
@@ -171,10 +145,10 @@ def _cmd_embed(cfg: RunConfig) -> tuple[dict, bool]:
         }
         return payload, all(checks.values())
 
-    if cfg.p is None or cfg.epsilon is None:
+    if args.p is None or args.epsilon is None:
         raise SchemaError("the spiral method needs --p and --epsilon")
-    emb = paste(space, cfg.p, cfg.epsilon, bands=cfg.bands)
-    bound = analytic_bound(cfg.p, cfg.epsilon)
+    emb = paste(space, args.p, args.epsilon)
+    bound = analytic_bound(args.p, args.epsilon)
     rep = measure_distortion(space, emb.images, emb.spec, analytic_bound=bound)
     gap, seam_pairs = seam_check(emb)
     npe = emb.norm_preservation_error()
@@ -204,13 +178,15 @@ def _cmd_embed(cfg: RunConfig) -> tuple[dict, bool]:
     return payload, all(checks.values())
 
 
-def _cmd_distortion(cfg: RunConfig) -> tuple[dict, bool]:
-    space = load_space(_read_json(cfg.input))
-    spec, images = _load_map(_read_json(cfg.map))
+def _cmd_distortion(args: argparse.Namespace) -> tuple[dict, bool]:
+    space = load_space(_read_json(args.input))
+    spec, images = _load_map(_read_json(args.map))
     missing = [pid for pid in space.ids if pid not in images]
     if missing:
         raise SchemaError(f"map has no image for {missing[0]!r}")
-    rep = measure_distortion(space, images, spec, analytic_bound=cfg.bound)
+    if args.bound is not None and math.isnan(args.bound):
+        raise SchemaError("--bound must be a number, got nan")
+    rep = measure_distortion(space, images, spec, analytic_bound=args.bound)
     checks = {
         "injective": math.isfinite(rep.distortion),
         "within_bound": rep.passed,
@@ -219,9 +195,8 @@ def _cmd_distortion(cfg: RunConfig) -> tuple[dict, bool]:
     return payload, all(checks.values())
 
 
-def _cmd_counterexample(cfg: RunConfig) -> tuple[dict, bool]:
-    levels = cfg.levels or tuple(t + 1 for t in range(1, cfg.depth + 1))
-    family = build_family(CounterexampleConfig(N=levels, depth=cfg.depth, ray_count=cfg.rays))
+def _cmd_counterexample(args: argparse.Namespace) -> tuple[dict, bool]:
+    family = build_family(CounterexampleConfig(N=args.levels, ray_count=args.rays))
     c = family.config
 
     rays = []
@@ -278,20 +253,18 @@ def _cmd_counterexample(cfg: RunConfig) -> tuple[dict, bool]:
     return payload, all(checks.values())
 
 
-def _cmd_fdd_demo(cfg: RunConfig) -> tuple[dict, bool]:
-    space = load_space(_read_json(cfg.input))
-    if cfg.epsilon is None:
-        raise SchemaError("fdd-demo needs --epsilon")
+def _cmd_fdd_demo(args: argparse.Namespace) -> tuple[dict, bool]:
+    space = load_space(_read_json(args.input))
     try:
-        result = embed_no_cotype(space, cfg.epsilon, eps_list=cfg.eps_list)
+        result = embed_no_cotype(space, args.epsilon, eps_list=args.eps_list)
     except ModelInvalid as exc:
         # only the --eps-list product condition raises here: bad input, not a failed check
         raise SchemaError(f"--eps-list: {exc}") from exc
     model = result.model
-    eq = equivalence_ratio(model, cfg.epsilon, seed=cfg.seed, n=cfg.samples)
+    eq = equivalence_ratio(model, args.epsilon, seed=args.seed, n=args.samples)
     pair_dev = 0.0
     if model.num_blocks >= 2:
-        pair_dev = pair_isometry_check(model, 1, 2, samples=cfg.samples, seed=cfg.seed)
+        pair_dev = pair_isometry_check(model, 1, 2, samples=args.samples, seed=args.seed)
     checks = {
         "pair_isometry": pair_dev <= 1e-12,
         "equivalence_within_bound": eq.max_ratio <= eq.bound + 1e-12,
@@ -313,33 +286,36 @@ def _cmd_fdd_demo(cfg: RunConfig) -> tuple[dict, bool]:
     return payload, all(checks.values())
 
 
-def _cmd_spiral(cfg: RunConfig) -> tuple[dict, bool]:
-    if cfg.epsilon is None:
-        raise SchemaError("spiral needs --epsilon")
-    rep = spiral_distortion(cfg.epsilon, t_max=cfg.tmax, samples=cfg.samples)
+def _cmd_spiral(args: argparse.Namespace) -> tuple[dict, bool]:
+    if not (math.isfinite(args.epsilon) and math.isfinite(args.tmax)):
+        raise SchemaError(f"--epsilon and --tmax must be finite, got {args.epsilon} and {args.tmax}")
+    # the curve turns through the angle epsilon * ln(t) up to t = t_max
+    if args.tmax > 1.0 and math.isinf(args.epsilon * math.log(args.tmax)):
+        raise SchemaError("--epsilon times ln(--tmax) overflows double range")
+    rep = spiral_distortion(args.epsilon, t_max=args.tmax, samples=args.samples)
     checks = {"finite": math.isfinite(rep.distortion)}
-    if cfg.epsilon == 0.0:
+    if args.epsilon == 0.0:
         checks["identity_exact"] = rep.distortion == 1.0
     payload = {
-        "epsilon": cfg.epsilon,
-        "t_max": cfg.tmax,
-        "samples": cfg.samples,
+        "epsilon": args.epsilon,
+        "t_max": args.tmax,
+        "samples": args.samples,
         "report": rep.to_doc(),
         "checks": checks,
     }
     return payload, all(checks.values())
 
 
-def _render_sweep(cfg: RunConfig) -> tuple[str, bool]:
-    if not cfg.p_grid or not cfg.eps_grid:
+def _render_sweep(args: argparse.Namespace) -> tuple[str, bool]:
+    if not args.p_grid or not args.eps_grid:
         raise SchemaError("sweep needs non-empty --p and --eps grids")
-    space = load_space(_read_json(cfg.input))
+    space = load_space(_read_json(args.input))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["p", "epsilon", "distortion", "bound", "margin"])
     ok = True
-    for p in cfg.p_grid:
-        for eps in cfg.eps_grid:
+    for p in args.p_grid:
+        for eps in args.eps_grid:
             emb = paste(space, p, eps)
             bound = analytic_bound(p, eps)
             rep = measure_distortion(space, emb.images, emb.spec, analytic_bound=bound)
@@ -368,22 +344,18 @@ _HANDLERS = {
 # Argument parsing -------------------------------------------------------------
 
 
-def _float_list(text: str) -> tuple[float, ...]:
-    if not text.strip():
-        return ()
-    try:
-        return tuple(float(tok) for tok in text.split(","))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not a comma list of numbers: {text!r}") from exc
+def _comma_list(kind):
+    """An argparse type reading a comma list of ``kind``; an empty string is ()."""
 
+    def parse(text: str) -> tuple:
+        if not text.strip():
+            return ()
+        try:
+            return tuple(kind(tok) for tok in text.split(","))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"not a comma list of {kind.__name__}s: {text!r}") from exc
 
-def _int_list(text: str) -> tuple[int, ...]:
-    if not text.strip():
-        return ()
-    try:
-        return tuple(int(tok) for tok in text.split(","))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not a comma list of integers: {text!r}") from exc
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -398,7 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     embed.add_argument("--input", required=True, help="metric-space JSON document")
     embed.add_argument("--p", type=float, help="sum exponent (spiral method)")
     embed.add_argument("--epsilon", type=float, help="blend parameter (spiral method)")
-    embed.add_argument("--bands", type=int, default=None, help="explicit band budget")
     embed.add_argument("--method", choices=("spiral", "frechet"), default="spiral")
     embed.add_argument("--out", default=None, help="report path (default: stdout)")
 
@@ -409,15 +380,15 @@ def build_parser() -> argparse.ArgumentParser:
     dist.add_argument("--out", default=None)
 
     cex = sub.add_parser("counterexample", help="build the ray family and its witnesses")
-    cex.add_argument("--depth", type=int, default=6)
-    cex.add_argument("--rays", type=int, default=8)
-    cex.add_argument("--N", type=_int_list, default=None, help='level widths, e.g. "2,3,4"')
+    cex.add_argument("--rays", type=int, default=CounterexampleConfig.ray_count)
+    cex.add_argument("--N", dest="levels", type=_comma_list(int), default=CounterexampleConfig.N,
+                     help='level widths N_1..N_T, e.g. "2,3,4" for depth T = 3')
     cex.add_argument("--out", default=None)
 
     fdd = sub.add_parser("fdd-demo", help="renormed block model round trip")
     fdd.add_argument("--input", required=True)
     fdd.add_argument("--epsilon", type=float, required=True)
-    fdd.add_argument("--eps-list", type=_float_list, default=None, help='per-block eps, e.g. "0,0.1"')
+    fdd.add_argument("--eps-list", type=_comma_list(float), default=None, help='per-block eps, e.g. "0,0.1"')
     fdd.add_argument("--samples", type=int, default=200)
     fdd.add_argument("--seed", type=int, default=0)
     fdd.add_argument("--out", default=None)
@@ -430,21 +401,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="distortion-vs-bound table over a (p, eps) grid")
     sweep.add_argument("--input", required=True)
-    sweep.add_argument("--p", dest="p_grid", type=_float_list, default=(), help='e.g. "1,2,3"')
-    sweep.add_argument("--eps", dest="eps_grid", type=_float_list, default=(), help='e.g. "0.5,0.2,0.1"')
+    sweep.add_argument("--p", dest="p_grid", type=_comma_list(float), default=(), help='e.g. "1,2,3"')
+    sweep.add_argument("--eps", dest="eps_grid", type=_comma_list(float), default=(), help='e.g. "0.5,0.2,0.1"')
     sweep.add_argument("--out", default=None, help="CSV path (default: stdout)")
 
     return parser
-
-
-def _config_from(ns: argparse.Namespace) -> RunConfig:
-    fields = {f.name for f in dataclasses.fields(RunConfig)}
-    picked = {}
-    for key, val in vars(ns).items():
-        name = "levels" if key == "N" else key
-        if name in fields and val is not None:
-            picked[name] = val
-    return RunConfig(**picked)
 
 
 def _write(text: str, out: str | None) -> None:
@@ -458,25 +419,24 @@ def _write(text: str, out: str | None) -> None:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
-    cfg = _config_from(ns)
     try:
-        if cfg.subcommand == "sweep":
-            text, passed = _render_sweep(cfg)
+        if args.subcommand == "sweep":
+            text, passed = _render_sweep(args)
         else:
-            payload, passed = _HANDLERS[cfg.subcommand](cfg)
-            text = _render_report(cfg, payload, passed)
+            payload, passed = _HANDLERS[args.subcommand](args)
+            text = _render_report(args, payload, passed)
     except (SchemaError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SpiralPasteError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _write(text, cfg.out)
-    print(f"{cfg.subcommand}: {'pass' if passed else 'FAIL'}", file=sys.stderr)
+    _write(text, args.out)
+    print(f"{args.subcommand}: {'pass' if passed else 'FAIL'}", file=sys.stderr)
     return 0 if passed else 1
 
 

@@ -38,18 +38,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CounterexampleConfig:
-    """Level widths N_1..N_T, depth T, and the number of rays J."""
+    """Level widths N_1..N_T and the number of rays J; the depth T is len(N)."""
 
     N: tuple[int, ...] = (2, 3, 4, 5, 6, 7)
-    depth: int = 6
     ray_count: int = 8
 
     def __post_init__(self):
         object.__setattr__(self, "N", tuple(int(n) for n in self.N))
-        if self.depth < 1:
-            raise ValueError("depth must be >= 1")
-        if len(self.N) != self.depth:
-            raise ValueError(f"need one level width per level 1..{self.depth}")
+        if not self.N:
+            raise ValueError("need at least one level width")
         if any(n < 1 for n in self.N):
             raise ValueError("level widths must be positive")
         if any(b <= a for a, b in zip(self.N, self.N[1:])):
@@ -59,6 +56,10 @@ class CounterexampleConfig:
                 f"ray_count {self.ray_count} cannot cover every level position "
                 f"(max width {max(self.N)})"
             )
+
+    @property
+    def depth(self) -> int:
+        return len(self.N)
 
     def level_positions(self, t: int) -> tuple[int, ...]:
         """The 1-based coordinate positions of level t (level 0 is {1})."""

@@ -145,7 +145,8 @@ class PointedMetricSpace:
             if C.ndim != 2 or C.shape[0] != n:
                 raise ValueError(f"coords shape {C.shape} does not match {n} points")
             if not np.all(np.isfinite(C)):
-                raise ValueError("coordinates must be finite")
+                bad = self.ids[int(np.argmin(np.isfinite(C).all(axis=1)))]
+                raise ValueError(f"coordinates of point {bad!r} must be finite")
             self.coords = C
             D = sup_pairwise(C, self.kind)
             # distinct points at distance 0 (an l2 square can underflow) fail
@@ -153,7 +154,11 @@ class PointedMetricSpace:
             if np.count_nonzero(D == 0.0) != n:
                 raise ValueError("coordinate rows must be distinct points")
         if not np.all(np.isfinite(D)):
-            raise ValueError("distances must be finite: an entry is NaN or overflows double range")
+            i, j = divmod(int(np.argmin(np.isfinite(D))), n)
+            raise ValueError(
+                f"distances must be finite: entry ({self.ids[i]!r}, {self.ids[j]!r}) "
+                "is NaN or overflows double range"
+            )
         self.matrix = D
         if self.kind == "matrix":
             self._validate_matrix(D)

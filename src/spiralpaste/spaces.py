@@ -39,26 +39,25 @@ def tree_space(n: int = 150, r_max: float = 1e9, seed: int = 7) -> PointedMetric
         raise ValueError("need at least two nodes")
     rng = np.random.default_rng(seed)
     growth = r_max ** (1.0 / (n - 1))
-    parent = [0] * n
-    weight = [0.0] * n
-    adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    parent = np.zeros(n, dtype=int)
+    weight = np.zeros(n)
     for i in range(1, n):
-        parent[i] = int(rng.integers(0, i))
+        parent[i] = rng.integers(0, i)
         weight[i] = float(rng.uniform(0.5, 1.5)) * growth**i
-        adj[i].append((parent[i], weight[i]))
-        adj[parent[i]].append((i, weight[i]))
+    # Parents precede children, so descending order visits every subtree
+    # before its parent.  D[v, s] is the path length from s to v, summed by
+    # the same single additions as a walk outward from s: up from v to its
+    # parent for s in the subtree of v, else down from the parent to v.
+    below = np.eye(n, dtype=bool)  # below[v, s]: s lies in the subtree of v
+    for v in range(n - 1, 0, -1):
+        below[parent[v]] |= below[v]
     D = np.zeros((n, n))
-    for src in range(n):
-        dist = np.full(n, -1.0)
-        dist[src] = 0.0
-        stack = [src]
-        while stack:
-            u = stack.pop()
-            for v, w in adj[u]:
-                if dist[v] < 0.0:
-                    dist[v] = dist[u] + w
-                    stack.append(v)
-        D[src] = dist
+    for v in range(n - 1, 0, -1):
+        up = below[v]
+        D[parent[v], up] = D[v, up] + weight[v]
+    for v in range(1, n):
+        down = ~below[v]
+        D[v, down] = D[parent[v], down] + weight[v]
     D = (D + D.T) / 2.0  # symmetrise the float roundoff of path sums
     ids = tuple(f"v{i:03d}" for i in range(n))
     return PointedMetricSpace(ids, "v000", "matrix", matrix=D)

@@ -198,11 +198,14 @@ def analytic_bound(p: float, epsilon: float) -> float:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     # c_constant's roundings and pow calls err by < (6.7 + 3.5 p) 2^-53 relative
     # (its second exponent is <= p); 16 + 4p also covers the second order.
-    # A K beyond double range (p > ~2050) is read as +inf, and so is the bound.
+    # A K beyond double range (p > ~2050) makes the bound +inf.  Past p ~ 8.99e307
+    # (p - 1)(p - 2) and 2p both overflow, c_constant is NaN, and that counts the same.
     try:
         K = 2.0 if p <= 2.0 else _up(c_constant(p) * _up(1.0 + (16.0 + 4.0 * p) * 2.0**-53))
     except OverflowError:
         K = math.inf
+    if not math.isfinite(K):
+        return math.inf
     # One step up bounds a correctly rounded op and two bound libm pow (error
     # < 1 ulp); 2^x grows with its already raised exponent.
     a_eps = _up(_up(_up(_up(2.0 ** _up(1.0 / p))) * K) * epsilon)

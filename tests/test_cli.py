@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -67,10 +68,6 @@ class TestEmbed:
         assert code == 0
         rep = json.loads(out.read_text())
         assert rep["report"]["distortion"] == 1.0
-
-    def test_too_few_bands_is_contract_violation(self, line_doc):
-        assert main(["embed", "--input", line_doc, "--p", "2", "--epsilon", "0.2",
-                     "--bands", "1"]) == 1
 
     @pytest.mark.parametrize("p", ["1", "2", "3"])
     @pytest.mark.parametrize("eps", ["0.002", "0.0001"])
@@ -148,6 +145,14 @@ class TestEmbed:
         assert "Traceback" not in capsys.readouterr().err
         assert json.loads(out.read_text())["report"]["analytic_bound"] == "inf"
 
+    @pytest.mark.parametrize("p", ["8.99e307", "1e308", repr(sys.float_info.max)])
+    def test_exponent_near_double_max(self, line_doc, tmp_path, p):
+        # (p - 1)(p - 2) and 2p both overflow: the bound is +inf, not NaN
+        out = tmp_path / "r.json"
+        assert main(["embed", "--input", line_doc, "--p", p, "--epsilon", "0.2",
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["report"]["analytic_bound"] == "inf"
+
 
 class TestInputErrors:
     def test_missing_file(self):
@@ -193,6 +198,21 @@ class TestInputErrors:
 
     def test_empty_sweep_grid(self, line_doc):
         assert main(["sweep", "--input", line_doc, "--p", "", "--eps", "0.2"]) == 2
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"basepoint": "o", "metric": "linf", "points": [
+            {"id": "o", "coords": [0.0]}, {"id": "a", "coords": [1.0]},
+            {"id": "b", "coords": [math.nan]}]},
+         "error: coordinates of point 'b' must be finite\n"),
+        ({"basepoint": "o", "metric": "matrix", "points": [{"id": "o"}, {"id": "a"}, {"id": "b"}],
+          "matrix": [[0, 1, 2], [1, 0, math.inf], [2, math.inf, 0]]},
+         "error: distances must be finite: entry ('a', 'b') is NaN or overflows double range\n"),
+    ], ids=["coords", "matrix"])
+    def test_non_finite_input_names_its_source(self, tmp_path, capsys, doc, message):
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps(doc))
+        assert main(["embed", "--input", str(path), "--p", "2", "--epsilon", "0.2"]) == 2
+        assert capsys.readouterr().err == message
 
     def test_overflowing_distances(self, tmp_path, capsys):
         doc = {"basepoint": "o", "metric": "linf", "points": [
@@ -348,6 +368,13 @@ class TestOtherCommands:
         assert rows[6]["radius"] == 364.0
         assert rows[6]["bound_dim_1"] == 4 * 364 / 81
 
+    def test_counterexample_depth_is_width_count(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert main(["counterexample", "--N", "2,3,4", "--out", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        assert rep["depth"] == 3 and rep["levels"] == [2, 3, 4]
+        assert rep["config"]["levels"] == [2, 3, 4]
+
     def test_spiral_zero_eps(self, capsys, tmp_path):
         out = tmp_path / "r.json"
         assert main(["spiral", "--epsilon", "0", "--tmax", "100", "--out", str(out)]) == 0
@@ -379,6 +406,67 @@ class TestOtherCommands:
         # per exponent, the measured column shrinks with eps
         for base in (1, 3):
             assert float(rows[base].split(",")[2]) > float(rows[base + 1].split(",")[2])
+
+
+PAIR_MAP = {"p": "sup", "block_dims": [1], "images": {"o": {"1": [0]}, "a": {"1": [1]}}}
+
+
+class TestFlags:
+    @pytest.fixture
+    def base_argv(self, line_doc, pair_doc, tmp_path):
+        map_path = tmp_path / "map.json"
+        map_path.write_text(json.dumps(PAIR_MAP))
+        return {
+            "embed": ["--input", line_doc, "--p", "2", "--epsilon", "0.2"],
+            "distortion": ["--input", pair_doc, "--map", str(map_path)],
+            "counterexample": [],
+            "fdd-demo": ["--input", line_doc, "--epsilon", "0.2"],
+            "spiral": ["--epsilon", "0.1", "--tmax", "100", "--samples", "64"],
+            "sweep": ["--input", line_doc, "--p", "2", "--eps", "0.2"],
+        }
+
+    @pytest.mark.parametrize("command, keys", [
+        ("embed", {"input", "p", "epsilon", "method", "out"}),
+        ("distortion", {"input", "map", "bound", "out"}),
+        ("counterexample", {"rays", "levels", "out"}),
+        ("fdd-demo", {"input", "epsilon", "eps_list", "samples", "seed", "out"}),
+        ("spiral", {"epsilon", "tmax", "samples", "out"}),
+    ])
+    def test_config_echoes_only_the_subcommands_flags(self, base_argv, tmp_path, command, keys):
+        out = tmp_path / "r.json"
+        assert main([command, *base_argv[command], "--out", str(out)]) == 0
+        assert set(json.loads(out.read_text())["config"]) == {"subcommand"} | keys
+
+    # Flags that size an allocation (--samples, --rays, --N) are left out: a
+    # large value would really allocate that much.  counterexample has no other.
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "0", "1e308", "1e-320"])
+    @pytest.mark.parametrize("command, flag", [
+        ("embed", "--p"), ("embed", "--epsilon"), ("distortion", "--bound"),
+        ("fdd-demo", "--epsilon"), ("fdd-demo", "--eps-list"), ("fdd-demo", "--seed"),
+        ("spiral", "--epsilon"), ("spiral", "--tmax"), ("sweep", "--p"), ("sweep", "--eps"),
+    ])
+    def test_numeric_flag_extremes_exit_classified(self, base_argv, tmp_path, capsys,
+                                                   command, flag, value):
+        argv = base_argv[command]
+        if flag in argv:
+            i = argv.index(flag)
+            argv = argv[:i] + argv[i + 2:]
+        if flag == "--eps-list":
+            value = ",".join([value] * 3)  # one per block of the line at epsilon 0.2
+        # "--flag=value", so that "-inf" is not read as an option name
+        assert main([command, *argv, f"{flag}={value}", "--out", str(tmp_path / "r")]) in (0, 1, 2)
+        err = capsys.readouterr().err
+        assert "NaN reached a report" not in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["--epsilon=nan"], "--epsilon"), (["--epsilon=-inf"], "--epsilon"),
+        (["--epsilon=0.1", "--tmax=inf"], "--tmax"), (["--epsilon=0.1", "--tmax=nan"], "--tmax"),
+        (["--epsilon=1e308"], "--epsilon times ln(--tmax) overflows"),
+    ], ids=["epsilon-nan", "epsilon-neg-inf", "tmax-inf", "tmax-nan", "angle-overflow"])
+    def test_spiral_rejects_by_flag_name(self, capsys, argv, flag):
+        assert main(["spiral", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and flag in err
 
 
 class TestDeterminism:

@@ -30,15 +30,17 @@ def family():
 class TestConfig:
     def test_rejects_non_increasing_widths(self):
         with pytest.raises(ValueError):
-            CounterexampleConfig(N=(3, 3, 4), depth=3, ray_count=8)
+            CounterexampleConfig(N=(3, 3, 4), ray_count=8)
 
-    def test_rejects_width_count_mismatch(self):
-        with pytest.raises(ValueError):
-            CounterexampleConfig(N=(2, 3), depth=3, ray_count=8)
+    def test_depth_is_width_count(self):
+        assert CounterexampleConfig().depth == 6
+        assert CounterexampleConfig(N=(2, 3, 4), ray_count=4).depth == 3
+        with pytest.raises(ValueError, match="at least one level width"):
+            CounterexampleConfig(N=(), ray_count=8)
 
     def test_rejects_too_few_rays(self):
         with pytest.raises(ValueError):
-            CounterexampleConfig(N=(2, 3, 4), depth=3, ray_count=3)
+            CounterexampleConfig(N=(2, 3, 4), ray_count=3)
 
     def test_level_positions_partition(self):
         cfg = CounterexampleConfig()
@@ -60,12 +62,12 @@ class TestFamily:
             assert hit == set(cfg.level_positions(t))
 
     def test_bad_choice_rejected(self):
-        cfg = CounterexampleConfig(N=(2, 3), depth=2, ray_count=3)
+        cfg = CounterexampleConfig(N=(2, 3), ray_count=3)
         with pytest.raises(CoverageViolated):
             build_family(cfg, choice=lambda j, t: cfg.level_positions(t)[0])
 
     def test_off_level_choice_rejected(self):
-        cfg = CounterexampleConfig(N=(2, 3), depth=2, ray_count=3)
+        cfg = CounterexampleConfig(N=(2, 3), ray_count=3)
         with pytest.raises(CoverageViolated):
             build_family(cfg, choice=lambda j, t: 1)
 
@@ -160,7 +162,7 @@ def small_config(draw):
     depth = draw(st.integers(min_value=2, max_value=4))
     base = draw(st.integers(min_value=2, max_value=3))
     widths = tuple(base + i for i in range(depth))
-    return CounterexampleConfig(N=widths, depth=depth, ray_count=widths[-1])
+    return CounterexampleConfig(N=widths, ray_count=widths[-1])
 
 
 @settings(max_examples=25, deadline=None)

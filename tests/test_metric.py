@@ -110,6 +110,14 @@ class TestValidation:
             PointedMetricSpace(ids=("a", "b"), basepoint="a", kind="linf",
                                coords=np.array([[1.0], [1.0]]))
 
+    def test_non_finite_input_names_its_source(self):
+        coords = np.array([[0.0], [1.0], [math.nan], [math.inf]])
+        with pytest.raises(ValueError, match="coordinates of point 'c' must be finite"):
+            PointedMetricSpace(ids=("o", "a", "c", "d"), basepoint="o", kind="linf", coords=coords)
+        D = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, math.inf], [2.0, math.nan, 0.0]])
+        with pytest.raises(ValueError, match=r"entry \('a', 'b'\) is NaN or overflows"):
+            PointedMetricSpace(ids=("o", "a", "b"), basepoint="o", kind="matrix", matrix=D)
+
     @settings(max_examples=200, deadline=None)
     @given(case=perturbed_metrics())
     def test_triangle_check_matches_the_loop(self, case):
@@ -380,6 +388,37 @@ class TestInterchange:
             assert np.array_equal(D, np.max(np.abs(diff), axis=2))
         else:
             assert np.allclose(D, np.sqrt(np.sum(diff**2, axis=2)), rtol=1e-14, atol=0.0)
+
+
+def _tree_by_walks(n, r_max, seed):
+    """tree_space's matrix as one stack walk per source (the former build)."""
+    rng = np.random.default_rng(seed)
+    growth = r_max ** (1.0 / (n - 1))
+    adj = [[] for _ in range(n)]
+    for i in range(1, n):
+        parent = int(rng.integers(0, i))
+        weight = float(rng.uniform(0.5, 1.5)) * growth**i
+        adj[i].append((parent, weight))
+        adj[parent].append((i, weight))
+    D = np.zeros((n, n))
+    for src in range(n):
+        dist = np.full(n, -1.0)
+        dist[src] = 0.0
+        stack = [src]
+        while stack:
+            u = stack.pop()
+            for v, w in adj[u]:
+                if dist[v] < 0.0:
+                    dist[v] = dist[u] + w
+                    stack.append(v)
+        D[src] = dist
+    return (D + D.T) / 2.0
+
+
+@pytest.mark.parametrize("n, r_max, seed", [(2, 1e9, 0), (3, 10.0, 1), (150, 1e9, 7), (300, 1e3, 2),
+                                            (600, 1e9, 1)])
+def test_tree_space_matches_per_source_walks(n, r_max, seed):
+    assert np.array_equal(tree_space(n, r_max=r_max, seed=seed).matrix, _tree_by_walks(n, r_max, seed))
 
 
 @settings(max_examples=40, deadline=None)

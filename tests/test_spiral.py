@@ -1,6 +1,7 @@
 """Radii schedule, blend coefficients, distortion bound, and the pasted map."""
 
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -259,6 +260,10 @@ class TestBoundFunctions:
         # c_constant(3000) leaves double range
         assert math.isinf(analytic_bound(3000.0, 0.1))
         assert math.isinf(analytic_bound(3000.0, 1e-300))
+        # (p - 1)(p - 2) and 2p both overflow here, so c_constant is inf / inf = NaN
+        for p in (8.99e307, 1e308, sys.float_info.max):
+            assert analytic_bound(p, 0.2) == math.inf
+            assert analytic_bound(p, 1e-300) == math.inf
 
     def test_bound_monotone_in_eps(self):
         for p in (1.0, 2.0):
