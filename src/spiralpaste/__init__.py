@@ -2,10 +2,8 @@
 
 from .counterexample import (
     CounterexampleConfig,
-    RayFamily,
     SeparationWitness,
     ball_point_count,
-    build_family,
     in_carrier,
     linf_distance,
     ray_point,
@@ -15,7 +13,6 @@ from .counterexample import (
     verify_separation_epsilon,
 )
 from .errors import (
-    CoverageViolated,
     DegenerateTriple,
     ModelInvalid,
     ScheduleTooShort,

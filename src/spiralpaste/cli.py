@@ -20,7 +20,6 @@ import numpy as np
 
 from .counterexample import (
     CounterexampleConfig,
-    build_family,
     ball_point_count,
     in_carrier,
     ray_point,
@@ -196,20 +195,19 @@ def _cmd_distortion(args: argparse.Namespace) -> tuple[dict, bool]:
 
 
 def _cmd_counterexample(args: argparse.Namespace) -> tuple[dict, bool]:
-    family = build_family(CounterexampleConfig(N=args.levels, ray_count=args.rays))
-    c = family.config
+    c = CounterexampleConfig(N=args.levels, ray_count=args.rays)
 
     rays = []
     additive = carried = True
     for j in range(1, c.ray_count + 1):
-        pts = [ray_point(family, j, t) for t in range(c.depth + 1)]
+        pts = [ray_point(c, j, t) for t in range(c.depth + 1)]
         additive &= verify_metric_ray(pts)
-        carried &= all(in_carrier(family, pt) for pt in pts)
+        carried &= all(in_carrier(c, pt) for pt in pts)
         rays.append({"ray": j, "points": [{str(i): v for i, v in p.items()} for p in pts]})
 
     separations = []
     for t in range(2, c.depth + 1):
-        w = separation_witness(family, t)
+        w = separation_witness(c, t)
         separations.append(
             {
                 "level": w.level,
@@ -247,13 +245,17 @@ def _cmd_counterexample(args: argparse.Namespace) -> tuple[dict, bool]:
         "separations": separations,
         "packing": packing,
         "tail_epsilon": "1/9",
-        "ball_points": ball_point_count(family, (3**c.depth - 1) // 2),
+        "ball_points": ball_point_count(c, (3**c.depth - 1) // 2),
         "checks": checks,
     }
     return payload, all(checks.values())
 
 
 def _cmd_fdd_demo(args: argparse.Namespace) -> tuple[dict, bool]:
+    if args.samples < 1:
+        raise SchemaError(f"--samples must be at least 1, got {args.samples}")
+    if args.seed < 0:
+        raise SchemaError(f"--seed must be non-negative, got {args.seed}")
     space = load_space(_read_json(args.input))
     try:
         result = embed_no_cotype(space, args.epsilon, eps_list=args.eps_list)
@@ -287,10 +289,14 @@ def _cmd_fdd_demo(args: argparse.Namespace) -> tuple[dict, bool]:
 
 
 def _cmd_spiral(args: argparse.Namespace) -> tuple[dict, bool]:
-    if not (math.isfinite(args.epsilon) and math.isfinite(args.tmax)):
-        raise SchemaError(f"--epsilon and --tmax must be finite, got {args.epsilon} and {args.tmax}")
+    if not math.isfinite(args.epsilon):
+        raise SchemaError(f"--epsilon must be finite, got {args.epsilon}")
+    if not (math.isfinite(args.tmax) and args.tmax > 1.0):
+        raise SchemaError(f"--tmax must be finite and exceed 1, got {args.tmax}")
+    if args.samples < 2:
+        raise SchemaError(f"--samples must be at least 2, got {args.samples}")
     # the curve turns through the angle epsilon * ln(t) up to t = t_max
-    if args.tmax > 1.0 and math.isinf(args.epsilon * math.log(args.tmax)):
+    if math.isinf(args.epsilon * math.log(args.tmax)):
         raise SchemaError("--epsilon times ln(--tmax) overflows double range")
     rep = spiral_distortion(args.epsilon, t_max=args.tmax, samples=args.samples)
     checks = {"finite": math.isfinite(rep.distortion)}
@@ -395,8 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     spiral = sub.add_parser("spiral", help="distortion of the reference plane spiral")
     spiral.add_argument("--epsilon", type=float, required=True)
-    spiral.add_argument("--tmax", type=float, default=1e4)
-    spiral.add_argument("--samples", type=int, default=512)
+    spiral.add_argument("--tmax", type=float, default=spiral_distortion.__kwdefaults__["t_max"])
+    spiral.add_argument("--samples", type=int, default=spiral_distortion.__kwdefaults__["samples"])
     spiral.add_argument("--out", default=None)
 
     sweep = sub.add_parser("sweep", help="distortion-vs-bound table over a (p, eps) grid")

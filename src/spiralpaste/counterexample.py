@@ -13,17 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 import numpy as np
 
-from .errors import CoverageViolated
 from .metric import PointedMetricSpace
 
 __all__ = [
     "CounterexampleConfig",
-    "RayFamily",
-    "build_family",
     "ray_point",
     "in_carrier",
     "linf_distance",
@@ -38,7 +34,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CounterexampleConfig:
-    """Level widths N_1..N_T and the number of rays J; the depth T is len(N)."""
+    """Level widths N_1..N_T and the number of rays J; the depth T is len(N).
+
+    Rays choose positions in levels 1..T-1 only, so J >= N_1..N_{T-1} suffices."""
 
     N: tuple[int, ...] = (2, 3, 4, 5, 6, 7)
     ray_count: int = 8
@@ -51,11 +49,10 @@ class CounterexampleConfig:
             raise ValueError("level widths must be positive")
         if any(b <= a for a, b in zip(self.N, self.N[1:])):
             raise ValueError("level widths must be strictly increasing")
-        if self.ray_count < max(self.N):
-            raise ValueError(
-                f"ray_count {self.ray_count} cannot cover every level position "
-                f"(max width {max(self.N)})"
-            )
+        need = max((1, *self.N[:-1]))
+        if self.ray_count < need:
+            raise ValueError(f"ray_count {self.ray_count} cannot cover every position of "
+                             f"levels 1..{self.depth - 1} (need at least {need})")
 
     @property
     def depth(self) -> int:
@@ -70,45 +67,12 @@ class CounterexampleConfig:
         start = 2 + sum(self.N[: t - 1])
         return tuple(range(start, start + self.N[t - 1]))
 
-
-@dataclass(frozen=True)
-class RayFamily:
-    """Config plus the per-ray choice of one position inside each level."""
-
-    config: CounterexampleConfig
-    choices: tuple[tuple[int, ...], ...]  # choices[t-1][j-1], levels 1..depth-1
-
     def choice(self, j: int, t: int) -> int:
-        return self.choices[t - 1][j - 1]
+        """The level-t position of ray j, round robin over the level's positions."""
+        return self.level_positions(t)[(j - 1) % self.N[t - 1]]
 
 
-def build_family(
-    config: CounterexampleConfig | None = None,
-    choice: Callable[[int, int], int] | None = None,
-) -> RayFamily:
-    """Materialise the choice table; round-robin over level positions by default.
-
-    Verifies the coverage condition: at every level used by some ray
-    (1..depth-1), each level position is chosen by at least one ray.
-    """
-    cfg = config or CounterexampleConfig()
-    table = []
-    for t in range(1, cfg.depth):
-        pos = cfg.level_positions(t)
-        row = []
-        for j in range(1, cfg.ray_count + 1):
-            n = choice(j, t) if choice is not None else pos[(j - 1) % len(pos)]
-            if n not in pos:
-                raise CoverageViolated(f"choice {n} for ray {j} is not a level-{t} position")
-            row.append(int(n))
-        if set(row) != set(pos):
-            missing = sorted(set(pos) - set(row))
-            raise CoverageViolated(f"level {t} positions {missing} are never chosen")
-        table.append(tuple(row))
-    return RayFamily(cfg, tuple(table))
-
-
-def ray_point(family: RayFamily, j: int, t: int) -> dict[int, int]:
+def ray_point(cfg: CounterexampleConfig, j: int, t: int) -> dict[int, int]:
     """The t-th point of ray j, as a sparse {position: value} integer vector.
 
     t = 0 is the origin and t = 1 the first unit vector; beyond that the
@@ -116,7 +80,6 @@ def ray_point(family: RayFamily, j: int, t: int) -> dict[int, int]:
     ray's level-u position for u = 1..t-1.  Every value is a nonnegative
     multiple of 3^level, so the point lies in the carrier set.
     """
-    cfg = family.config
     if not 1 <= j <= cfg.ray_count:
         raise IndexError(f"ray index {j} outside 1..{cfg.ray_count}")
     if not 0 <= t <= cfg.depth:
@@ -127,14 +90,13 @@ def ray_point(family: RayFamily, j: int, t: int) -> dict[int, int]:
         return {1: 1}
     vec = {1: (3**t - 1) // 2}
     for u in range(1, t):
-        vec[family.choice(j, u)] = (3**t - 3**u) // 2
+        vec[cfg.choice(j, u)] = (3**t - 3**u) // 2
     return vec
 
 
-def in_carrier(family: RayFamily, vec: dict[int, int]) -> bool:
+def in_carrier(cfg: CounterexampleConfig, vec: dict[int, int]) -> bool:
     """Whether a sparse integer vector lies in the carrier set: finitely many
     nonzero coordinates, each a nonnegative multiple of 3^(its level)."""
-    cfg = family.config
     # position -> level lookup over all configured levels
     level_of = {1: 0}
     for t in range(1, cfg.depth + 1):
@@ -190,34 +152,19 @@ class SeparationWitness:
     bound: int
 
 
-def separation_witness(family: RayFamily, t: int) -> SeparationWitness:
-    """Pick N_{t-1} rays with distinct level-(t-1) choices; their level-t
-    points are pairwise at distance >= 3^(t-1), verified by brute force."""
-    cfg = family.config
+def separation_witness(cfg: CounterexampleConfig, t: int) -> SeparationWitness:
+    """The level-t points of rays 1..N_{t-1}, whose round-robin level-(t-1)
+    choices are distinct, with their least pairwise distance computed by
+    brute force.  The construction puts it at >= 3^(t-1), the `bound`;
+    the caller judges the two."""
     if not 2 <= t <= cfg.depth:
         raise IndexError(f"separation level {t} outside 2..{cfg.depth}")
-    want = cfg.N[t - 2]
-    seen: set[int] = set()
-    chosen: list[int] = []
-    for j in range(1, cfg.ray_count + 1):
-        n = family.choice(j, t - 1)
-        if n not in seen:
-            seen.add(n)
-            chosen.append(j)
-        if len(chosen) == want:
-            break
-    if len(chosen) < want:
-        raise CoverageViolated(
-            f"only {len(chosen)} distinct level-{t - 1} choices among {cfg.ray_count} rays"
-        )
-    pts = [ray_point(family, j, t) for j in chosen]
+    rays = tuple(range(1, cfg.N[t - 2] + 1))
+    pts = [ray_point(cfg, j, t) for j in rays]
     dmin = min(
         linf_distance(pts[a], pts[b]) for a in range(len(pts)) for b in range(a + 1, len(pts))
     )
-    bound = 3 ** (t - 1)
-    if dmin < bound:
-        raise AssertionError(f"separation {dmin} below the guaranteed {bound}")
-    return SeparationWitness(t, tuple(chosen), tuple(pts), dmin, bound)
+    return SeparationWitness(t, rays, tuple(pts), dmin, 3 ** (t - 1))
 
 
 def verify_separation_epsilon(t_max: int = 12) -> bool:
@@ -237,13 +184,13 @@ def verify_separation_epsilon(t_max: int = 12) -> bool:
 
 # Whole-space views -----------------------------------------------------------
 
-def _all_points(family: RayFamily):
+def _all_points(cfg: CounterexampleConfig):
     """Deduplicated ray points of the whole family: list of (id, sparse vector)."""
     seen: dict[tuple, str] = {}
     out = []
-    for t in range(0, family.config.depth + 1):
-        for j in range(1, family.config.ray_count + 1):
-            vec = ray_point(family, j, t)
+    for t in range(0, cfg.depth + 1):
+        for j in range(1, cfg.ray_count + 1):
+            vec = ray_point(cfg, j, t)
             key = tuple(sorted(vec.items()))
             if key not in seen:
                 pid = f"r{t}j{j}"
@@ -252,17 +199,17 @@ def _all_points(family: RayFamily):
     return out
 
 
-def ball_point_count(family: RayFamily, radius: int) -> int:
+def ball_point_count(cfg: CounterexampleConfig, radius: int) -> int:
     """How many distinct ray points lie in the closed ball around the origin.
 
     Point norms are (3^t - 1)/2, so only the first few steps of each ray
     can lie in the ball (local finiteness)."""
-    return sum(1 for _, vec in _all_points(family) if linf_distance(vec, {}) <= radius)
+    return sum(1 for _, vec in _all_points(cfg) if linf_distance(vec, {}) <= radius)
 
 
-def to_metric_space(family: RayFamily) -> PointedMetricSpace:
+def to_metric_space(cfg: CounterexampleConfig) -> PointedMetricSpace:
     """All distinct ray points as a pointed metric space (exact sup metric)."""
-    pts = _all_points(family)
+    pts = _all_points(cfg)
     ids = tuple(pid for pid, _ in pts)
     n = len(pts)
     D = np.zeros((n, n))

@@ -5,7 +5,6 @@ __all__ = [
     "SchemaError",
     "DegenerateTriple",
     "ScheduleTooShort",
-    "CoverageViolated",
     "ModelInvalid",
 ]
 
@@ -24,10 +23,6 @@ class DegenerateTriple(SpiralPasteError):
 
 class ScheduleTooShort(SpiralPasteError):
     """Some point lies beyond the last odd radius of the given schedule."""
-
-
-class CoverageViolated(SpiralPasteError):
-    """The ray family cannot realise every choice at the requested level."""
 
 
 class ModelInvalid(SpiralPasteError):

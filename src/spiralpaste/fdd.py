@@ -92,7 +92,8 @@ def norm_a(model: FddModel, v: BlockVector) -> float:
 
 
 def validate_model(model: FddModel, epsilon: float) -> bool:
-    """Check the model's product condition prod(1 - eps_n) > 1 - epsilon.
+    """Check the model's product condition prod(1 - eps_n) > 1 - epsilon,
+    compared as 1 - prod < epsilon: 1 - epsilon rounds to 1 at tiny epsilon.
 
     The other defining inequality, ||u + v|| >= (1 - eps_n) ||u|| for a
     head u (blocks <= n) and a tail v (blocks > n), holds in every model:
@@ -104,10 +105,8 @@ def validate_model(model: FddModel, epsilon: float) -> bool:
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
     prod = float(np.prod(model.weights()))
-    if not prod > 1.0 - epsilon:
-        raise ModelInvalid(
-            f"prod(1 - eps_n) = {prod:.6g} must exceed 1 - eps = {1.0 - epsilon:.6g}"
-        )
+    if not 1.0 - prod < epsilon:
+        raise ModelInvalid(f"prod(1 - eps_n) = {prod:.6g} must exceed 1 - eps = 1 - {epsilon:.6g}")
     return True
 
 

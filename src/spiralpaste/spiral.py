@@ -352,7 +352,7 @@ def spiral_point(epsilon: float, t: float) -> tuple[float, float]:
     return t * math.cos(a), t * math.sin(a)
 
 
-def spiral_distortion(epsilon: float, t_max: float = 1e4, samples: int = 512) -> DistortionReport:
+def spiral_distortion(epsilon: float, *, t_max: float = 1e4, samples: int = 512) -> DistortionReport:
     """Distortion of the reference curve on a geometric sample of (1, t_max].
 
     The source metric is |s - t| on the samples; the target is the

@@ -19,11 +19,11 @@ from spiralpaste import (
     FLAT_NOT_PROPORTIONAL,
     FLAT_PROPORTIONAL,
     BlockVector,
+    CounterexampleConfig,
     FddModel,
     SumSpaceSpec,
     analytic_bound,
     blend_theta,
-    build_family,
     distortion,
     embed_no_cotype,
     equivalence_ratio,
@@ -157,17 +157,16 @@ def test_criterion_5_reference_spiral():
 
 def test_criterion_6_counterexample_witnesses():
     with criterion(6, "ray family witnesses (exact arithmetic)", 2.0) as info:
-        fam = build_family()  # widths t+1, depth 6, 8 rays
-        cfg = fam.config
+        cfg = CounterexampleConfig()  # widths t+1, depth 6, 8 rays
         for j in range(1, cfg.ray_count + 1):
-            pts = [ray_point(fam, j, t) for t in range(0, cfg.depth + 1)]
+            pts = [ray_point(cfg, j, t) for t in range(0, cfg.depth + 1)]
             for t, pt in enumerate(pts):
-                assert in_carrier(fam, pt), f"ray {j} step {t} leaves the carrier"
+                assert in_carrier(cfg, pt), f"ray {j} step {t} leaves the carrier"
             for s in range(len(pts)):
                 for t in range(s + 1, len(pts)):
                     assert linf_distance(pts[s], pts[t]) == (3**t - 3**s) // 2
         for t in range(2, cfg.depth + 1):
-            w = separation_witness(fam, t)
+            w = separation_witness(cfg, t)
             assert len(w.points) == cfg.N[t - 2]
             assert w.min_distance >= 3 ** (t - 1)
         assert verify_separation_epsilon(12)

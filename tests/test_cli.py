@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from spiralpaste import frechet_embed, line_space, space_to_doc
+from spiralpaste import counterexample, frechet_embed, line_space, space_to_doc
 from spiralpaste.cli import main
 from conftest import random_integer_space
 
@@ -292,6 +292,14 @@ class TestInputErrors:
                      "--eps-list", "0.5"]) == 2
         assert capsys.readouterr().err.startswith("error: --eps-list: prod(1 - eps_n)")
 
+    def test_default_eps_list_passes_at_tiny_epsilon(self, pair_doc, line_doc, capsys):
+        # 1 - 1e-320 rounds to 1, so the product condition is compared as 1 - prod < eps
+        assert main(["fdd-demo", "--input", pair_doc, "--epsilon", "1e-320"]) == 0
+        capsys.readouterr()
+        assert main(["fdd-demo", "--input", line_doc, "--epsilon", "0.2",
+                     "--eps-list", "0.5,0.5,0.5"]) == 2
+        assert capsys.readouterr().err.startswith("error: --eps-list: prod(1 - eps_n)")
+
     @pytest.mark.parametrize("argv", [
         ["embed", "--p", "2", "--epsilon", "0.2"],
         ["fdd-demo", "--epsilon", "0.2"],
@@ -374,6 +382,25 @@ class TestOtherCommands:
         rep = json.loads(out.read_text())
         assert rep["depth"] == 3 and rep["levels"] == [2, 3, 4]
         assert rep["config"]["levels"] == [2, 3, 4]
+
+    @pytest.mark.parametrize("argv, code", [
+        (["--N", "2,3,4", "--rays", "3"], 0),
+        (["--N", "5", "--rays", "1"], 0),
+        (["--rays", "0"], 2),
+    ], ids=["last-width-uncovered", "one-level", "no-rays"])
+    def test_counterexample_rays_cover_levels_below_the_last(self, tmp_path, argv, code):
+        assert main(["counterexample", *argv, "--out", str(tmp_path / "r.json")]) == code
+
+    def test_counterexample_separation_shortfall_fails(self, monkeypatch, tmp_path):
+        # rays 1 and 2 share every tip, so the level-t witnesses collapse
+        real = counterexample.ray_point
+        monkeypatch.setattr(counterexample, "ray_point",
+                            lambda cfg, j, t: real(cfg, 1 if j == 2 else j, t))
+        out = tmp_path / "r.json"
+        assert main(["counterexample", "--out", str(out)]) == 1
+        rep = json.loads(out.read_text())
+        assert rep["checks"]["separations_at_bound"] is False
+        assert all(s["min_distance"] == 0 for s in rep["separations"])
 
     def test_spiral_zero_eps(self, capsys, tmp_path):
         out = tmp_path / "r.json"
@@ -462,9 +489,19 @@ class TestFlags:
         (["--epsilon=nan"], "--epsilon"), (["--epsilon=-inf"], "--epsilon"),
         (["--epsilon=0.1", "--tmax=inf"], "--tmax"), (["--epsilon=0.1", "--tmax=nan"], "--tmax"),
         (["--epsilon=1e308"], "--epsilon times ln(--tmax) overflows"),
-    ], ids=["epsilon-nan", "epsilon-neg-inf", "tmax-inf", "tmax-nan", "angle-overflow"])
+        (["--epsilon=0.1", "--tmax=1"], "--tmax"), (["--epsilon=0.1", "--samples=1"], "--samples"),
+    ], ids=["epsilon-nan", "epsilon-neg-inf", "tmax-inf", "tmax-nan", "angle-overflow",
+            "tmax-1", "samples-1"])
     def test_spiral_rejects_by_flag_name(self, capsys, argv, flag):
         assert main(["spiral", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and flag in err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["--samples=0"], "--samples"), (["--samples=-5"], "--samples"), (["--seed=-1"], "--seed"),
+    ], ids=["samples-0", "samples-neg", "seed-neg"])
+    def test_fdd_demo_rejects_by_flag_name(self, line_doc, capsys, argv, flag):
+        assert main(["fdd-demo", "--input", line_doc, "--epsilon", "0.2", *argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and flag in err
 

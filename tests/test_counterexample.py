@@ -8,10 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from spiralpaste import (
     CounterexampleConfig,
-    CoverageViolated,
     ball,
     ball_point_count,
-    build_family,
     in_carrier,
     linf_distance,
     ray_point,
@@ -23,8 +21,8 @@ from spiralpaste import (
 
 
 @pytest.fixture(scope="module")
-def family():
-    return build_family()
+def cfg():
+    return CounterexampleConfig()
 
 
 class TestConfig:
@@ -39,8 +37,10 @@ class TestConfig:
             CounterexampleConfig(N=(), ray_count=8)
 
     def test_rejects_too_few_rays(self):
-        with pytest.raises(ValueError):
-            CounterexampleConfig(N=(2, 3, 4), ray_count=3)
+        with pytest.raises(ValueError, match="need at least 3"):
+            CounterexampleConfig(N=(2, 3, 4), ray_count=2)
+        with pytest.raises(ValueError, match="need at least 1"):
+            CounterexampleConfig(N=(5,), ray_count=0)
 
     def test_level_positions_partition(self):
         cfg = CounterexampleConfig()
@@ -55,75 +55,67 @@ class TestConfig:
 
 
 class TestFamily:
-    def test_round_robin_covers(self, family):
-        cfg = family.config
-        for t in range(1, cfg.depth):
-            hit = {family.choice(j, t) for j in range(1, cfg.ray_count + 1)}
-            assert hit == set(cfg.level_positions(t))
-
-    def test_bad_choice_rejected(self):
-        cfg = CounterexampleConfig(N=(2, 3), ray_count=3)
-        with pytest.raises(CoverageViolated):
-            build_family(cfg, choice=lambda j, t: cfg.level_positions(t)[0])
-
-    def test_off_level_choice_rejected(self):
-        cfg = CounterexampleConfig(N=(2, 3), ray_count=3)
-        with pytest.raises(CoverageViolated):
-            build_family(cfg, choice=lambda j, t: 1)
+    def test_round_robin_covers(self, cfg):
+        for config in (cfg, CounterexampleConfig(N=(2, 3, 4), ray_count=3),
+                       CounterexampleConfig(N=(3, 5, 8, 13), ray_count=8)):
+            for t in range(1, config.depth):
+                hit = {config.choice(j, t) for j in range(1, config.ray_count + 1)}
+                assert hit == set(config.level_positions(t))
 
 
 class TestRayPoints:
-    def test_first_steps(self, family):
-        assert ray_point(family, 1, 0) == {}
-        assert ray_point(family, 1, 1) == {1: 1}
+    def test_first_steps(self, cfg):
+        assert ray_point(cfg, 1, 0) == {}
+        assert ray_point(cfg, 1, 1) == {1: 1}
 
-    def test_value_formula(self, family):
+    def test_value_formula(self, cfg):
         for j in (1, 4, 8):
             for t in range(2, 7):
-                pt = ray_point(family, j, t)
+                pt = ray_point(cfg, j, t)
                 assert pt[1] == (3**t - 1) // 2
                 for u in range(1, t):
-                    assert pt[family.choice(j, u)] == (3**t - 3**u) // 2
+                    assert pt[cfg.choice(j, u)] == (3**t - 3**u) // 2
 
-    def test_known_point(self, family):
+    def test_known_point(self, cfg):
         # ray 1 chooses positions 2, 4, 7, ... round robin
-        assert ray_point(family, 1, 3) == {1: 13, 2: 12, 4: 9}
+        assert ray_point(cfg, 1, 3) == {1: 13, 2: 12, 4: 9}
 
-    def test_membership_in_carrier(self, family):
+    def test_membership_in_carrier(self, cfg):
         for j in range(1, 9):
             for t in range(0, 7):
-                assert in_carrier(family, ray_point(family, j, t))
+                assert in_carrier(cfg, ray_point(cfg, j, t))
 
-    def test_carrier_rejects_bad_multiples(self, family):
-        assert not in_carrier(family, {2: 1})  # level-1 position needs a multiple of 3
-        assert not in_carrier(family, {1: -1})
-        assert not in_carrier(family, {99: 3})
+    def test_carrier_rejects_bad_multiples(self, cfg):
+        assert not in_carrier(cfg, {2: 1})  # level-1 position needs a multiple of 3
+        assert not in_carrier(cfg, {1: -1})
+        assert not in_carrier(cfg, {99: 3})
 
-    def test_pairwise_distance_formula(self, family):
+    def test_pairwise_distance_formula(self, cfg):
         for j in (1, 5):
-            pts = [ray_point(family, j, t) for t in range(0, 7)]
+            pts = [ray_point(cfg, j, t) for t in range(0, 7)]
             for s in range(0, 7):
                 for t in range(s + 1, 7):
                     assert linf_distance(pts[s], pts[t]) == (3**t - 3**s) // 2
 
-    def test_rays_are_metric_rays(self, family):
+    def test_rays_are_metric_rays(self, cfg):
         for j in range(1, 9):
-            pts = [ray_point(family, j, t) for t in range(0, 7)]
+            pts = [ray_point(cfg, j, t) for t in range(0, 7)]
             assert verify_metric_ray(pts)
 
-    def test_tampered_ray_fails(self, family):
-        pts = [ray_point(family, 2, t) for t in range(0, 5)]
+    def test_tampered_ray_fails(self, cfg):
+        pts = [ray_point(cfg, 2, t) for t in range(0, 5)]
         pts[3] = dict(pts[3])
         pts[3][1] += 1
         assert not verify_metric_ray(pts)
 
 
 class TestSeparation:
-    def test_witnesses_meet_bound(self, family):
+    def test_witnesses_meet_bound(self, cfg):
         frozen = {2: 3, 3: 9, 4: 36, 5: 117, 6: 360}
         for t in range(2, 7):
-            w = separation_witness(family, t)
-            assert len(w.points) == family.config.N[t - 2]
+            w = separation_witness(cfg, t)
+            assert w.rays == tuple(range(1, cfg.N[t - 2] + 1))
+            assert len(w.points) == cfg.N[t - 2]
             assert w.bound == 3 ** (t - 1)
             assert w.min_distance >= w.bound
             assert w.min_distance == frozen[t]
@@ -139,20 +131,20 @@ class TestSeparation:
 
 
 class TestWholeSpace:
-    def test_ball_counts(self, family):
-        assert ball_point_count(family, 0) == 1
-        assert ball_point_count(family, 13) == 10
-        assert ball_point_count(family, (3**6 - 1) // 2) == 34
+    def test_ball_counts(self, cfg):
+        assert ball_point_count(cfg, 0) == 1
+        assert ball_point_count(cfg, 13) == 10
+        assert ball_point_count(cfg, (3**6 - 1) // 2) == 34
 
-    def test_metric_space_agrees_with_sparse_distances(self, family):
-        sp = to_metric_space(family)
+    def test_metric_space_agrees_with_sparse_distances(self, cfg):
+        sp = to_metric_space(cfg)
         assert len(sp) == 34
         assert sp.basepoint in sp.ids
-        # cross-check the ball against the family count
-        assert len(ball(sp, 13.0)) == ball_point_count(family, 13)
+        # cross-check the ball against the sparse count
+        assert len(ball(sp, 13.0)) == ball_point_count(cfg, 13)
 
-    def test_space_distances_are_integers(self, family):
-        sp = to_metric_space(family)
+    def test_space_distances_are_integers(self, cfg):
+        sp = to_metric_space(cfg)
         D = sp.distance_matrix()
         assert np.array_equal(D, np.round(D))
 
@@ -162,16 +154,17 @@ def small_config(draw):
     depth = draw(st.integers(min_value=2, max_value=4))
     base = draw(st.integers(min_value=2, max_value=3))
     widths = tuple(base + i for i in range(depth))
-    return CounterexampleConfig(N=widths, ray_count=widths[-1])
+    # levels 1..T-1 need a ray per position; the last width needs none
+    rays = draw(st.integers(min_value=widths[-2], max_value=widths[-1] + 2))
+    return CounterexampleConfig(N=widths, ray_count=rays)
 
 
 @settings(max_examples=25, deadline=None)
 @given(small_config())
 def test_any_valid_family_has_exact_witnesses(cfg):
-    fam = build_family(cfg)
     for j in range(1, cfg.ray_count + 1):
-        pts = [ray_point(fam, j, t) for t in range(0, cfg.depth + 1)]
+        pts = [ray_point(cfg, j, t) for t in range(0, cfg.depth + 1)]
         assert verify_metric_ray(pts)
     for t in range(2, cfg.depth + 1):
-        w = separation_witness(fam, t)
+        w = separation_witness(cfg, t)
         assert w.min_distance >= 3 ** (t - 1)
