@@ -260,7 +260,7 @@ def _cmd_fdd_demo(args: argparse.Namespace) -> tuple[dict, bool]:
     try:
         result = embed_no_cotype(space, args.epsilon, eps_list=args.eps_list)
     except ModelInvalid as exc:
-        # only the --eps-list product condition raises here: bad input, not a failed check
+        # --eps-list's length, range and product checks raise here: bad input, not a failed check
         raise SchemaError(f"--eps-list: {exc}") from exc
     model = result.model
     eq = equivalence_ratio(model, args.epsilon, seed=args.seed, n=args.samples)

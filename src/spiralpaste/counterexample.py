@@ -49,6 +49,9 @@ class CounterexampleConfig:
             raise ValueError("level widths must be positive")
         if any(b <= a for a, b in zip(self.N, self.N[1:])):
             raise ValueError("level widths must be strictly increasing")
+        if self.depth > 1 and self.N[0] < 2:
+            raise ValueError(f"N_1 must be at least 2 when the depth is 2 or more, got {self.N[0]}: "
+                             "the level-2 separation compares the tips of N_1 rays")
         need = max((1, *self.N[:-1]))
         if self.ray_count < need:
             raise ValueError(f"ray_count {self.ray_count} cannot cover every position of "

@@ -51,9 +51,9 @@ class FddModel:
             raise ValueError("block dims must be positive integers")
         eps = tuple(float(e) for e in self.eps_list) or (0.0,) * len(dims)
         if len(eps) != len(dims):
-            raise ValueError("need one eps per block")
+            raise ModelInvalid(f"need one eps per block: got {len(eps)} for {len(dims)} blocks")
         if any(not 0.0 <= e < 1.0 for e in eps):
-            raise ValueError("block eps values must lie in [0, 1)")
+            raise ModelInvalid("block eps values must lie in [0, 1)")
         object.__setattr__(self, "block_dims", dims)
         object.__setattr__(self, "eps_list", eps)
 
@@ -217,10 +217,6 @@ class NoCotypeReport:
     model: FddModel
     report_a: DistortionReport
     report_ambient: DistortionReport
-
-    @property
-    def passed(self) -> bool:
-        return self.report_a.passed and self.report_ambient.passed
 
 
 def embed_no_cotype(

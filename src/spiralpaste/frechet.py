@@ -24,7 +24,6 @@ class FrechetMap:
 
     anchor_order: tuple
     images: dict
-    basepoint: object
 
     @property
     def dimension(self) -> int:
@@ -35,13 +34,13 @@ class FrechetMap:
 
 
 def frechet_embed(space: PointedMetricSpace) -> FrechetMap:
-    """Embed ``space`` isometrically into sup-norm R^n, basepoint at 0."""
+    """Embed ``space`` isometrically into sup-norm R^n, basepoint at 0.
+
+    Coordinate k of x is d(a_k, x) - d(a_k, basepoint), read from the
+    anchor rows of the distance matrix; each image is a column of them.
+    """
     anchors = sorted(space.ids)
-    D = space.distance_matrix()
-    rows = [space.index(a) for a in anchors]
-    base_col = D[np.ix_(rows, [space.index(space.basepoint)])].ravel()
-    images = {}
-    for pid in space.ids:
-        col = D[rows, space.index(pid)]
-        images[pid] = col - base_col
-    return FrechetMap(tuple(anchors), images, space.basepoint)
+    F = space.distance_matrix()[[space.index(a) for a in anchors]]
+    base = space.index(space.basepoint)
+    F -= F[:, [base]]
+    return FrechetMap(tuple(anchors), dict(zip(space.ids, F.T)))

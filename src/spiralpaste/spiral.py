@@ -330,15 +330,16 @@ def seam_check(emb: PastedEmbedding) -> tuple[float, int]:
     checked = 0
     for i, pid in enumerate(emb.space.ids):
         r = float(rho[i])
-        for band in range(1, sched.band_count):
-            if sched.radii[2 * band - 1] <= r <= sched.radii[2 * band]:
-                left, right = (
-                    BlockVector(emb.spec, _branch_image(
-                        emb.providers, pid, b, *blend(emb.spec.p, sched, b, r)))
-                    for b in (band, band + 1)
-                )
-                worst = max(worst, float(np.max(block_profile(left - right))))
-                checked += 1
+        # band_of puts rho in (R_{2b-1}, R_{2b+1}], so only band b's handover can hold it
+        band = emb.band_of[pid]
+        if band < sched.band_count and sched.radii[2 * band - 1] <= r:
+            left, right = (
+                BlockVector(emb.spec, _branch_image(
+                    emb.providers, pid, b, *blend(emb.spec.p, sched, b, r)))
+                for b in (band, band + 1)
+            )
+            worst = max(worst, float(np.max(block_profile(left - right))))
+            checked += 1
     return worst, checked
 
 

@@ -57,10 +57,6 @@ class SumSpaceSpec:
         object.__setattr__(self, "block_dims", tuple(int(d) for d in self.block_dims))
 
     @property
-    def is_sup(self) -> bool:
-        return self.p == SUP
-
-    @property
     def num_blocks(self) -> int:
         return len(self.block_dims)
 

@@ -292,6 +292,21 @@ class TestInputErrors:
                      "--eps-list", "0.5"]) == 2
         assert capsys.readouterr().err.startswith("error: --eps-list: prod(1 - eps_n)")
 
+    @pytest.mark.parametrize("eps_list, message", [
+        ("0.5", "need one eps per block: got 1 for 2 blocks"),
+        ("0.1,0.1,0.1", "need one eps per block: got 3 for 2 blocks"),
+        ("0,1", "block eps values must lie in [0, 1)"),
+        ("nan,0", "block eps values must lie in [0, 1)"),
+    ], ids=["too-short", "too-long", "entry-one", "entry-nan"])
+    def test_eps_list_rejections_name_the_flag(self, tmp_path, capsys, eps_list, message):
+        # the block count is the band count of the pasted schedule: 2 for {0, 3} at 0.2
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps({"basepoint": "o", "metric": "linf", "points": [
+            {"id": "o", "coords": [0.0]}, {"id": "a", "coords": [3.0]}]}))
+        assert main(["fdd-demo", "--input", str(path), "--epsilon", "0.2",
+                     f"--eps-list={eps_list}"]) == 2
+        assert capsys.readouterr().err == f"error: --eps-list: {message}\n"
+
     def test_default_eps_list_passes_at_tiny_epsilon(self, pair_doc, line_doc, capsys):
         # 1 - 1e-320 rounds to 1, so the product condition is compared as 1 - prod < eps
         assert main(["fdd-demo", "--input", pair_doc, "--epsilon", "1e-320"]) == 0
@@ -390,6 +405,17 @@ class TestOtherCommands:
     ], ids=["last-width-uncovered", "one-level", "no-rays"])
     def test_counterexample_rays_cover_levels_below_the_last(self, tmp_path, argv, code):
         assert main(["counterexample", *argv, "--out", str(tmp_path / "r.json")]) == code
+
+    @pytest.mark.parametrize("argv", [
+        ["--N", "1,2", "--rays", "1"],
+        ["--N", "1,2,3", "--rays", "2"],
+    ], ids=["depth-2", "depth-3"])
+    def test_counterexample_first_width_one_needs_one_level(self, tmp_path, capsys, argv):
+        # the level-2 separation compares the tips of N_1 rays, so N_1 = 1 leaves no pair
+        assert main(["counterexample", *argv, "--out", str(tmp_path / "r.json")]) == 2
+        assert capsys.readouterr().err.startswith("error: N_1 must be at least 2")
+        assert main(["counterexample", "--N", "1", "--rays", "1",
+                     "--out", str(tmp_path / "r.json")]) == 0
 
     def test_counterexample_separation_shortfall_fails(self, monkeypatch, tmp_path):
         # rays 1 and 2 share every tip, so the level-t witnesses collapse

@@ -34,9 +34,9 @@ class TestModel:
         assert np.array_equal(MODEL3.weights(), [1.0, 1.0, 1.0])
 
     def test_rejects_bad_eps(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ModelInvalid):
             FddModel((2, 2), (0.0, 1.0))
-        with pytest.raises(ValueError):
+        with pytest.raises(ModelInvalid, match="got 1 for 2 blocks"):
             FddModel((2, 2), (0.5,))
 
     def test_rejects_empty_dims(self):
@@ -112,7 +112,7 @@ class TestEmbedNoCotype:
             amb_bound = 4.0 * (1.0 + eps) ** 2 / (1.0 - eps)
             assert res.report_ambient.distortion <= amb_bound
             assert res.report_a.distortion <= analytic_bound(1.0, eps)
-            assert res.passed
+            assert res.report_a.passed and res.report_ambient.passed
 
     def test_model_matches_embedding_layout(self, line):
         res = embed_no_cotype(line, 0.2)
@@ -152,10 +152,10 @@ class TestEmbedNoCotype:
         k = len(res.model.block_dims)
         small = tuple(0.2 / (10.0 * k) for _ in range(k))
         res2 = embed_no_cotype(line, 0.2, eps_list=small)
-        assert res2.passed
+        assert res2.report_a.passed and res2.report_ambient.passed
 
     def test_wrong_eps_list_length(self, line):
-        with pytest.raises(ValueError):
+        with pytest.raises(ModelInvalid):
             embed_no_cotype(line, 0.2, eps_list=(0.01,))
 
     def test_overweight_eps_list_invalid(self, line):

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from spiralpaste import (
     BlockVector,
+    PointedMetricSpace,
     SumSpaceSpec,
     SUP,
     distortion,
@@ -29,6 +30,23 @@ def test_basepoint_maps_to_zero():
     sp = random_integer_space(np.random.default_rng(5), n_max=15)
     fm = frechet_embed(sp)
     assert np.array_equal(fm[sp.basepoint], np.zeros(fm.dimension))
+
+
+def test_anchors_index_rows_of_a_nearly_symmetric_matrix():
+    # the matrix kind is symmetric only to tolerance: coordinate k of x is
+    # d(a_k, x) - d(a_k, basepoint) with the anchor as row, not its transpose
+    D = np.abs(np.subtract.outer(np.arange(4.0), np.arange(4.0)))
+    D[1, 3] += 1e-12
+    ids = ("c", "a", "d", "b")
+    sp = PointedMetricSpace(ids, "d", "matrix", matrix=D)
+    fm = frechet_embed(sp)
+    base = sp.index("d")
+    for x in ids:
+        oracle = [D[sp.index(a), sp.index(x)] - D[sp.index(a), base] for a in fm.anchor_order]
+        assert fm[x].tolist() == oracle
+    # the perturbed entry tells the map from its transpose
+    assert fm["b"].tolist() != [D[sp.index("b"), sp.index(a)] - D[base, sp.index(a)]
+                                for a in fm.anchor_order]
 
 
 def test_norm_equals_rho_exactly():

@@ -340,6 +340,20 @@ class TestPaste:
         gap, checked = seam_check(emb)
         assert gap == 0.0 and checked == 2
 
+    def test_seam_points_at_handover_ends(self):
+        # R_2 and R_3 close band 1's handover [R_2, R_3]; one ulp above R_3
+        # starts band 2's blend window, so that point is no seam point
+        sched = radii_schedule(0.25, 3)
+        r2, r3 = float(sched.radii[1]), float(sched.radii[2])
+        coords = np.array([[0.0], [r2], [r3], [math.nextafter(r3, math.inf)]])
+        ids = ("o", "r2", "r3", "past")
+        sp = PointedMetricSpace(ids=ids, basepoint="o", kind="linf", coords=coords)
+        emb = paste(sp, 2.0, 0.25)
+        assert emb.layout.schedule.band_count == 3
+        assert [emb.band_of[pid] for pid in ids[1:]] == [1, 1, 2]
+        gap, checked = seam_check(emb)
+        assert checked == 2 and gap == 0.0
+
     def test_band_occupancy_spans_bands(self, line):
         emb = paste(line, 2.0, 0.2)
         assert len(set(emb.band_of.values())) >= 3

@@ -35,7 +35,7 @@ class TestSpecAndVector:
 
     def test_sup_spec_allowed(self):
         spec = SumSpaceSpec(SUP, (2, 2))
-        assert spec.is_sup and spec.num_blocks == 2
+        assert spec.p == SUP and spec.num_blocks == 2
 
     def test_vector_rejects_wrong_dimension(self):
         with pytest.raises(ValueError):
