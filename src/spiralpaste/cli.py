@@ -132,7 +132,7 @@ def _cmd_embed(args: argparse.Namespace) -> tuple[dict, bool]:
         rep = measure_distortion(space, images, spec)
         # Exact on integer metrics; float inputs round at ulp(diameter),
         # amplified by the smallest pair distance.
-        D = space.distance_matrix()
+        D = space.matrix
         off = D[np.triu_indices(len(space), 1)]
         allowance = 64.0 * np.finfo(float).eps * float(off.max()) / max(float(off.min()), 1e-300)
         checks = {"isometry": rep.distortion <= 1.0 + max(allowance, 1e-12)}

@@ -127,20 +127,22 @@ def verify_metric_ray(points) -> bool:
     points: list of sparse integer dicts.  Requires distances to
     points[0] to be strictly increasing and every inner point to split
     distances additively: d(i,k) = d(i,j) + d(j,k) for i < j < k.
+
+    Both hold exactly when every step d(k-1,k) is positive and
+    d(0,k) = d(0,k-1) + d(k-1,k) for every k, so one pass over the steps
+    decides them.  Necessity is the case i = 0, j = k-1.  Sufficiency:
+    d(0,k) is then the sum of the steps up to k, so for i < k the triangle
+    inequality gives d(i,k) <= (steps from i to k) = d(0,k) - d(0,i)
+    <= d(i,k); every distance is its sum of steps, and sums of steps add.
+    linf_distance is exact on integers, so this is the same verdict as
+    comparing every triple.
     """
-    m = len(points)
-    if m < 2:
-        return True
-    dist = lambda i, k: linf_distance(points[i], points[k])
-    base = [dist(0, i) for i in range(m)]
-    for i in range(1, m):
-        if base[i] <= base[i - 1]:
+    base = 0
+    for a, b in zip(points, points[1:]):
+        step = linf_distance(a, b)
+        if step <= 0 or linf_distance(points[0], b) != base + step:
             return False
-    for i in range(m):
-        for j in range(i + 1, m):
-            for k in range(j + 1, m):
-                if dist(i, k) != dist(i, j) + dist(j, k):
-                    return False
+        base += step
     return True
 
 

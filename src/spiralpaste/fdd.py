@@ -124,8 +124,8 @@ def equivalence_ratio(
 
     The candidate set always includes every single-block unit and every
     equal two-block pair, so the structural maximum (exactly 2 in the
-    unweighted model) is attained, not merely approached.  Raises
-    ModelInvalid if any ratio leaves [1, 4 (1 + eps) / (1 - eps)].
+    unweighted model) is attained, not merely approached.  The caller
+    judges max_ratio against bound = 4 (1 + eps) / (1 - eps).
     """
     spec = model.spec
     rng = np.random.default_rng(seed)
@@ -156,10 +156,7 @@ def equivalence_ratio(
         amb = ambient_norm(model, v)
         if amb == 0.0:
             continue
-        ratio = norm_a(model, v) / amb
-        if ratio < 1.0 - 1e-12 or ratio > bound + 1e-12:
-            raise ModelInvalid(f"norm ratio {ratio:.6g} escapes [1, {bound:.6g}]")
-        best = max(best, ratio)
+        best = max(best, norm_a(model, v) / amb)
     return EquivalenceReport(best, bound, len(cands))
 
 

@@ -40,7 +40,7 @@ def frechet_embed(space: PointedMetricSpace) -> FrechetMap:
     anchor rows of the distance matrix; each image is a column of them.
     """
     anchors = sorted(space.ids)
-    F = space.distance_matrix()[[space.index(a) for a in anchors]]
+    F = space.matrix[[space.index(a) for a in anchors]]
     base = space.index(space.basepoint)
     F -= F[:, [base]]
     return FrechetMap(tuple(anchors), dict(zip(space.ids, F.T)))

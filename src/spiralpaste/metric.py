@@ -221,12 +221,9 @@ class PointedMetricSpace:
     def dist(self, u, v) -> float:
         return float(self.matrix[self.index(u), self.index(v)])
 
-    def distance_matrix(self) -> np.ndarray:
-        return self.matrix
-
     def rho(self) -> np.ndarray:
         """Distances to the basepoint, in id construction order."""
-        return self.distance_matrix()[self.index(self.basepoint)].copy()
+        return self.matrix[self.index(self.basepoint)].copy()
 
 
 @dataclass(frozen=True)
@@ -373,7 +370,7 @@ def _report(space: PointedMetricSpace, ratios: np.ndarray, bound: float | None) 
     """Report on one (n, n) array of target pair distances, which it overwrites."""
     n = len(space)
     with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(ratios, space.distance_matrix(), out=ratios)
+        np.divide(ratios, space.matrix, out=ratios)
     # Mask the diagonal and below; argmax/argmin then pick the first pair
     # in row-major order over the upper triangle.
     lower = np.tri(n, dtype=bool)
@@ -476,7 +473,7 @@ def space_to_doc(space: PointedMetricSpace) -> dict:
     doc: dict = {"basepoint": str(space.basepoint), "metric": space.kind}
     if space.kind == "matrix":
         doc["points"] = [{"id": str(pid)} for pid in space.ids]
-        doc["matrix"] = [[float(x) for x in row] for row in space.distance_matrix()]
+        doc["matrix"] = [[float(x) for x in row] for row in space.matrix]
     else:
         doc["points"] = [
             {"id": str(pid), "coords": [float(x) for x in space.coords[i]]}

@@ -296,16 +296,17 @@ def paste(
     providers = {}
     dims = []
     for n in range(1, K + 1):
-        ball_n = ball(space, float(schedule.radii[2 * n - 1]))
+        radius = float(schedule.radii[2 * n - 1])
         if n in used_blocks:
-            emb = provider(ball_n)
+            emb = provider(ball(space, radius))
             base_img = np.asarray(emb[space.basepoint], dtype=float)
             if base_img.size and float(np.max(np.abs(base_img))) != 0.0:
                 raise ValueError("provider must send the basepoint to 0")
             providers[n] = emb
             dims.append(base_img.size)
         else:
-            dims.append(len(ball_n))
+            # no image uses this block: only its dimension, the ball's point count, is read
+            dims.append(int(np.count_nonzero(rho <= radius)))
 
     spec = SumSpaceSpec(p, tuple(dims))
     images = {

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from spiralpaste import counterexample, frechet_embed, line_space, space_to_doc
+from spiralpaste import counterexample, fdd, frechet_embed, line_space, space_to_doc
 from spiralpaste.cli import main
 from conftest import random_integer_space
 
@@ -448,6 +448,32 @@ class TestOtherCommands:
         rep = json.loads(out.read_text())
         assert rep["equivalence"]["max_ratio"] == 2.0
         assert rep["pair_isometry_deviation"] == 0.0
+
+    def test_fdd_demo_equivalence_is_judged_by_the_report(self, monkeypatch, tmp_path):
+        # a renorming 100x the sup norm escapes [1, 4(1+eps)/(1-eps)]: the report
+        # is written and its check fails, rather than the run ending in an error
+        real = fdd.norm_a
+        monkeypatch.setattr(fdd, "norm_a", lambda model, v: 100.0 * real(model, v))
+        path = tmp_path / "line3.json"
+        path.write_text(json.dumps({"basepoint": "o", "metric": "linf", "points": [
+            {"id": "o", "coords": [0.0]}, {"id": "a", "coords": [1.0]},
+            {"id": "b", "coords": [3.0]}]}))
+        out = tmp_path / "r.json"
+        assert main(["fdd-demo", "--input", str(path), "--epsilon", "0.2",
+                     "--out", str(out)]) == 1
+        rep = json.loads(out.read_text())
+        assert rep["equivalence"]["max_ratio"] > rep["equivalence"]["bound"]
+        assert rep["checks"]["equivalence_within_bound"] is False
+        assert rep["pass"] is False
+
+    def test_counterexample_deep_family(self, tmp_path):
+        # 3^T passes 2^53 from T = 34 on, so only exact integers keep these checks
+        out = tmp_path / "r.json"
+        levels = ",".join(str(n) for n in range(2, 42))
+        assert main(["counterexample", "--N", levels, "--rays", "40", "--out", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        assert rep["depth"] == 40
+        assert all(rep["checks"].values())
 
     def test_sweep_rows(self, line_doc, tmp_path):
         out = tmp_path / "sweep.csv"

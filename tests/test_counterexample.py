@@ -10,6 +10,7 @@ from spiralpaste import (
     CounterexampleConfig,
     ball,
     ball_point_count,
+    counterexample,
     in_carrier,
     linf_distance,
     ray_point,
@@ -145,13 +146,13 @@ class TestWholeSpace:
 
     def test_space_distances_are_integers(self, cfg):
         sp = to_metric_space(cfg)
-        D = sp.distance_matrix()
+        D = sp.matrix
         assert np.array_equal(D, np.round(D))
 
 
 @st.composite
 def small_config(draw):
-    depth = draw(st.integers(min_value=2, max_value=4))
+    depth = draw(st.integers(min_value=2, max_value=20))
     base = draw(st.integers(min_value=2, max_value=3))
     widths = tuple(base + i for i in range(depth))
     # levels 1..T-1 need a ray per position; the last width needs none
@@ -168,3 +169,79 @@ def test_any_valid_family_has_exact_witnesses(cfg):
     for t in range(2, cfg.depth + 1):
         w = separation_witness(cfg, t)
         assert w.min_distance >= 3 ** (t - 1)
+
+
+def triple_loop_ray(points) -> bool:
+    """The metric-ray conditions read off their definition: distances to
+    points[0] strictly increase and d(i,k) = d(i,j) + d(j,k) for i < j < k."""
+    m = len(points)
+    dist = lambda i, k: linf_distance(points[i], points[k])
+    if any(dist(0, i) <= dist(0, i - 1) for i in range(1, m)):
+        return False
+    return all(dist(i, k) == dist(i, j) + dist(j, k)
+               for i in range(m) for j in range(i + 1, m) for k in range(j + 1, m))
+
+
+sparse_vectors = st.dictionaries(st.integers(0, 3), st.integers(-6, 6), max_size=4)
+
+
+@st.composite
+def monotone_walks(draw):
+    """Walks whose coordinates never decrease; when coordinate 0 carries
+    every step's largest increment the walk is a metric ray (if no step is 0)."""
+    dim = draw(st.integers(1, 3))
+    lead = draw(st.booleans())
+    pts, cur = [{}], [0] * dim
+    for inc in draw(st.lists(st.lists(st.integers(0, 4), min_size=dim, max_size=dim),
+                             max_size=7)):
+        if lead:
+            inc[0] = max(inc)
+        cur = [a + b for a, b in zip(cur, inc)]
+        pts.append(dict(enumerate(cur)))
+    return pts
+
+
+@st.composite
+def tampered_rays(draw):
+    """A ray of the default family with one coordinate of one point moved."""
+    cfg = CounterexampleConfig()
+    j = draw(st.integers(1, cfg.ray_count))
+    pts = [ray_point(cfg, j, t) for t in range(cfg.depth + 1)]
+    k = draw(st.integers(0, cfg.depth))
+    pos = draw(st.integers(1, 8))
+    pts[k][pos] = pts[k].get(pos, 0) + draw(st.integers(-5, 5))
+    return pts
+
+
+@st.composite
+def repeated_points(draw):
+    pts = draw(st.lists(sparse_vectors, min_size=1, max_size=6))
+    k = draw(st.integers(0, len(pts) - 1))
+    return pts[: k + 1] + [pts[k]] + pts[k + 1:]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(
+    st.lists(sparse_vectors, max_size=7),
+    monotone_walks(),
+    tampered_rays(),
+    repeated_points(),
+    st.lists(sparse_vectors, max_size=1),
+))
+def test_ray_check_agrees_with_triple_loop(points):
+    assert verify_metric_ray(points) == triple_loop_ray(points)
+
+
+def test_ray_check_reads_each_step_once(cfg, monkeypatch):
+    calls = 0
+    real = counterexample.linf_distance
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return real(a, b)
+
+    monkeypatch.setattr(counterexample, "linf_distance", counted)
+    pts = [ray_point(cfg, 1, t) for t in range(cfg.depth + 1)]
+    assert verify_metric_ray(pts)
+    assert calls <= 3 * len(pts)

@@ -85,7 +85,7 @@ def test_float_space_is_isometric_to_rounding(line):
     fm = frechet_embed(line)
     spec, images = as_images(fm)
     rep = distortion(line, images, spec)
-    D = line.distance_matrix()
+    D = line.matrix
     off = D[np.triu_indices(len(line), 1)]
     allowance = 64.0 * np.finfo(float).eps * float(off.max()) / float(off.min())
     assert rep.distortion <= 1.0 + allowance

@@ -66,7 +66,7 @@ def perturbed_metrics(draw):
                                 coords=coords)
     else:
         sp = tree_space(n, r_max=draw(st.sampled_from([10.0, 1e3, 1e9])), seed=seed)
-    D = sp.distance_matrix().copy()
+    D = sp.matrix.copy()
     n = len(D)
     i = draw(st.integers(0, n - 2))
     j = draw(st.integers(i + 1, n - 1))
@@ -176,7 +176,7 @@ class TestBasics:
         sp = PointedMetricSpace(ids=tuple(range(200)), basepoint=0, kind="l2", coords=coords)
         tol = sp.rel_tol()
         dists = [[sp.dist(u, v) for v in range(60)] for u in range(60)]
-        D = sp.distance_matrix()
+        D = sp.matrix
         assert np.array_equal(dists, D[:60, :60])
         assert sp.rel_tol() == tol == 1e-9 * max(1.0, float(D.max()))
 
@@ -361,7 +361,7 @@ class TestInterchange:
             again = load_space(space_to_doc(sp))
             assert again.ids == sp.ids
             assert again.basepoint == sp.basepoint
-            assert np.allclose(again.distance_matrix(), sp.distance_matrix())
+            assert np.allclose(again.matrix, sp.matrix)
 
     def test_schema_errors(self):
         with pytest.raises(SchemaError):
@@ -427,6 +427,6 @@ def test_random_integer_space_is_valid(seed):
     from conftest import random_integer_space
 
     sp = random_integer_space(np.random.default_rng(seed), n_max=12)
-    D = sp.distance_matrix()
+    D = sp.matrix
     assert np.array_equal(D, D.T)
     assert float(D.max()) == float(int(D.max()))  # distances are whole numbers

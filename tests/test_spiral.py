@@ -22,6 +22,7 @@ from spiralpaste import (
     radii_schedule,
     seam_check,
     small_norm_ratio,
+    spiral,
     spiral_distortion,
     spiral_point,
 )
@@ -373,6 +374,30 @@ class TestPaste:
 
         with pytest.raises(ValueError):
             paste(sp, 2.0, 0.3, provider=shifted)
+
+    def test_unused_blocks_build_no_ball(self, monkeypatch):
+        # points inside radius 1 and one far point leave the middle blocks
+        # empty: they keep their ball's point count as dimension, no ball
+        rng = np.random.default_rng(3)
+        coords = np.concatenate([[[0.0]], rng.uniform(-1.0, 1.0, (300, 1)), [[1e9]]])
+        sp = PointedMetricSpace(ids=tuple(range(len(coords))), basepoint=0, kind="linf",
+                                coords=coords)
+        radii = []
+        real = spiral.ball
+
+        def counted(space, radius):
+            radii.append(radius)
+            return real(space, radius)
+
+        monkeypatch.setattr(spiral, "ball", counted)
+        emb = paste(sp, 1.0, 0.9)
+        sched = emb.layout.schedule
+        rho = sp.rho()
+        assert emb.spec.block_dims == tuple(
+            int(np.count_nonzero(rho <= sched.radii[2 * n - 1]))
+            for n in range(1, sched.band_count + 1))
+        assert len(emb.providers) < sched.band_count
+        assert radii == [float(sched.radii[2 * n - 1]) for n in sorted(emb.providers)]
 
     def test_rejects_bad_exponent(self, line):
         with pytest.raises(ValueError):
