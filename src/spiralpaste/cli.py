@@ -148,7 +148,9 @@ def _cmd_embed(args: argparse.Namespace) -> tuple[dict, bool]:
         raise SchemaError("the spiral method needs --p and --epsilon")
     emb = paste(space, args.p, args.epsilon)
     bound = analytic_bound(args.p, args.epsilon)
-    rep = measure_distortion(space, emb.images, emb.spec, analytic_bound=bound)
+    rep = measure_distortion(
+        space, emb.images, emb.spec, analytic_bound=bound, envelope=emb.envelope()
+    )
     gap, seam_pairs = seam_check(emb)
     npe = emb.norm_preservation_error()
     sched = emb.layout.schedule
@@ -324,7 +326,9 @@ def _render_sweep(args: argparse.Namespace) -> tuple[str, bool]:
         for eps in args.eps_grid:
             emb = paste(space, p, eps)
             bound = analytic_bound(p, eps)
-            rep = measure_distortion(space, emb.images, emb.spec, analytic_bound=bound)
+            rep = measure_distortion(
+                space, emb.images, emb.spec, analytic_bound=bound, envelope=emb.envelope()
+            )
             ok &= rep.passed
             writer.writerow(
                 [

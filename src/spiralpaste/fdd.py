@@ -192,8 +192,8 @@ def _norm_a_aggregator(model: FddModel):
     """Fold for (norm_a, ambient): max(ambient, running top1 + top2) and the weighted max."""
     w = model.weights()
 
-    def fold(n: int, blocks) -> tuple[np.ndarray, np.ndarray]:
-        amb, top1, top2, tmp = (np.zeros((n, n)) for _ in range(4))
+    def fold(shape: tuple[int, int], blocks) -> tuple[np.ndarray, np.ndarray]:
+        amb, top1, top2, tmp = (np.zeros(shape) for _ in range(4))
         for b, d in blocks:
             np.multiply(d, w[b - 1], out=tmp)
             np.maximum(amb, tmp, out=amb)
@@ -227,9 +227,10 @@ def embed_no_cotype(
     norm is exactly the 1-sum, so the exponent-1 distortion bound applies
     verbatim; the ambient (max) norm then costs at most the equivalence
     factor, for an end-to-end bound 4 (1 + eps)^2 / (1 - eps).  One pair
-    scan measures both norms.  Its ambient distance max_n (1 - eps_n)
-    ||x_n - y_n||_inf is ``ambient_norm`` of the difference; for weights
-    other than 1 it can differ by ulps from that of the weighted images.
+    scan, pruned by the pasted map's envelope, measures both norms.  Its
+    ambient distance max_n (1 - eps_n) ||x_n - y_n||_inf is
+    ``ambient_norm`` of the difference; for weights other than 1 it can
+    differ by ulps from that of the weighted images.
     """
     emb = paste(space, 1.0, epsilon)
     model = FddModel(emb.spec.block_dims, tuple(eps_list or ()))
@@ -240,5 +241,6 @@ def embed_no_cotype(
         model.spec,
         (analytic_bound(1.0, epsilon), 4.0 * (1.0 + epsilon) ** 2 / (1.0 - epsilon)),
         aggregator=_norm_a_aggregator(model),
+        envelope=emb.envelope(),
     )
     return NoCotypeReport(emb, model, report_a, report_ambient)

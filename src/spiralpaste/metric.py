@@ -53,23 +53,25 @@ def sup_pairwise(V: np.ndarray, kind: str = "linf") -> np.ndarray:
     ``_SLAB`` entries between them where a row allows it, so extra memory
     stays flat whatever the number of columns.  linf entries are exact
     maxima; an l2 entry sums its squares in numpy's order.  For 'l2', an
-    input with an entry of at least 2^500 is divided by a power of two
-    (into a copy) before squaring and the distances are multiplied back
-    after the square root, so a distance that fits a double does not
-    overflow on the way; one that does not fit comes out as inf, where
-    the caller's finiteness check reports it.
+    input whose largest entry lies outside [2^-500, 2^500) is scaled by a
+    power of two (into a copy) so that it lies in [2^499, 2^500), and the
+    distances are scaled back after the square root: a distance that fits
+    a double neither overflows nor loses its squares to underflow on the
+    way, and one that does not fit comes out as inf, where the caller's
+    finiteness check reports it.  Power-of-two scaling is exact, so inputs
+    inside that range are not scaled and keep bit-identical distances.
     """
     m, k = V.shape
     out = np.zeros((m, m))
     if not V.size:
         return out
     l2 = kind == "l2"
-    scale = 1.0
+    shift = 0
     if l2:
         top = max(float(V.max()), -float(V.min()))
-        if top >= 2.0**500:
-            scale = math.ldexp(1.0, math.frexp(top)[1] - 500)
-            V = V / scale
+        if top >= 2.0**500 or 0.0 < top < 2.0**-500:
+            shift = 500 - math.frexp(top)[1]
+            V = np.ldexp(V, shift)
     # (rows + 1) * cols * m <= _SLAB wherever 2 * m <= _SLAB
     cols = max(1, min(k, _SLAB // (2 * m)))
     rows = max(1, min(m, _SLAB // (cols * m) - 1))
@@ -97,10 +99,45 @@ def sup_pairwise(V: np.ndarray, kind: str = "linf") -> np.ndarray:
                     np.maximum(acc, red, out=acc)
         if l2:
             np.sqrt(out, out=out)
-            np.multiply(out, scale, out=out)
+            np.ldexp(out, -shift, out=out)
     for i0 in range(0, m, rows):
         out[i0 + rows :, i0 : i0 + rows] = out[i0 : i0 + rows, i0 + rows :].T
     return out
+
+
+def _coordinate_defect(C: np.ndarray, kind: str, top: float) -> float:
+    """Conditioning delta of the distances sup_pairwise computed from coordinates C.
+
+    Each computed distance is D = d (1 + t) + e with |t| <= eta, |e| <=
+    alpha and d the exact distance.  Then for any k, |D[k, x] - D[k, y]|
+    <= d(x, y) + eta (d(k, x) + d(k, y)) + 2 alpha and d(x, y) <= (D[x, y]
+    + alpha) / (1 - eta), so T[x, y] - D[x, y] <= 3 eta max d / (1 - eta)
+    + 3 alpha, with max d <= (top + alpha) / (1 - eta), top = max D.
+      * 'linf': an entry is the exact max of correctly rounded |a - b|, so
+        eta = u = 2^-53 and alpha = 0 (a difference in the subnormal range
+        is exact).
+      * 'l2': with k columns, in the kernel's power-of-two-scaled units,
+        each square carries (1 + u)^3 and each sum term at most k more
+        roundings, so the sum is within (k + 4) u of exact up to second
+        order; the square root halves that and adds u: eta = (k + 8) u / 2.
+        A square that underflows errs by at most 2^-1075, so the sum by
+        k 2^-1075 and the root by sqrt(k) 2^-537.5.  Scaled back, that is
+        at most sqrt(k) 2^-537 r, with r = 1 when max|C| lies in [2^-500,
+        2^500) and r = max|C| 2^-499 when the kernel scaled C; scaling
+        back into the subnormal range adds 2^-1075.  That is alpha.
+    The factor (1 + 2^-40 + 4 eta) covers 1 / (1 - eta)^2 and the rounding
+    of this formula.
+    """
+    k = C.shape[1]
+    u = 2.0**-53
+    if kind == "linf":
+        eta, alpha = u, 0.0
+    else:
+        eta = (k + 8) * u / 2.0
+        big = float(np.max(np.abs(C), initial=0.0))
+        r = 1.0 if 2.0**-500 <= big < 2.0**500 else big * 2.0**-499
+        alpha = math.sqrt(k) * 2.0**-537 * r + 2.0**-1074
+    return (3.0 * eta * (top + alpha) + 3.0 * alpha) * (1.0 + 2.0**-40 + 4.0 * eta)
 
 
 @dataclass
@@ -114,6 +151,18 @@ class PointedMetricSpace:
     matrix: the distance matrix, which every distance read uses.  The
     'matrix' kind passes it in; the coordinate kinds compute it from
     ``coords`` when the space is built.
+
+    The build also fixes the space's conditioning delta (``_defect``): how
+    far the stored matrix D may be from a metric.  In exact arithmetic,
+    every pair has T[x, y] = max_k |D[k, x] - D[k, y]| <= D[x, y] + t,
+    and delta = t + a + g, where a = max |D - D^T| and g = max |diag D|
+    (both 0 for the coordinate kinds, whose kernel output is symmetric
+    with a zero diagonal).  A restriction keeps its parent's delta.
+      * 'matrix': t is measured on S = sup_pairwise(D), which the triangle
+        check computes: t = max(S - D)+ + 2^-52 max S + 2a.  Each S entry
+        may round down by u = 2^-53 of itself, and S reads rows of D where
+        T reads columns, which differ by at most a.
+      * 'linf' and 'l2': see ``_coordinate_defect``.
     """
 
     ids: tuple
@@ -122,6 +171,7 @@ class PointedMetricSpace:
     coords: np.ndarray | None = None
     matrix: np.ndarray | None = None
     _rows: dict = field(default_factory=dict, repr=False, compare=False)
+    _defect: float = field(default=0.0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.ids = tuple(self.ids)
@@ -161,7 +211,9 @@ class PointedMetricSpace:
             )
         self.matrix = D
         if self.kind == "matrix":
-            self._validate_matrix(D)
+            self._defect = self._validate_matrix(D)
+        else:
+            self._defect = _coordinate_defect(self.coords, self.kind, float(np.max(D)))
         self._rows = {pid: i for i, pid in enumerate(self.ids)}
 
     def _restrict(self, keep: list[int]) -> "PointedMetricSpace":
@@ -177,33 +229,60 @@ class PointedMetricSpace:
         sub.coords = None if self.coords is None else self.coords[keep]
         sub.matrix = self.matrix[np.ix_(keep, keep)]
         sub._rows = {pid: i for i, pid in enumerate(sub.ids)}
+        sub._defect = self._defect
         return sub
 
-    def _validate_matrix(self, D: np.ndarray) -> None:
+    def _validate_matrix(self, D: np.ndarray) -> float:
+        """Check the metric axioms within tolerance; returns the conditioning delta.
+
+        Apart from D itself, the only (n, n) array is the triangle kernel's
+        output S, reused in place for every other check once the triangle
+        verdict is taken.  The checks are judged in a fixed order, so the
+        first that fails names the message.
+        """
+        n = len(D)
         tol = self.rel_tol()
-        if float(np.max(np.abs(D - D.T))) > tol:
+        # The distance-vector map x -> (d(x, k))_k into l_inf is an
+        # isometry exactly when the triangle inequality holds, and its
+        # image distances are S[x, z] = max_k |d(x,k) - d(z,k)|.  The first
+        # pair (x, z) with S > D + tol, in row-major order, is found a
+        # slab of rows at a time.
+        S = sup_pairwise(D)
+        rows = max(1, _SLAB // n)
+        slab = np.empty((min(rows, n), n))
+        broken = None
+        for i0 in range(0, n, rows):
+            lim = slab[: min(rows, n - i0)]
+            np.add(D[i0 : i0 + rows], tol, out=lim)
+            bad = np.flatnonzero(S[i0 : i0 + rows] > lim)
+            if bad.size:
+                broken = divmod(i0 * n + int(bad[0]), n)
+                break
+        top = float(np.max(S))
+        excess = max(0.0, float(np.max(np.subtract(S, D, out=S))))
+        asym = float(np.max(np.abs(np.subtract(D, D.T, out=S), out=S)))
+        diag = float(np.max(np.abs(np.diag(D))))
+        np.copyto(S, D)
+        np.fill_diagonal(S, np.inf)
+        if asym > tol:
             raise ValueError("distance matrix asymmetry exceeds tolerance")
-        if float(np.max(np.abs(np.diag(D)))) > tol:
+        if diag > tol:
             raise ValueError("self-distances must vanish")
         # Positivity is judged at machine resolution, not at the report
         # tolerance: doubles near the diameter still resolve much finer
         # separations than TOL * diameter.
         resolvable = 64.0 * np.finfo(float).eps * max(1.0, float(np.max(D)))
-        off = D + np.eye(len(D)) * (np.max(D) + 1.0)
-        if float(np.min(off)) <= resolvable:
+        if float(np.min(S)) <= resolvable:
             raise ValueError("distinct points must be at positive distance")
-        # The distance-vector map x -> (d(x, k))_k into l_inf is an
-        # isometry exactly when the triangle inequality holds, and its
-        # image distances are sup_pairwise(D)[x, z] = max_k |d(x,k) - d(z,k)|.
-        # At the first failing pair (x, z) the worst k has either
-        # d(x,k) > d(x,z) + d(z,k) or d(z,k) > d(z,x) + d(x,k); the
-        # message names the middle point of that triple.
-        bad = sup_pairwise(D) > D + tol
-        if bad.any():
-            x, z = divmod(int(np.argmax(bad)), len(D))
+        if broken is not None:
+            # At (x, z) the worst k has either d(x,k) > d(x,z) + d(z,k) or
+            # d(z,k) > d(z,x) + d(x,k); the message names the middle point.
+            x, z = broken
             k = int(np.argmax(np.abs(D[x] - D[z])))
             middle = z if D[x, k] > D[z, k] else x
             raise ValueError(f"triangle inequality fails through point {self.ids[middle]!r}")
+        # four rounded sums of nonnegative terms: (1 + u)^4 < 1 + 2^-40
+        return (excess + 3.0 * asym + diag + 2.0**-52 * top) * (1.0 + 2.0**-40)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -263,11 +342,14 @@ def ball(space: PointedMetricSpace, radius: float) -> PointedMetricSpace:
 
 
 # A fold turns the stream of per-block pair distances into the pair
-# distances of the target norm: fold(n, blocks) -> (n, n) array, where
-# ``blocks`` yields (block index, (n, n) buffer) and reuses that buffer,
-# so a fold must use it before asking for the next block.  A fold that
+# distances of the target norm: fold(shape, blocks) -> array of ``shape``,
+# where ``blocks`` yields (block index, buffer of that shape) and reuses the
+# buffer, so a fold must use it before asking for the next block.  The scan
+# folds (n, n) arrays, the pair envelope (rows, cols) slabs.  A fold that
 # measures several norms in one pass returns a tuple of arrays, one per norm.
-Fold = Callable[[int, Iterator[tuple[int, np.ndarray]]], np.ndarray | tuple[np.ndarray, ...]]
+Fold = Callable[
+    [tuple[int, int], Iterator[tuple[int, np.ndarray]]], np.ndarray | tuple[np.ndarray, ...]
+]
 
 
 def _block_distances(
@@ -300,9 +382,163 @@ def _block_distances(
         yield b, buf
 
 
-def _max_fold(n: int, blocks: Iterator[tuple[int, np.ndarray]]) -> np.ndarray:
+def _slab_centres(
+    W: np.ndarray, rows: np.ndarray, cols: np.ndarray, D: np.ndarray, rho: np.ndarray
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (b, C_b) on a slab: the closed-form block distances of a pasted distance-vector map.
+
+    With w = W[b - 1], C_b[i, j] = min(w_x, w_y) D[i, j] + |w_x - w_y| rho_z
+    for x = rows[i], y = cols[j] and z the one with the larger w; ``D`` is
+    the (rows, cols) slab of the matrix.  A pair with one point outside the
+    support (w = 0) is at the other point's w rho, a pair with both outside
+    at 0, as in ``_block_distances``, whose buffer protocol this shares.
+    Only blocks some column uses are yielded: ``rows`` is part of ``cols``.
+    """
+    buf = np.empty(D.shape)
+    for b in np.flatnonzero(W[:, cols].any(axis=1)):
+        wx, wy = W[b, rows, None], W[b, cols]
+        if not wx.any():
+            np.copyto(buf, wy * rho[cols])
+        else:
+            np.subtract(wx, wy, out=buf)
+            far = buf * rho[rows, None]
+            buf *= -rho[cols]
+            np.maximum(buf, far, out=buf)
+            np.minimum(wx, wy, out=far)
+            far *= D
+            buf += far
+        yield int(b) + 1, buf
+
+
+def _pair_bounds(
+    space: PointedMetricSpace, W: np.ndarray, aggregator: Fold
+) -> Iterator[tuple[np.ndarray, np.ndarray, list[tuple[np.ndarray, np.ndarray]]]]:
+    """Yield (rows, cols, [(lo, hi) per folded norm]): bounds on the scanned ratios of a slab.
+
+    ``W`` is the (B, n) coefficient array of a pasted distance-vector map:
+    x's image in block b is w_x F_b(x) with w_x = W[b - 1, x], computed as
+    fl(w_x F̂_b(x)), where F̂_b(x)_k = fl(D[k, x] - D[k, base]) for the
+    anchors k of a ball that holds every point with w > 0.  The scan's
+    ratio of a pair x < y, fl(fold(K̂)[x, y] / D[x, y]), lies in [lo, hi].
+
+    Slabs.  Points are grouped by their first block (each image has at
+    most that block and the next).  A group's slab pairs its points (rows)
+    with its own and every later group's points (cols, the group first, in
+    row order), so it folds only the blocks from its own on.  Entry (i, j)
+    is the pair (rows[i], cols[j]); in the leading square only j > i are
+    pairs, so every pair is in exactly one slab.
+
+    Block distance.  Say w_x >= w_y, and write f_z = D[:, z] - D[:, base].
+    Then w_x f_x - w_y f_y = w_y (f_x - f_y) + (w_x - w_y) f_x, whose sup
+    norm is at most w_y T[x, y] + (w_x - w_y) T[x, base].  The space's
+    ``_defect`` delta = t + a + g bounds T - D by t, the asymmetry by a and
+    the diagonal by g.  The centre C = w_y D[., .] + (w_x - w_y) rho_x reads
+    D[x, y] or D[y, x], and rho_x = D[base, x]; each is within a of what
+    the bound reads, so the norm is at most C + w_y a + (w_x - w_y) a +
+    w_x t = C + w_x (t + a).  Anchor k = x attains w_x D[x, x] - (w_x -
+    w_y) D[x, base] - w_y D[x, y], so the norm is at least C - w_x (a + g).
+    A point outside the support has w = 0 and the same C.  D and rho are
+    read clipped at 0: only the diagonal and the basepoint's own rho can
+    be negative (by at most g), and the basepoint's image is exactly 0, so
+    T[base, base] = 0 is what the bound reads there.  So the exact kernel
+    is within max(w_x, w_y) delta of C, and C >= 0 on every pair.  In floating point, the two
+    subtractions and two products before the kernel's subtraction, and
+    that one, err by at most 2u (w_x |f_x| + w_y |f_y|) + u |the
+    difference|, with |f_z| <= rho_z + delta and u = 2^-53: 3u (w_x rho_x
+    + w_y rho_y) up to delta u terms.  The centre's four roundings add
+    3u C <= 3u (w_x rho_x + w_y rho_y + w_x delta).  An underflowing
+    product errs by 2^-1075 more.  So
+    |K̂_b - C_b| <= 6.5u (w_x rho_x + w_y rho_y) + max(w_x, w_y) delta
+    (1 + 2^-40) + 2^-1072, and since max <= sum, the blocks' half-widths
+    sum to at most r_x + r_y with r = (sum_b W[b]) (6.5u rho + delta (1 +
+    2^-40)) + 2^-1060, rounded up.
+
+    Fold.  The p-sum, the max and fdd's (norm_a, ambient) folds are
+    monotone and 1-Lipschitz in the l1 norm of the block distances, so
+    |fold(K̂) - fold(C)| <= r_x + r_y.  A pair meets at most N = 2 max_x
+    #{b : W[b, x] > 0} nonzero blocks; a zero block is an exact no-op of
+    every fold.  Folded in floating point, each nonzero block after the
+    first costs the p-sum at most (p + 6) u before its closing 1/p power
+    (np.power taken as correct to 4 ulp), so a computed fold is within
+    (7N + 5) u of exact.  Both folds' errors, and the roundings of lo and
+    hi below, fit in mu = (16N + 16) u times the folded centre.
+
+    Range.  Everything is computed in units of a power of two that puts
+    max D below 2^1000, so no centre or fold overflows.  A fold whose upper
+    end reaches 2^1023 might round to inf in the scan, so its hi is inf.
+    Dividing by D is monotone, so the bounds on the fold bound the ratio.
+    """
+    u = 2.0**-53
+    D, rho = space.matrix, np.maximum(space.rho(), 0.0)
+    unit = math.ldexp(1.0, max(0, math.frexp(float(np.max(D)))[1] - 1000))
+    W = W / unit
+    radius = W.sum(axis=0) * (6.5 * u * rho + space._defect * (1.0 + 2.0**-40))
+    radius = radius * (1.0 + 2.0**-36) + 2.0**-1060
+    mu = (32 * int(np.count_nonzero(W, axis=0).max()) + 16) * u
+    symmetric = np.array_equal(D, D.T)
+    first = np.argmax(W > 0, axis=0)
+    order = np.argsort(first, kind="stable")
+    cuts = [0, *(np.flatnonzero(np.diff(first[order])) + 1), len(order)]
+    for start, stop in zip(cuts, cuts[1:]):
+        rows, cols = order[start:stop], order[start:]
+        slab = np.maximum(D[rows][:, cols], 0.0)
+        folded = aggregator(slab.shape, _slab_centres(W, rows, cols, slab, rho))
+        if not symmetric:
+            # the scan divides the pair x < y by D[x, y]
+            slab = np.where(rows[:, None] < cols, slab, D[cols][:, rows].T)
+        bounds = []
+        for hi in folded if isinstance(folded, tuple) else (folded,):
+            lo = np.multiply(hi, mu)
+            lo += radius[rows, None]
+            lo += radius[cols]
+            np.add(hi, lo, out=hi)
+            np.multiply(lo, 2.0, out=lo)
+            np.subtract(hi, lo, out=lo)
+            if unit > 1.0:
+                np.minimum(lo, 2.0**1023 / unit, out=lo)
+                hi[hi >= 2.0**1023 / unit] = np.inf
+                lo *= unit
+                hi *= unit
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                np.divide(lo, slab, out=lo)
+                np.divide(hi, slab, out=hi)
+            bounds.append((lo, hi))
+        yield rows, cols, bounds
+
+
+def _candidates(space: PointedMetricSpace, W: np.ndarray, aggregator: Fold) -> PointedMetricSpace:
+    """The subspace of every pair that can set the scan's max or min ratio, and the basepoint.
+
+    The max ratio is at least the largest lower bound, so a pair whose
+    upper bound is below it cannot attain the max; likewise for the min.
+    A NaN bound compares false and keeps its pair.  When every row is
+    kept, this is ``space`` itself.
+    """
+    slabs = list(_pair_bounds(space, W, aggregator))
+    for rows, _, bounds in slabs:
+        no_pair = np.tri(len(rows), dtype=bool)
+        for lo, hi in bounds:
+            lo[:, : len(rows)][no_pair] = -np.inf
+            hi[:, : len(rows)][no_pair] = np.inf
+    norms = range(len(slabs[0][2]))
+    top = [np.max([np.max(bounds[k][0]) for *_, bounds in slabs]) for k in norms]
+    bottom = [np.min([np.min(bounds[k][1]) for *_, bounds in slabs]) for k in norms]
+    keep = np.zeros(len(space), dtype=bool)
+    keep[space.index(space.basepoint)] = True
+    for rows, cols, bounds in slabs:
+        pairs = np.zeros((len(rows), len(cols)), dtype=bool)
+        for (lo, hi), t, b in zip(bounds, top, bottom):
+            pairs |= ~(hi < t)
+            pairs |= ~(lo > b)
+        pairs[:, : len(rows)][np.tri(len(rows), dtype=bool)] = False
+        keep[rows[pairs.any(axis=1)]] = True
+        keep[cols[pairs.any(axis=0)]] = True
+    return space if keep.all() else space._restrict(list(np.flatnonzero(keep)))
+
+
+def _max_fold(shape: tuple[int, int], blocks: Iterator[tuple[int, np.ndarray]]) -> np.ndarray:
     """Sup aggregation: the running max over blocks."""
-    out = np.zeros((n, n))
+    out = np.zeros(shape)
     for _, d in blocks:
         np.maximum(out, d, out=out)
     return out
@@ -316,13 +552,15 @@ def _power_fold(p: float) -> Fold:
     max-scaling as ``sumspace.norm``).
     """
 
-    def fold(n: int, blocks: Iterator[tuple[int, np.ndarray]]) -> np.ndarray:
-        M, S = np.zeros((n, n)), np.zeros((n, n))
-        grown, safe = np.empty((n, n)), np.empty((n, n))
+    tiny = math.ulp(0.0)
+
+    def fold(shape: tuple[int, int], blocks: Iterator[tuple[int, np.ndarray]]) -> np.ndarray:
+        M, S = np.zeros(shape), np.zeros(shape)
+        grown, safe = np.empty(shape), np.empty(shape)
         for _, d in blocks:
             np.maximum(M, d, out=grown)
-            np.copyto(safe, grown)
-            safe[safe == 0.0] = 1.0
+            # where grown is 0 so are M and d, and 0 / tiny is 0
+            np.maximum(grown, tiny, out=safe)
             np.divide(M, safe, out=M)
             np.power(M, p, out=M)
             np.multiply(S, M, out=S)
@@ -342,6 +580,7 @@ def distortion(
     target: SumSpaceSpec,
     analytic_bound: float | tuple | None = None,
     aggregator: Fold | None = None,
+    envelope: np.ndarray | None = None,
 ) -> DistortionReport | tuple[DistortionReport, ...]:
     """Measure bilipschitz distortion of ``image`` over all unordered pairs.
 
@@ -351,6 +590,14 @@ def distortion(
     A fold that returns a tuple of arrays gets a tuple of reports, one per
     array, and ``analytic_bound`` is then a tuple of the same length.
     Extra memory is a few (n, n) arrays, whatever the block dimensions.
+
+    ``envelope`` is the (B, n) coefficient array of a pasted
+    distance-vector map (``PastedEmbedding.envelope()``).  With it, each
+    pair's ratio gets a closed-form interval (``_pair_bounds``), and the
+    scan runs only on the subspace of the pairs whose interval reaches the
+    largest lower end or the smallest upper end, plus the basepoint.  Every
+    other pair is strictly inside, and the subspace keeps the row order, so
+    the report is the full scan's, tie-break included.
     """
     n = len(space)
     if n < 2:
@@ -360,7 +607,9 @@ def distortion(
             raise ValueError(f"image of {pid!r} does not fit the target block layout")
     if aggregator is None:
         aggregator = _max_fold if target.p == sumspace.SUP else _power_fold(target.p)
-    folded = aggregator(n, _block_distances(space, image, target))
+    if envelope is not None:
+        space = _candidates(space, envelope, aggregator)
+    folded = aggregator((len(space), len(space)), _block_distances(space, image, target))
     if isinstance(folded, tuple):
         return tuple(_report(space, *pair) for pair in zip(folded, analytic_bound, strict=True))
     return _report(space, folded, analytic_bound)

@@ -227,7 +227,12 @@ class BlockLayout:
 
 @dataclass(frozen=True)
 class PastedEmbedding:
-    """Result of pasting: images, band assignment, and the providers used."""
+    """Result of pasting: images, band assignment, and the providers used.
+
+    ``coefficients`` is the (B, n) array W with W[b - 1, i] the coefficient
+    (c or s) of point i's ball image in block b, 0 where its image has no
+    block b; columns follow ``space.ids``.
+    """
 
     space: PointedMetricSpace
     spec: SumSpaceSpec
@@ -235,6 +240,29 @@ class PastedEmbedding:
     images: dict
     band_of: dict
     providers: dict
+    coefficients: np.ndarray
+
+    def envelope(self) -> np.ndarray | None:
+        """``coefficients`` when every image uses distance vectors, else None.
+
+        Pass it as ``distortion(..., envelope=...)``, whose closed-form pair
+        intervals hold only for distance-vector images.  Every provider
+        image that some point's image uses is compared with that point's
+        column of D over the ball's anchors, in the anchor order and
+        arithmetic of ``frechet_embed``.
+        """
+        D = self.space.matrix
+        ids = self.space.ids
+        rho = self.space.rho()
+        base = self.space.index(self.space.basepoint)
+        by_id = np.array(sorted(range(len(ids)), key=ids.__getitem__))
+        for b, emb in self.providers.items():
+            anchors = by_id[rho[by_id] <= self.layout.schedule.radii[2 * b - 1]]
+            used = np.flatnonzero(self.coefficients[b - 1])
+            F = D[:, used][anchors] - D[anchors, base][:, None]
+            if not np.array_equal(np.array([emb[ids[i]] for i in used]), F.T):
+                return None
+        return self.coefficients
 
     def norm_preservation_error(self) -> float:
         """max over points of | ||Tx|| - rho(x) |, scaled by max(1, rho_max)."""
@@ -281,23 +309,22 @@ def paste(
     schedule = radii_schedule(epsilon, K)
 
     bands_of = {}
-    used_blocks: set[int] = set()
-    coeffs = {}
+    # band_of gives b < K, or b = K = 1 with rho <= R_1 and s = 0: block
+    # b + 1 exists wherever s > 0
+    W = np.zeros((K, len(space)))
     for i, pid in enumerate(space.ids):
         b = schedule.band_of(float(rho[i]))
         c, s = blend(p, schedule, b, float(rho[i]))
         bands_of[pid] = b
-        coeffs[pid] = (c, s)
-        if c > 0.0:
-            used_blocks.add(b)
+        W[b - 1, i] = c
         if s > 0.0:
-            used_blocks.add(b + 1)
+            W[b, i] = s
 
     providers = {}
     dims = []
     for n in range(1, K + 1):
         radius = float(schedule.radii[2 * n - 1])
-        if n in used_blocks:
+        if W[n - 1].any():
             emb = provider(ball(space, radius))
             base_img = np.asarray(emb[space.basepoint], dtype=float)
             if base_img.size and float(np.max(np.abs(base_img))) != 0.0:
@@ -309,12 +336,13 @@ def paste(
             dims.append(int(np.count_nonzero(rho <= radius)))
 
     spec = SumSpaceSpec(p, tuple(dims))
-    images = {
-        pid: BlockVector(spec, _branch_image(providers, pid, bands_of[pid], *coeffs[pid]))
-        for pid in space.ids
-    }
+    images = {}
+    for i, pid in enumerate(space.ids):
+        b = bands_of[pid]
+        s = W[b, i] if b < K else 0.0
+        images[pid] = BlockVector(spec, _branch_image(providers, pid, b, W[b - 1, i], s))
     layout = BlockLayout(schedule)
-    return PastedEmbedding(space, spec, layout, images, bands_of, providers)
+    return PastedEmbedding(space, spec, layout, images, bands_of, providers, W)
 
 
 def seam_check(emb: PastedEmbedding) -> tuple[float, int]:

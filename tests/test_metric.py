@@ -164,6 +164,24 @@ class TestBasics:
                                    coords=np.array([[0.0, 0.0], [3e200, 4e200]]))
         assert plane.dist("o", "c") == pytest.approx(5e200, rel=1e-15)
 
+    def test_l2_distances_of_tiny_coordinates(self):
+        # squares of these coordinates underflow a double unless they are scaled up
+        plane = PointedMetricSpace(ids=("o", "a", "b"), basepoint="o", kind="l2",
+                                   coords=np.array([[0.0, 0.0], [3e-162, 0.0], [0.0, 4e-162]]))
+        assert plane.dist("a", "b") == 5e-162
+        line = PointedMetricSpace(ids=("o", "a"), basepoint="o", kind="l2",
+                                  coords=np.array([[0.0], [1e-170]]))
+        assert line.dist("o", "a") == 1e-170
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([-600, -540, 600]))
+    def test_l2_scaling_is_exact(self, seed, shift):
+        # an input scaled by a power of two out of [2^-500, 2^500) gets the
+        # same distances, scaled by that power of two, bit for bit
+        V = np.random.default_rng(seed).normal(size=(12, 3))
+        assert np.array_equal(metric.sup_pairwise(np.ldexp(V, shift), "l2"),
+                              np.ldexp(metric.sup_pairwise(V, "l2"), shift))
+
     def test_l2_matches_manual(self):
         coords = np.array([[0.0, 0.0], [3.0, 4.0]])
         sp = PointedMetricSpace(ids=("o", "u"), basepoint="o", kind="l2", coords=coords)
@@ -262,6 +280,20 @@ class TestDistortion:
         finally:
             tracemalloc.stop()
         assert peak < 16 * n * n * 8
+
+    def test_matrix_validation_holds_one_pair_matrix(self):
+        # the triangle kernel's output is the only (n, n) array the checks
+        # allocate; the rest are slabs of at most _SLAB entries
+        D = tree_space(400).matrix
+        n = len(D)
+        tracemalloc.start()
+        try:
+            sp = PointedMetricSpace(ids=tuple(range(n)), basepoint=0, kind="matrix", matrix=D)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sp.matrix is D
+        assert peak < n * n * 8 + 2 * metric._SLAB * 8
 
     @pytest.mark.parametrize("kind", ["linf", "l2"])
     def test_kernel_memory_without_columns(self, kind):

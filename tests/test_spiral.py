@@ -12,6 +12,7 @@ from spiralpaste import (
     PointedMetricSpace,
     ScheduleTooShort,
     analytic_bound,
+    ball,
     blend,
     blend_theta,
     c_constant,
@@ -25,6 +26,7 @@ from spiralpaste import (
     spiral,
     spiral_distortion,
     spiral_point,
+    tree_space,
 )
 
 P_MENU = (1.0, 1.5, 2.0, 3.0, 4.0)
@@ -402,6 +404,31 @@ class TestPaste:
     def test_rejects_bad_exponent(self, line):
         with pytest.raises(ValueError):
             paste(line, 0.5, 0.2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    tree=st.booleans(),
+    n=st.integers(min_value=3, max_value=40),
+    r_max=st.sampled_from([1e3, 1e6, 1e9]),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    p=st.sampled_from([1.0, 2.0, 3.0]),
+    eps=st.floats(min_value=0.05, max_value=0.5),
+)
+def test_finite_determination(tree, n, r_max, seed, p, eps):
+    # A point of band b reads only the balls B(R_2b) and B(R_2b+2), so
+    # pasting the ball B(R_2k) alone gives its points of band < k the
+    # images of the full paste, bit for bit.
+    space = tree_space(n, r_max=r_max, seed=seed) if tree else line_space(n, r_max=r_max)
+    full = paste(space, p, eps)
+    radii = full.layout.schedule.radii
+    for k in range(2, full.layout.schedule.band_count + 1):
+        part = paste(ball(space, float(radii[2 * k - 1])), p, eps)
+        for pid, band in full.band_of.items():
+            if band < k:
+                got, want = part.images[pid].blocks, full.images[pid].blocks
+                assert got.keys() == want.keys()
+                assert all(np.array_equal(got[b], want[b]) for b in want)
 
 
 class TestReferenceCurve:
