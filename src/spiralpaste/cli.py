@@ -30,7 +30,14 @@ from .counterexample import (
 from .errors import ModelInvalid, SchemaError, SpiralPasteError
 from .fdd import embed_no_cotype, equivalence_ratio, pair_isometry_check
 from .frechet import frechet_embed
-from .metric import _floats, _is_number, distortion as measure_distortion, load_space, packing_bound
+from .metric import (
+    PointedMetricSpace,
+    _floats,
+    _is_number,
+    distortion as measure_distortion,
+    load_space,
+    packing_bound,
+)
 from .spiral import analytic_bound, paste, seam_check, spiral_distortion
 from .sumspace import SUP, BlockVector, SumSpaceSpec
 
@@ -123,31 +130,15 @@ def _load_map(doc) -> tuple[SumSpaceSpec, dict]:
 # Subcommands ------------------------------------------------------------------
 
 
-def _cmd_embed(args: argparse.Namespace) -> tuple[dict, bool]:
-    space = load_space(_read_json(args.input))
-    if args.method == "frechet":
-        fm = frechet_embed(space)
-        spec = SumSpaceSpec(SUP, (fm.dimension,))
-        images = {pid: BlockVector(spec, {1: fm[pid]}) for pid in space.ids}
-        rep = measure_distortion(space, images, spec)
-        # Exact on integer metrics; float inputs round at ulp(diameter),
-        # amplified by the smallest pair distance.
-        D = space.matrix
-        off = D[np.triu_indices(len(space), 1)]
-        allowance = 64.0 * np.finfo(float).eps * float(off.max()) / max(float(off.min()), 1e-300)
-        checks = {"isometry": rep.distortion <= 1.0 + max(allowance, 1e-12)}
-        payload = {
-            "method": "frechet",
-            "dimension": fm.dimension,
-            "report": rep.to_doc(),
-            "checks": checks,
-        }
-        return payload, all(checks.values())
+def _spiral_verdict(space: PointedMetricSpace, p: float, epsilon: float) -> tuple[dict, bool]:
+    """Result (1) at one (p, eps): paste, bound, measure and check the map.
 
-    if args.p is None or args.epsilon is None:
-        raise SchemaError("the spiral method needs --p and --epsilon")
-    emb = paste(space, args.p, args.epsilon)
-    bound = analytic_bound(args.p, args.epsilon)
+    The one judge of a spiral cell: ``embed`` reports this payload and each
+    ``sweep`` row is read from it.  The layers are called through this
+    module's names, where the benchmark's tracer wraps them.
+    """
+    emb = paste(space, p, epsilon)
+    bound = analytic_bound(p, epsilon)
     rep = measure_distortion(
         space, emb.images, emb.spec, analytic_bound=bound, envelope=emb.envelope()
     )
@@ -177,6 +168,32 @@ def _cmd_embed(args: argparse.Namespace) -> tuple[dict, bool]:
         "checks": checks,
     }
     return payload, all(checks.values())
+
+
+def _cmd_embed(args: argparse.Namespace) -> tuple[dict, bool]:
+    space = load_space(_read_json(args.input))
+    if args.method == "frechet":
+        fm = frechet_embed(space)
+        spec = SumSpaceSpec(SUP, (fm.dimension,))
+        images = {pid: BlockVector(spec, {1: fm[pid]}) for pid in space.ids}
+        rep = measure_distortion(space, images, spec)
+        # Exact on integer metrics; float inputs round at ulp(diameter),
+        # amplified by the smallest pair distance.
+        D = space.matrix
+        off = D[np.triu_indices(len(space), 1)]
+        allowance = 64.0 * np.finfo(float).eps * float(off.max()) / max(float(off.min()), 1e-300)
+        checks = {"isometry": rep.distortion <= 1.0 + max(allowance, 1e-12)}
+        payload = {
+            "method": "frechet",
+            "dimension": fm.dimension,
+            "report": rep.to_doc(),
+            "checks": checks,
+        }
+        return payload, all(checks.values())
+
+    if args.p is None or args.epsilon is None:
+        raise SchemaError("the spiral method needs --p and --epsilon")
+    return _spiral_verdict(space, args.p, args.epsilon)
 
 
 def _cmd_distortion(args: argparse.Namespace) -> tuple[dict, bool]:
@@ -324,21 +341,10 @@ def _render_sweep(args: argparse.Namespace) -> tuple[str, bool]:
     ok = True
     for p in args.p_grid:
         for eps in args.eps_grid:
-            emb = paste(space, p, eps)
-            bound = analytic_bound(p, eps)
-            rep = measure_distortion(
-                space, emb.images, emb.spec, analytic_bound=bound, envelope=emb.envelope()
-            )
-            ok &= rep.passed
-            writer.writerow(
-                [
-                    repr(float(p)),
-                    repr(float(eps)),
-                    repr(float(rep.distortion)),
-                    repr(float(bound)),
-                    repr(float(bound - rep.distortion)),
-                ]
-            )
+            payload, passed = _spiral_verdict(space, p, eps)
+            ok &= passed
+            d, bound = payload["report"]["distortion"], payload["report"]["analytic_bound"]
+            writer.writerow([repr(float(v)) for v in (p, eps, d, bound, bound - d)])
     return buf.getvalue(), bool(ok)
 
 

@@ -3,7 +3,10 @@
 A space is a finite list of opaque point ids with a metric given either
 as an explicit symmetric matrix or induced by per-point coordinates under
 the sup or Euclidean norm, plus a distinguished basepoint.  Distortion of
-a map into a block sum is measured by scanning every unordered pair.
+a map into a block sum is measured over every unordered pair: by scanning
+them all, or, given a pasted map's ``envelope``, by scanning only the
+pairs whose certified ratio interval can set the max or the min, which
+gives the same report.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ from spiralpaste import PointedMetricSpace, grid_space, line_space, tree_space
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """Replay acceptance verdict lines after the run, past output capture."""
-    mod = sys.modules.get("test_acceptance")
+    mod = sys.modules.get("tests.test_acceptance")
     lines = getattr(mod, "VERDICTS", None) if mod else None
     if lines:
         terminalreporter.section("acceptance verdicts")

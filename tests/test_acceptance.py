@@ -40,7 +40,7 @@ from spiralpaste import (
     verify_separation_epsilon,
 )
 from spiralpaste.sumspace import SUP
-from conftest import random_integer_space
+from .conftest import random_integer_space
 
 P_MENU = (1.0, 1.5, 2.0, 3.0, 4.0)
 EPS_MENU = (0.5, 0.2, 0.1)

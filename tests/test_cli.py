@@ -1,5 +1,6 @@
 """Front-door behaviour: exit codes, report shape, determinism."""
 
+import csv
 import json
 import math
 import sys
@@ -7,9 +8,9 @@ import sys
 import numpy as np
 import pytest
 
-from spiralpaste import counterexample, fdd, frechet_embed, line_space, space_to_doc
+from spiralpaste import cli, counterexample, fdd, frechet_embed, line_space, space_to_doc, spiral
 from spiralpaste.cli import main
-from conftest import random_integer_space
+from .conftest import random_integer_space
 
 
 @pytest.fixture(scope="module")
@@ -485,6 +486,45 @@ class TestOtherCommands:
         # per exponent, the measured column shrinks with eps
         for base in (1, 3):
             assert float(rows[base].split(",")[2]) > float(rows[base + 1].split(",")[2])
+
+
+class TestSpiralVerdict:
+    """``embed`` and every ``sweep`` cell are judged by the same three checks."""
+
+    @pytest.mark.parametrize("check", ["seams_exact", "norm_preservation"])
+    def test_failed_check_fails_embed_and_sweep(self, monkeypatch, line_doc, tmp_path, check):
+        if check == "seams_exact":
+            monkeypatch.setattr(cli, "seam_check", lambda emb: (1.0, 1))
+        else:
+            monkeypatch.setattr(spiral.PastedEmbedding, "norm_preservation_error", lambda self: 1.0)
+        report = tmp_path / "r.json"
+        assert main(["embed", "--input", line_doc, "--p", "2", "--epsilon", "0.2",
+                     "--out", str(report)]) == 1
+        checks = json.loads(report.read_text())["checks"]
+        assert [name for name, ok in checks.items() if not ok] == [check]
+        table = tmp_path / "s.csv"
+        assert main(["sweep", "--input", line_doc, "--p", "2", "--eps", "0.2",
+                     "--out", str(table)]) == 1
+        rows = table.read_text().splitlines()
+        assert rows[0] == "p,epsilon,distortion,bound,margin" and len(rows) == 2
+
+    def test_sweep_cell_is_the_embed_verdict(self, line_doc, tmp_path):
+        table = tmp_path / "s.csv"
+        assert main(["sweep", "--input", line_doc, "--p", "1,2", "--eps", "0.5,0.2",
+                     "--out", str(table)]) == 0
+        with table.open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["p"], r["epsilon"]) for r in rows] == [
+            ("1.0", "0.5"), ("1.0", "0.2"), ("2.0", "0.5"), ("2.0", "0.2")]
+        for row in rows:
+            out = tmp_path / "r.json"
+            assert main(["embed", "--input", line_doc, "--p", row["p"], "--epsilon", row["epsilon"],
+                         "--out", str(out)]) == 0
+            rep = json.loads(out.read_text())["report"]
+            distortion, bound = float(row["distortion"]), float(row["bound"])
+            assert distortion == rep["distortion"]
+            assert bound == float(rep["analytic_bound"])  # "inf" in the report where the bound is vacuous
+            assert float(row["margin"]) == bound - distortion
 
 
 PAIR_MAP = {"p": "sup", "block_dims": [1], "images": {"o": {"1": [0]}, "a": {"1": [1]}}}

@@ -11,7 +11,7 @@ from spiralpaste import (
     distortion,
     frechet_embed,
 )
-from conftest import random_integer_space
+from .conftest import random_integer_space
 
 
 def as_images(fm):

@@ -456,7 +456,7 @@ def test_tree_space_matches_per_source_walks(n, r_max, seed):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=2**31 - 1))
 def test_random_integer_space_is_valid(seed):
-    from conftest import random_integer_space
+    from .conftest import random_integer_space
 
     sp = random_integer_space(np.random.default_rng(seed), n_max=12)
     D = sp.matrix

@@ -23,6 +23,7 @@ PASTE_SPANS = {"metric.load", "spiral.paste", "frechet.embed", "spiral.bound"}
 @pytest.mark.parametrize("argv, spans, scans", [
     (["embed", "--p", "2", "--epsilon", "0.2"], PASTE_SPANS, 1),
     (["fdd-demo", "--epsilon", "0.2"], PASTE_SPANS | {"fdd.validate"}, 1),
+    (["sweep", "--p", "1,2", "--eps", "0.5,0.2"], PASTE_SPANS | {"spiral.seam", "spiral.norm_check"}, 4),
 ])
 def test_traced_cli_records_layer_spans(tmp_path, argv, spans, scans):
     space = tmp_path / "line.json"
