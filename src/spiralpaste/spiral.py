@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ScheduleTooShort
 from .frechet import frechet_embed
 from .metric import PointedMetricSpace, ball, distortion as measure_distortion, DistortionReport
-from .sumspace import BlockVector, SumSpaceSpec, block_profile
+from .sumspace import BlockVector, SumSpaceSpec
 
 __all__ = [
     "RadiiSchedule",
@@ -227,7 +227,7 @@ class BlockLayout:
 
 @dataclass(frozen=True)
 class PastedEmbedding:
-    """Result of pasting: images, band assignment, and the providers used.
+    """Result of pasting: images, band assignment and blend coefficients.
 
     ``coefficients`` is the (B, n) array W with W[b - 1, i] the coefficient
     (c or s) of point i's ball image in block b, 0 where its image has no
@@ -239,51 +239,53 @@ class PastedEmbedding:
     layout: BlockLayout
     images: dict
     band_of: dict
-    providers: dict
     coefficients: np.ndarray
 
     def envelope(self) -> np.ndarray | None:
-        """``coefficients`` when every image uses distance vectors, else None.
+        """``coefficients`` when every image is built from distance vectors, else None.
 
         Pass it as ``distortion(..., envelope=...)``, whose closed-form pair
-        intervals hold only for distance-vector images.  Every provider
-        image that some point's image uses is compared with that point's
-        column of D over the ball's anchors, in the anchor order and
-        arithmetic of ``frechet_embed``.
+        intervals hold only for such images: x's image has exactly the blocks
+        b with W[b - 1, x] > 0, each fl(W[b - 1, x] F̂_b(x)), with F̂_b(x) read
+        from D over the ball's anchors as ``frechet_embed`` reads it.
         """
+        W = self.coefficients
         D = self.space.matrix
         ids = self.space.ids
         rho = self.space.rho()
         base = self.space.index(self.space.basepoint)
         by_id = np.array(sorted(range(len(ids)), key=ids.__getitem__))
-        for b, emb in self.providers.items():
+        blocks = [self.images[pid].blocks for pid in ids]
+        if sum(map(len, blocks)) != np.count_nonzero(W):
+            return None
+        for b in range(1, len(W) + 1):
+            used = np.flatnonzero(W[b - 1])
             anchors = by_id[rho[by_id] <= self.layout.schedule.radii[2 * b - 1]]
-            used = np.flatnonzero(self.coefficients[b - 1])
-            F = D[:, used][anchors] - D[anchors, base][:, None]
-            if not np.array_equal(np.array([emb[ids[i]] for i in used]), F.T):
-                return None
-        return self.coefficients
+            # 64 points at a time reuse same-sized buffers; a missing block leaves rows ragged
+            for part in (used[k:k + 64] for k in range(0, used.size, 64)):
+                F = (D.T[np.ix_(part, anchors)] - D[anchors, base]) * W[b - 1, part][:, None]
+                if not np.array_equal([blocks[i].get(b, ()) for i in part], F):
+                    return None
+        return W
 
     def norm_preservation_error(self) -> float:
-        """max over points of | ||Tx|| - rho(x) |, scaled by max(1, rho_max)."""
-        from .sumspace import norm as sum_norm
+        """max over points of | ||Tx|| - rho(x) |, scaled by max(1, rho_max).
 
+        Each norm is ``sumspace.norm``'s arithmetic: block sup norms over their
+        max m, summed as p-th powers, then m * sum^(1/p).
+        """
         rho = self.space.rho()
-        scale = max(1.0, float(np.max(rho)))
-        worst = 0.0
-        for i, pid in enumerate(self.space.ids):
-            worst = max(worst, abs(sum_norm(self.images[pid]) - rho[i]))
-        return worst / scale
-
-
-def _branch_image(providers: dict, pid, branch: int, c: float, s: float) -> dict[int, np.ndarray]:
-    """The branch formula c * (ball image in block i) + s * (next block), as blocks."""
-    out: dict[int, np.ndarray] = {}
-    if c > 0.0:
-        out[branch] = c * np.asarray(providers[branch][pid], dtype=float)
-    if s > 0.0:
-        out[branch + 1] = s * np.asarray(providers[branch + 1][pid], dtype=float)
-    return out
+        rows, cols, arrays = zip(*(
+            (i, k - 1, arr) for i, pid in enumerate(self.space.ids)
+            for k, arr in self.images[pid].blocks.items()))
+        prof = np.zeros((len(rho), self.spec.num_blocks))
+        starts = np.cumsum([0] + [a.size for a in arrays[:-1]])
+        prof[rows, cols] = np.maximum.reduceat(np.abs(np.concatenate(arrays)), starts)
+        m = np.max(prof, axis=1)
+        z = np.divide(prof, m[:, None], out=np.zeros_like(prof), where=m[:, None] > 0.0)
+        sums = np.sum(z**self.spec.p, axis=1)
+        norms = np.array([mi * float(si) ** (1.0 / self.spec.p) for mi, si in zip(m, sums)])
+        return float(np.max(np.abs(norms - rho))) / max(1.0, float(np.max(rho)))
 
 
 def paste(
@@ -320,38 +322,38 @@ def paste(
         if s > 0.0:
             W[b, i] = s
 
-    providers = {}
     dims = []
+    blocks = [{} for _ in space.ids]
     for n in range(1, K + 1):
         radius = float(schedule.radii[2 * n - 1])
-        if W[n - 1].any():
+        used = np.flatnonzero(W[n - 1])
+        if used.size:
             emb = provider(ball(space, radius))
             base_img = np.asarray(emb[space.basepoint], dtype=float)
             if base_img.size and float(np.max(np.abs(base_img))) != 0.0:
                 raise ValueError("provider must send the basepoint to 0")
-            providers[n] = emb
+            # block n of x is W[n - 1, x] times x's ball image; the map goes before the next ball
+            for i in used:
+                blocks[i][n] = W[n - 1, i] * np.asarray(emb[space.ids[i]], dtype=float)
             dims.append(base_img.size)
+            del emb, base_img
         else:
             # no image uses this block: only its dimension, the ball's point count, is read
             dims.append(int(np.count_nonzero(rho <= radius)))
 
     spec = SumSpaceSpec(p, tuple(dims))
-    images = {}
-    for i, pid in enumerate(space.ids):
-        b = bands_of[pid]
-        s = W[b, i] if b < K else 0.0
-        images[pid] = BlockVector(spec, _branch_image(providers, pid, b, W[b - 1, i], s))
-    layout = BlockLayout(schedule)
-    return PastedEmbedding(space, spec, layout, images, bands_of, providers, W)
+    images = {pid: BlockVector(spec, blocks[i]) for i, pid in enumerate(space.ids)}
+    return PastedEmbedding(space, spec, BlockLayout(schedule), images, bands_of, W)
 
 
 def seam_check(emb: PastedEmbedding) -> tuple[float, int]:
-    """Evaluate both adjacent branch formulas on every seam point.
+    """Compare both adjacent branch formulas' blend placements on every seam point.
 
-    Points with rho in a handover interval [R_{2i}, R_{2i+1}] belong to
-    the domains of branches i and i+1; the clamped blends make the two
-    images identical, so the returned discrepancy should be exactly 0.0.
-    Returns (max sup-norm discrepancy, number of points checked).
+    A point with rho in a handover interval [R_{2i}, R_{2i+1}] is in the
+    domains of branches i and i+1.  Branch i puts (c, s) in blocks (i, i+1),
+    branch i+1 (c', s') in (i+1, i+2); for ball images of sup norm rho they
+    are rho * max(c, |s - c'|, s') apart, whatever the provider, and exactly
+    0.0 by the clamped blends.  Returns (max gap, number of points checked).
     """
     sched = emb.layout.schedule
     rho = emb.space.rho()
@@ -362,12 +364,9 @@ def seam_check(emb: PastedEmbedding) -> tuple[float, int]:
         # band_of puts rho in (R_{2b-1}, R_{2b+1}], so only band b's handover can hold it
         band = emb.band_of[pid]
         if band < sched.band_count and sched.radii[2 * band - 1] <= r:
-            left, right = (
-                BlockVector(emb.spec, _branch_image(
-                    emb.providers, pid, b, *blend(emb.spec.p, sched, b, r)))
-                for b in (band, band + 1)
-            )
-            worst = max(worst, float(np.max(block_profile(left - right))))
+            c, s = blend(emb.spec.p, sched, band, r)
+            c_next, s_next = blend(emb.spec.p, sched, band + 1, r)
+            worst = max(worst, r * max(c, abs(s - c_next), s_next))
             checked += 1
     return worst, checked
 

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spiralpaste import (
+    BlockVector,
     FddModel,
     PointedMetricSpace,
     distortion,
@@ -204,3 +205,32 @@ def test_envelope_scan_peaks_no_higher_than_the_full_scan(p, eps, fdd):
     # interpreter's own bookkeeping between two runs
     assert peaks[1] <= peaks[0] + 64 * 1024
     assert peaks[0] < 16 * n * n * 8
+
+
+def test_envelope_reads_the_images():
+    # one ulp in one image block is no longer fl(w F̂): no envelope
+    space = line_space(40, r_max=1e6)
+    emb = paste(space, 2.0, 0.2)
+    assert emb.envelope() is not None
+    pid = space.ids[-1]
+    blocks = {k: v.copy() for k, v in emb.images[pid].blocks.items()}
+    first = next(iter(blocks.values()))
+    first[0] = np.nextafter(first[0], np.inf)
+    emb.images[pid] = BlockVector(emb.spec, blocks)
+    assert emb.envelope() is None
+
+
+@pytest.mark.parametrize("p, eps", [(2.0, 0.2), (1.0, 0.5)])
+def test_paste_keeps_no_ball_maps(p, eps):
+    # what paste leaves allocated is its images and W, not the ball maps
+    space = tree_space(300)
+    space.rho()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        emb = paste(space, p, eps)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    image_bytes = sum(a.nbytes for img in emb.images.values() for a in img.blocks.values())
+    assert held <= 1.25 * image_bytes + emb.coefficients.nbytes

@@ -19,6 +19,7 @@ from spiralpaste import (
     distortion,
     line_space,
     needed_bands,
+    norm,
     paste,
     radii_schedule,
     seam_check,
@@ -279,6 +280,11 @@ class TestBoundFunctions:
             analytic_bound(2.0, 0.0)
 
 
+@pytest.fixture(scope="module")
+def tree600():
+    return tree_space(600, seed=1)
+
+
 class TestPaste:
     def test_single_band_is_provider_exact(self):
         # all points inside the unit ball: the map is the provider itself
@@ -310,6 +316,20 @@ class TestPaste:
                 emb = paste(sp, p, 0.2)
                 assert emb.norm_preservation_error() <= 1e-9
 
+    @pytest.mark.parametrize("name, p, eps", [
+        ("tree600", 2.0, 0.2), ("tree600", 1.0, 0.5), ("tree600", 3.0, 0.1),
+        ("line", 1.5, 0.2), ("line", 3.0, 0.1),
+    ])
+    def test_norm_preservation_is_the_norm_loop(self, request, name, p, eps):
+        # the per-point sumspace.norm loop is the oracle, to the last bit
+        sp = request.getfixturevalue(name)
+        emb = paste(sp, p, eps)
+        rho = sp.rho()
+        worst = 0.0
+        for i, pid in enumerate(sp.ids):
+            worst = max(worst, abs(norm(emb.images[pid]) - rho[i]))
+        assert emb.norm_preservation_error() == worst / max(1.0, float(np.max(rho)))
+
     def test_measured_distortion_under_bound(self, line):
         for p in (1.0, 2.0):
             for eps in (0.2, 0.1):
@@ -331,6 +351,24 @@ class TestPaste:
             gap, checked = seam_check(emb)
             assert gap == 0.0
             assert checked >= 1
+
+    def test_seam_mismatch_is_reported(self, monkeypatch):
+        # a blend that leaves (0, 1) on the handover plateau puts branch b's
+        # image where branch b + 1 has none: a gap, not an exception
+        line = line_space()
+        emb = paste(line, 2.0, 0.2)
+        gap, checked = seam_check(emb)
+        assert gap == 0.0 and checked >= 1
+        real = spiral.blend
+
+        def off(p, schedule, band, rho):
+            c, s = real(p, schedule, band, rho)
+            return (0.25, 0.75) if (c, s) == (0.0, 1.0) else (c, s)
+
+        monkeypatch.setattr(spiral, "blend", off)
+        bad, bad_checked = seam_check(emb)
+        assert bad > 0.0
+        assert bad_checked == checked
 
     def test_seam_points_by_construction(self):
         # place points exactly inside the handover plateaus
@@ -398,8 +436,9 @@ class TestPaste:
         assert emb.spec.block_dims == tuple(
             int(np.count_nonzero(rho <= sched.radii[2 * n - 1]))
             for n in range(1, sched.band_count + 1))
-        assert len(emb.providers) < sched.band_count
-        assert radii == [float(sched.radii[2 * n - 1]) for n in sorted(emb.providers)]
+        used = [n for n in range(1, sched.band_count + 1) if emb.coefficients[n - 1].any()]
+        assert len(radii) < sched.band_count
+        assert radii == [float(sched.radii[2 * n - 1]) for n in used]
 
     def test_rejects_bad_exponent(self, line):
         with pytest.raises(ValueError):
