@@ -42,6 +42,10 @@ _KINDS = ("matrix", "linf", "l2")
 # A 4 MiB cap timed within noise of it on the 600-point triangle check.
 _SLAB = 1 << 17
 
+# Entries of each work buffer of the matrix checks: 256 KiB of doubles.
+# 2^14 was slower and 2^16 to 2^17 no faster on the 600-point tree.
+_ROW_CHUNK = 1 << 15
+
 
 def sup_pairwise(V: np.ndarray, kind: str = "linf") -> np.ndarray:
     """Pairwise distances of the rows of V: sup norm ('linf') or Euclidean ('l2').
@@ -143,6 +147,54 @@ def _coordinate_defect(C: np.ndarray, kind: str, top: float) -> float:
     return (3.0 * eta * (top + alpha) + 3.0 * alpha) * (1.0 + 2.0**-40 + 4.0 * eta)
 
 
+def _asymmetry_and_gap(D: np.ndarray) -> tuple[float, float]:
+    """max |D - D^T| and the smallest off-diagonal entry, a slab of rows at a time."""
+    n = len(D)
+    rows = max(1, _ROW_CHUNK // n)
+    buf = np.empty(min(rows, n) * n)
+    asym, gap = 0.0, math.inf
+    for i0 in range(0, n, rows):
+        i1 = min(i0 + rows, n)
+        slab = buf[: (i1 - i0) * n].reshape(i1 - i0, n)
+        np.subtract(D[i0:i1], D[:, i0:i1].T, out=slab)
+        asym = max(asym, float(np.max(np.abs(slab, out=slab))))
+        np.copyto(slab, D[i0:i1])
+        slab.reshape(-1)[i0 :: n + 1] = np.inf
+        gap = min(gap, float(np.min(slab)))
+    return asym, gap
+
+
+def _row_excess(D: np.ndarray, limit: float) -> float | None:
+    """Largest fl(max_{k > x} |D[z, k] - D[x, k]| - D[x, z]) over x < z; None once past ``limit``.
+
+    Row x reads every triangle {x < z < k} through the two pairs that hold
+    its smallest point, (x, z) and (x, k): n^3 / 3 differences in all.  The
+    differences of a chunk of z rows, about ``_ROW_CHUNK`` entries, are
+    reduced along the contiguous k axis in one numpy call, and only the
+    running largest excess is kept.
+    """
+    n = len(D)
+    buf = np.empty(max(_ROW_CHUNK, n))
+    m = np.empty(n)
+    worst = -math.inf
+    with np.errstate(over="ignore"):
+        for x in range(n - 1):
+            w = n - 1 - x
+            v = D[x, x + 1 :]
+            far = D[x + 1 :, x + 1 :]
+            rows = max(1, _ROW_CHUNK // w)
+            for z0 in range(0, w, rows):
+                z1 = min(z0 + rows, w)
+                diff = buf[: (z1 - z0) * w].reshape(z1 - z0, w)
+                np.subtract(far[z0:z1], v, out=diff)
+                np.abs(diff, out=diff)
+                np.max(diff, axis=1, out=m[z0:z1])
+            worst = max(worst, float(np.max(np.subtract(m[:w], v, out=m[:w]))))
+            if worst > limit:
+                return None
+    return worst
+
+
 @dataclass
 class PointedMetricSpace:
     """Finite pointed metric space.
@@ -161,10 +213,11 @@ class PointedMetricSpace:
     and delta = t + a + g, where a = max |D - D^T| and g = max |diag D|
     (both 0 for the coordinate kinds, whose kernel output is symmetric
     with a zero diagonal).  A restriction keeps its parent's delta.
-      * 'matrix': t is measured on S = sup_pairwise(D), which the triangle
-        check computes: t = max(S - D)+ + 2^-52 max S + 2a.  Each S entry
-        may round down by u = 2^-53 of itself, and S reads rows of D where
-        T reads columns, which differ by at most a.
+      * 'matrix': t comes from the triangle check's row pass: with e its
+        largest computed excess, t = max(e+ + 2^-53 (max D + g) + 2^-1074
+        + 3a, a + g), rounded up.  An input the pass does not accept outright is
+        judged on S = sup_pairwise(D), and then t = max(S - D)+ + 2^-52
+        max S + 2a.  See ``_validate_matrix`` for both proofs.
       * 'linf' and 'l2': see ``_coordinate_defect``.
     """
 
@@ -238,35 +291,48 @@ class PointedMetricSpace:
     def _validate_matrix(self, D: np.ndarray) -> float:
         """Check the metric axioms within tolerance; returns the conditioning delta.
 
-        Apart from D itself, the only (n, n) array is the triangle kernel's
-        output S, reused in place for every other check once the triangle
-        verdict is taken.  The checks are judged in a fixed order, so the
-        first that fails names the message.
+        The checks are judged in a fixed order, so the first that fails
+        names the message: asymmetry, diagonal, positivity, triangle.  The
+        first three read D a slab of rows at a time.
+
+        Triangle.  The distance-vector map x -> (d(x, k))_k into l_inf is
+        an isometry exactly when the triangle inequality holds, and its
+        image distances are S[x, z] = max_k |d(x, k) - d(z, k)|.  The
+        input fails when some computed S[x, z] > fl(D[x, z] + tol), and
+        the message names the middle point of the first such pair in
+        row-major order.  Computing S
+        costs n^3 / 2 differences and an (n, n) array, so a row pass
+        (``_row_excess``, n^3 / 3 differences, no (n, n) array) first tries
+        to prove that no pair fails.  With u = 2^-53, top = max D, a and
+        g as in the class docstring and e the pass's largest computed
+        excess:
+          * Rounding.  |fl(b - c)| >= (1 - u) |b - c|, and every |D[z, k]
+            - D[x, k]| <= top + g because off-diagonal entries are
+            positive, so the pass's exact excess is E <= (e+ + u (top +
+            g)) / (1 - u).  A subnormal difference is exact, and 2^-1074
+            covers the product u (top + g) rounding into that range.
+          * Coverage.  Row x reads D[x, k], D[x, z] and the far side D[z,
+            k] in both orientations, so each of the three inequalities of
+            a triangle {x < z < k} appears in it.  Read with its entries
+            in other orientations, an inequality moves by at most 3a.  A
+            triple with a repeated point has |D[k, x] - D[k, y]| - D[x, y]
+            <= a + g, and so has |D[x, k] - D[y, k]| - D[x, y].
+        So every term of S - D, and of T - D (T reads columns where S
+        reads rows), is at most X = max(E+ + 3a, a + g).  A computed S
+        entry is within (1 + u) of exact and fl(D + tol) within (1 - u),
+        so no pair fails when X <= tol - 4u (top + tol); the pass accepts
+        when its X, rounded up by (1 + 2^-40), is at most a limit rounded
+        down from that (8u instead of 4u), and then delta = X + a + g.  A
+        few roundings of nonnegative terms fit in (1 + 2^-40).  Any other
+        input, near the tolerance or broken, is judged on the full S, and
+        its delta uses t = max(S - D)+ + 2^-52 max S + 2a: each S entry
+        may round down by u of itself, and S and T differ by at most 2a.
         """
         n = len(D)
         tol = self.rel_tol()
-        # The distance-vector map x -> (d(x, k))_k into l_inf is an
-        # isometry exactly when the triangle inequality holds, and its
-        # image distances are S[x, z] = max_k |d(x,k) - d(z,k)|.  The first
-        # pair (x, z) with S > D + tol, in row-major order, is found a
-        # slab of rows at a time.
-        S = sup_pairwise(D)
-        rows = max(1, _SLAB // n)
-        slab = np.empty((min(rows, n), n))
-        broken = None
-        for i0 in range(0, n, rows):
-            lim = slab[: min(rows, n - i0)]
-            np.add(D[i0 : i0 + rows], tol, out=lim)
-            bad = np.flatnonzero(S[i0 : i0 + rows] > lim)
-            if bad.size:
-                broken = divmod(i0 * n + int(bad[0]), n)
-                break
-        top = float(np.max(S))
-        excess = max(0.0, float(np.max(np.subtract(S, D, out=S))))
-        asym = float(np.max(np.abs(np.subtract(D, D.T, out=S), out=S)))
+        top = float(np.max(D))
+        asym, gap = _asymmetry_and_gap(D)
         diag = float(np.max(np.abs(np.diag(D))))
-        np.copyto(S, D)
-        np.fill_diagonal(S, np.inf)
         if asym > tol:
             raise ValueError("distance matrix asymmetry exceeds tolerance")
         if diag > tol:
@@ -274,18 +340,33 @@ class PointedMetricSpace:
         # Positivity is judged at machine resolution, not at the report
         # tolerance: doubles near the diameter still resolve much finer
         # separations than TOL * diameter.
-        resolvable = 64.0 * np.finfo(float).eps * max(1.0, float(np.max(D)))
-        if float(np.min(S)) <= resolvable:
+        if gap <= 64.0 * np.finfo(float).eps * max(1.0, top):
             raise ValueError("distinct points must be at positive distance")
-        if broken is not None:
-            # At (x, z) the worst k has either d(x,k) > d(x,z) + d(z,k) or
-            # d(z,k) > d(z,x) + d(x,k); the message names the middle point.
-            x, z = broken
-            k = int(np.argmax(np.abs(D[x] - D[z])))
-            middle = z if D[x, k] > D[z, k] else x
-            raise ValueError(f"triangle inequality fails through point {self.ids[middle]!r}")
+        limit = tol - 2.0**-50 * (top + tol)
+        excess = _row_excess(D, limit)
+        if excess is not None:
+            rounding = 2.0**-53 * (top + diag) + 2.0**-1074
+            bound = max(max(excess, 0.0) + rounding + 3.0 * asym, asym + diag)
+            if bound * (1.0 + 2.0**-40) <= limit:
+                return (bound + asym + diag) * (1.0 + 2.0**-40)
+        S = sup_pairwise(D)
+        rows = max(1, _SLAB // n)
+        slab = np.empty((min(rows, n), n))
+        for i0 in range(0, n, rows):
+            lim = slab[: min(rows, n - i0)]
+            np.add(D[i0 : i0 + rows], tol, out=lim)
+            bad = np.flatnonzero(S[i0 : i0 + rows] > lim)
+            if bad.size:
+                # At (x, z) the worst k has either d(x,k) > d(x,z) + d(z,k)
+                # or d(z,k) > d(z,x) + d(x,k); the message names the middle point.
+                x, z = divmod(i0 * n + int(bad[0]), n)
+                k = int(np.argmax(np.abs(D[x] - D[z])))
+                middle = z if D[x, k] > D[z, k] else x
+                raise ValueError(f"triangle inequality fails through point {self.ids[middle]!r}")
+        reach = float(np.max(S))
+        excess = max(0.0, float(np.max(np.subtract(S, D, out=S))))
         # four rounded sums of nonnegative terms: (1 + u)^4 < 1 + 2^-40
-        return (excess + 3.0 * asym + diag + 2.0**-52 * top) * (1.0 + 2.0**-40)
+        return (excess + 3.0 * asym + diag + 2.0**-52 * reach) * (1.0 + 2.0**-40)
 
     def __len__(self) -> int:
         return len(self.ids)

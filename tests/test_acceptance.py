@@ -8,6 +8,7 @@ verdicts reach the console even under default output capture.
 
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -15,6 +16,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
+import spiralpaste
 from spiralpaste import (
     FLAT_NOT_PROPORTIONAL,
     FLAT_PROPORTIONAL,
@@ -225,6 +227,9 @@ def test_criterion_9_cli_determinism(tmp_path):
 
         space_path = tmp_path / "space.json"
         space_path.write_text(json.dumps(space_to_doc(line_space(n=24, r_max=1e6))))
+        # the CLI runs on the package this test imported
+        src = os.path.dirname(os.path.dirname(spiralpaste.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         runs = [
             ["embed", "--input", str(space_path), "--p", "2", "--epsilon", "0.2"],
             ["fdd-demo", "--input", str(space_path), "--epsilon", "0.2", "--seed", "3"],
@@ -233,7 +238,7 @@ def test_criterion_9_cli_determinism(tmp_path):
             outs = []
             for _ in range(2):
                 r = subprocess.run([sys.executable, "-m", "spiralpaste.cli", *argv],
-                                   capture_output=True, text=True, check=True)
+                                   capture_output=True, text=True, check=True, env=env)
                 outs.append(r.stdout)
             assert outs[0] == outs[1], f"nondeterministic report for {argv[0]}"
             assert outs[0]

@@ -23,6 +23,7 @@ from spiralpaste import (
     needed_bands,
     paste,
     radii_schedule,
+    seam_check,
     tree_space,
 )
 from spiralpaste.fdd import _norm_a_aggregator
@@ -135,6 +136,18 @@ def test_envelope_holds_for_the_p_sum(p, case):
 def test_envelope_holds_for_the_renormed_model(case):
     space, eps = case
     assert_envelope_holds(space, paste(space, 1.0, eps), fdd=True)
+
+
+@pytest.mark.parametrize("p", P_MENU)
+@settings(max_examples=40, deadline=None)
+@given(case=scheduled_spaces())
+def test_paste_holds_on_the_schedule(p, case):
+    # blend windows, handovers and points within 3 ulps of a radius: the
+    # seams stay exact and every image keeps its point's norm
+    space, eps = case
+    emb = paste(space, p, eps)
+    assert seam_check(emb)[0] == 0.0
+    assert emb.norm_preservation_error() <= 1e-9
 
 
 @pytest.mark.parametrize("p, eps", [(2.0, 0.2), (1.0, 0.5), (3.0, 0.1)])

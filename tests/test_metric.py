@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from spiralpaste import (
 )
 from spiralpaste import metric
 from spiralpaste.fdd import _norm_a_aggregator
+from spiralpaste.metric import sup_pairwise
 from spiralpaste.sumspace import norm as sum_norm
 
 SPEC = SumSpaceSpec(SUP, (2,))
@@ -47,13 +49,68 @@ def triangle_loop_accepts(D):
     return True
 
 
+def oracle_verdict(D, ids):
+    """The matrix checks as one full sup_pairwise(D): the message, or None to accept.
+
+    Asymmetry, then the diagonal, then positivity, then the first pair in
+    row-major order with S > D + tol; the message names the middle point of
+    that pair's worst third point.
+    """
+    n = len(D)
+    top = float(np.max(D))
+    tol = 1e-9 * max(1.0, top)
+    S = metric.sup_pairwise(D)
+    if float(np.max(np.abs(D - D.T))) > tol:
+        return "distance matrix asymmetry exceeds tolerance"
+    if float(np.max(np.abs(np.diag(D)))) > tol:
+        return "self-distances must vanish"
+    off = D + np.diag(np.full(n, np.inf))
+    if float(np.min(off)) <= 64.0 * np.finfo(float).eps * max(1.0, top):
+        return "distinct points must be at positive distance"
+    broken = np.flatnonzero(S > D + tol)
+    if not broken.size:
+        return None
+    x, z = divmod(int(broken[0]), n)
+    k = int(np.argmax(np.abs(D[x] - D[z])))
+    middle = z if D[x, k] > D[z, k] else x
+    return f"triangle inequality fails through point {ids[middle]!r}"
+
+
+def verdict(D, ids):
+    try:
+        PointedMetricSpace(ids=ids, basepoint=ids[0], kind="matrix", matrix=D)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def exact_defect(D):
+    """t + a + g over every (x, y, k), in exact rational arithmetic."""
+    F = [[Fraction(float(v)) for v in row] for row in D]
+    n = len(F)
+    t = max(abs(F[k][x] - F[k][y]) - F[x][y] for x in range(n) for y in range(n) for k in range(n))
+    a = max(abs(F[i][j] - F[j][i]) for i in range(n) for j in range(n))
+    g = max(abs(F[i][i]) for i in range(n))
+    return t + a + g
+
+
+def _ulps(x, k):
+    """x moved by k ulps (toward +inf for k > 0)."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.inf if k > 0 else -math.inf)
+    return x
+
+
 @st.composite
-def perturbed_metrics(draw):
+def perturbed_metrics(draw, near=False):
     """A sup metric or tree metric with one symmetric pair moved by delta.
 
     delta is 0, +-tol/2 (within tolerance), +-2 tol (just beyond it) or
     +-0.1 diameter; sup metrics on integer coordinates and path metrics
-    on trees have many triangles that hold with equality.
+    on trees have many triangles that hold with equality.  With ``near``,
+    a case may instead move the pair by +-tol and then 1-4 ulps either
+    way, on top of which one entry may move alone by 0.1 to 0.9 tol (an
+    asymmetry within tolerance) or one self-distance go down to -0.9 tol.
     """
     n = draw(st.integers(min_value=3, max_value=9))
     seed = draw(st.integers(0, 2**32 - 1))
@@ -72,11 +129,46 @@ def perturbed_metrics(draw):
     j = draw(st.integers(i + 1, n - 1))
     diam = float(D.max())
     tol = 1e-9 * max(1.0, diam)
-    delta = draw(st.sampled_from([0.0, 0.5 * tol, 2.0 * tol, 0.1 * diam]))
-    delta *= draw(st.sampled_from([1.0, -1.0]))
-    assume(D[i, j] + delta > 0.0)
-    D[i, j] = D[j, i] = D[i, j] + delta
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    if near and draw(st.booleans()):
+        moved = _ulps(D[i, j] + sign * tol, draw(st.integers(-4, 4)))
+    else:
+        moved = D[i, j] + sign * draw(st.sampled_from([0.0, 0.5 * tol, 2.0 * tol, 0.1 * diam]))
+    assume(moved > 0.0)
+    D[i, j] = D[j, i] = moved
+    skew = draw(st.sampled_from(["none", "pair", "diagonal"])) if near else "none"
+    if skew == "pair":
+        D[j, i] += draw(st.sampled_from([-0.9, -0.5, -0.1, 0.1, 0.5, 0.9])) * tol
+    elif skew == "diagonal":
+        D[i, i] = -draw(st.sampled_from([0.5, 0.9])) * tol
     return D, tuple(f"p{k}" for k in range(n))
+
+
+def _line3(far):
+    """Points 0, 1 and ``far`` on a line, with d(0, far) read as ``far``."""
+    return np.array([[0.0, 1.0, far], [1.0, 0.0, far - 1.0], [far, far - 1.0, 0.0]])
+
+
+def _near_cases():
+    """(name, D, oracle verdict) for inputs within a few ulps of the tolerance."""
+    cases = []
+    tol = 1e-9 * 2.0
+    for k in (-4, -1, 0, 1, 4):
+        # d(0, 2) = fl(2 + tol) + k ulp breaks 0 -> 1 -> 2 by about tol;
+        # the verdict turns between -1 ulp and fl(2 + tol)
+        D = _line3(2.0)
+        D[0, 2] = D[2, 0] = _ulps(2.0 + tol, k)
+        cases.append((f"line{k:+d}ulp", D, None if k < 0 else "triangle inequality fails through point 'b'"))
+    # an asymmetry and a self-distance each within tolerance, whose sum is
+    # not: S reads |D[a, a] - D[b, a]| against D[a, b]
+    D = np.array([[-0.9e-9, 1.0], [1.0 + 0.9e-9, 0.0]])
+    cases.append(("skewed-pair", D, "triangle inequality fails through point 'a'"))
+    D = np.array([[-0.4e-9, 1.0], [1.0 + 0.4e-9, 0.0]])
+    cases.append(("skewed-pair-within", D, None))
+    return cases
+
+
+NEAR_THRESHOLD = _near_cases()
 
 
 class TestValidation:
@@ -132,6 +224,67 @@ class TestValidation:
             assert np.any(D > D[:, middle, None] + D[None, middle, :] + tol)
         else:
             assert triangle_loop_accepts(D)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=perturbed_metrics(near=True))
+    def test_validation_matches_the_oracle(self, case):
+        D, ids = case
+        assert verdict(D, ids) == oracle_verdict(D, ids)
+
+    @pytest.mark.parametrize("case", NEAR_THRESHOLD, ids=[c[0] for c in NEAR_THRESHOLD])
+    def test_near_threshold_inputs_take_the_full_check(self, monkeypatch, case):
+        # the row pass cannot prove these inside the tolerance, so the full
+        # sup_pairwise check judges them; accepted or not, as the oracle does
+        _, D, expected = case
+        ids = ("a", "b", "c", "d")[: len(D)]
+        calls = []
+
+        def spy(V, kind="linf"):
+            calls.append(V.shape)
+            return sup_pairwise(V, kind)
+
+        monkeypatch.setattr(metric, "sup_pairwise", spy)
+        assert verdict(D, ids) == expected
+        assert calls == [D.shape]
+        monkeypatch.undo()
+        assert expected == oracle_verdict(D, ids)
+
+    def test_clear_inputs_take_the_row_pass(self, monkeypatch):
+        monkeypatch.setattr(metric, "sup_pairwise", None)
+        for D in (tri_space().matrix, tree_space(60).matrix, _line3(2.0)):
+            PointedMetricSpace(ids=tuple(range(len(D))), basepoint=0, kind="matrix", matrix=D)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=perturbed_metrics(near=True))
+    def test_defect_bounds_every_triangle_exactly(self, case):
+        D, ids = case
+        assume(len(D) <= 8 and oracle_verdict(D, ids) is None)
+        sp = PointedMetricSpace(ids=ids, basepoint=ids[0], kind="matrix", matrix=D)
+        assert sp._defect >= exact_defect(D)
+
+    @pytest.mark.parametrize("order", [(0, 1, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)])
+    def test_defect_covers_a_difference_that_rounds_down(self, order):
+        # with d(a, b) = fl(1e9 - 0.1) < 1e9 - 0.1, the triangle a, b, c
+        # exceeds by almost half an ulp of 1e9, which no computed
+        # difference shows
+        far, near = 1e9, 0.1
+        assert Fraction(far - near) < Fraction(far) - Fraction(near)
+        D = np.array([[0.0, far - near, far], [far - near, 0.0, near], [far, near, 0.0]])
+        D = D[np.ix_(order, order)]
+        sp = PointedMetricSpace(ids=("a", "b", "c"), basepoint="a", kind="matrix", matrix=D)
+        assert sp._defect >= exact_defect(D) > 0
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_defect_bounds_tree_and_integer_metrics(self, seed):
+        from .conftest import random_integer_space
+
+        rng = np.random.default_rng(seed)
+        spaces = [random_integer_space(rng, n_max=8),
+                  tree_space(int(rng.integers(2, 9)), r_max=[10.0, 1e3, 1e9][seed % 3], seed=seed)]
+        for sp in spaces:
+            again = PointedMetricSpace(ids=sp.ids, basepoint=sp.basepoint, kind="matrix",
+                                       matrix=sp.matrix.copy())
+            assert again._defect >= exact_defect(sp.matrix)
 
     def test_tolerance_scales_with_diameter(self):
         # absolute 1e-9 asymmetry is far below double resolution at 1e9
@@ -282,8 +435,9 @@ class TestDistortion:
         assert peak < 16 * n * n * 8
 
     def test_matrix_validation_holds_one_pair_matrix(self):
-        # the triangle kernel's output is the only (n, n) array the checks
-        # allocate; the rest are slabs of at most _SLAB entries
+        # at most one (n, n) array, the full check's S, besides slabs of
+        # at most _SLAB entries; the next test pins that an input the row
+        # pass accepts allocates none
         D = tree_space(400).matrix
         n = len(D)
         tracemalloc.start()
@@ -294,6 +448,21 @@ class TestDistortion:
             tracemalloc.stop()
         assert sp.matrix is D
         assert peak < n * n * 8 + 2 * metric._SLAB * 8
+
+    def test_matrix_validation_allocates_no_pair_matrix(self):
+        # the checks hold a few buffers of _ROW_CHUNK entries; at n = 800
+        # one (n, n) array is more than 4 times that allowance
+        allowance = 4 * metric._ROW_CHUNK * 8
+        D = tree_space(800).matrix
+        n = len(D)
+        assert n * n * 8 >= 4 * allowance
+        tracemalloc.start()
+        try:
+            PointedMetricSpace(ids=tuple(range(n)), basepoint=0, kind="matrix", matrix=D)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < allowance
 
     @pytest.mark.parametrize("kind", ["linf", "l2"])
     def test_kernel_memory_without_columns(self, kind):
