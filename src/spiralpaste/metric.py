@@ -50,7 +50,7 @@ _ROW_CHUNK = 1 << 15
 def sup_pairwise(V: np.ndarray, kind: str = "linf") -> np.ndarray:
     """Pairwise distances of the rows of V: sup norm ('linf') or Euclidean ('l2').
 
-    The package's one pairwise kernel, serial.  It takes the columns of V
+    Serial kernel of coordinate spaces and block distances.  It takes the columns of V
     a slab at a time, copied out transposed so that each column is one
     contiguous row.  For each chunk of rows of the upper triangle it
     writes the (rows, cols, m) differences into one buffer, reduces them
@@ -164,35 +164,49 @@ def _asymmetry_and_gap(D: np.ndarray) -> tuple[float, float]:
     return asym, gap
 
 
-def _row_excess(D: np.ndarray, limit: float) -> float | None:
-    """Largest fl(max_{k > x} |D[z, k] - D[x, k]| - D[x, z]) over x < z; None once past ``limit``.
+def _triangle_rows(D: np.ndarray, tol: float | None = None) -> float | tuple[int, int] | None:
+    """The matrix triangle check's one row loop: the proof pass, or with ``tol`` the exact check.
 
-    Row x reads every triangle {x < z < k} through the two pairs that hold
-    its smallest point, (x, z) and (x, k): n^3 / 3 differences in all.  The
-    differences of a chunk of z rows, about ``_ROW_CHUNK`` entries, are
-    reduced along the contiguous k axis in one numpy call, and only the
-    running largest excess is kept.
+    Row x reduces |D[z, k] - D[x, k]| for every z > x along the contiguous
+    k axis, about ``_ROW_CHUNK`` differences per numpy call.  The proof
+    pass reads k > x, so each triangle {x < z < k} is read through the two
+    pairs that hold its smallest point (n^3 / 3 differences), and returns
+    the largest fl(max_k |D[z, k] - D[x, k]| - D[x, z]).  The exact check
+    reads every k, so the reduction is S[x, z] = S[z, x], which it compares
+    with fl(D[x, z] + tol) and fl(D[z, x] + tol).  It returns the first
+    failing entry (r, c) in row-major order, or None, and stops after row
+    r: the entries (r, c) with c < r are found at rows c < r.
     """
     n = len(D)
     buf = np.empty(max(_ROW_CHUNK, n))
     m = np.empty(n)
-    worst = -math.inf
+    worst, first = -math.inf, n * n
     with np.errstate(over="ignore"):
         for x in range(n - 1):
-            w = n - 1 - x
-            v = D[x, x + 1 :]
-            far = D[x + 1 :, x + 1 :]
-            rows = max(1, _ROW_CHUNK // w)
+            w, k0 = n - 1 - x, (x + 1 if tol is None else 0)
+            v, far, width = D[x, k0:], D[x + 1 :, k0:], n - k0
+            rows = max(1, _ROW_CHUNK // width)
             for z0 in range(0, w, rows):
                 z1 = min(z0 + rows, w)
-                diff = buf[: (z1 - z0) * w].reshape(z1 - z0, w)
+                diff = buf[: (z1 - z0) * width].reshape(z1 - z0, width)
                 np.subtract(far[z0:z1], v, out=diff)
                 np.abs(diff, out=diff)
                 np.max(diff, axis=1, out=m[z0:z1])
-            worst = max(worst, float(np.max(np.subtract(m[:w], v, out=m[:w]))))
-            if worst > limit:
-                return None
-    return worst
+            if tol is None:
+                # here v is D[x, x + 1 :], the pairs (x, z)
+                worst = max(worst, float(np.max(np.subtract(m[:w], v, out=m[:w]))))
+                continue
+            ahead = np.flatnonzero(m[:w] > D[x, x + 1 :] + tol)
+            below = np.flatnonzero(m[:w] > D[x + 1 :, x] + tol)
+            if ahead.size:
+                first = min(first, x * n + x + 1 + int(ahead[0]))
+            if below.size:
+                first = min(first, (x + 1 + int(below[0])) * n + x)
+            if first < (x + 1) * n:
+                break
+    if tol is None:
+        return worst
+    return divmod(first, n) if first < n * n else None
 
 
 @dataclass
@@ -213,11 +227,9 @@ class PointedMetricSpace:
     and delta = t + a + g, where a = max |D - D^T| and g = max |diag D|
     (both 0 for the coordinate kinds, whose kernel output is symmetric
     with a zero diagonal).  A restriction keeps its parent's delta.
-      * 'matrix': t comes from the triangle check's row pass: with e its
-        largest computed excess, t = max(e+ + 2^-53 (max D + g) + 2^-1074
-        + 3a, a + g), rounded up.  An input the pass does not accept outright is
-        judged on S = sup_pairwise(D), and then t = max(S - D)+ + 2^-52
-        max S + 2a.  See ``_validate_matrix`` for both proofs.
+      * 'matrix': t = max(e+ + 2^-53 (max D + g) + 2^-1074 + 3a, a + g),
+        rounded up, where e is the largest excess the triangle check's
+        proof pass computes; see ``_validate_matrix`` for the proof.
       * 'linf' and 'l2': see ``_coordinate_defect``.
     """
 
@@ -259,7 +271,7 @@ class PointedMetricSpace:
             # like equal rows; the induced triangle inequality is automatic
             if np.count_nonzero(D == 0.0) != n:
                 raise ValueError("coordinate rows must be distinct points")
-        if not np.all(np.isfinite(D)):
+        if not np.isfinite([np.min(D), np.max(D)]).all():
             i, j = divmod(int(np.argmin(np.isfinite(D))), n)
             raise ValueError(
                 f"distances must be finite: entry ({self.ids[i]!r}, {self.ids[j]!r}) "
@@ -298,14 +310,14 @@ class PointedMetricSpace:
         Triangle.  The distance-vector map x -> (d(x, k))_k into l_inf is
         an isometry exactly when the triangle inequality holds, and its
         image distances are S[x, z] = max_k |d(x, k) - d(z, k)|.  The
-        input fails when some computed S[x, z] > fl(D[x, z] + tol), and
-        the message names the middle point of the first such pair in
-        row-major order.  Computing S
-        costs n^3 / 2 differences and an (n, n) array, so a row pass
-        (``_row_excess``, n^3 / 3 differences, no (n, n) array) first tries
-        to prove that no pair fails.  With u = 2^-53, top = max D, a and
-        g as in the class docstring and e the pass's largest computed
-        excess:
+        input fails when some computed S[x, z] > fl(D[x, z] + tol).  The
+        message names the middle point of the first such pair in row-major
+        order at its worst third point k, or, when k is x or z and so no
+        triangle fails, the asymmetry and self-distances.  The row loop
+        (``_triangle_rows``) runs its proof pass to the end, and its exact
+        check only on an input the pass cannot prove inside the tolerance.
+        With u = 2^-53, top = max D, a and g as in the class docstring and
+        e the pass's largest computed excess:
           * Rounding.  |fl(b - c)| >= (1 - u) |b - c|, and every |D[z, k]
             - D[x, k]| <= top + g because off-diagonal entries are
             positive, so the pass's exact excess is E <= (e+ + u (top +
@@ -318,17 +330,14 @@ class PointedMetricSpace:
             triple with a repeated point has |D[k, x] - D[k, y]| - D[x, y]
             <= a + g, and so has |D[x, k] - D[y, k]| - D[x, y].
         So every term of S - D, and of T - D (T reads columns where S
-        reads rows), is at most X = max(E+ + 3a, a + g).  A computed S
-        entry is within (1 + u) of exact and fl(D + tol) within (1 - u),
-        so no pair fails when X <= tol - 4u (top + tol); the pass accepts
-        when its X, rounded up by (1 + 2^-40), is at most a limit rounded
-        down from that (8u instead of 4u), and then delta = X + a + g.  A
-        few roundings of nonnegative terms fit in (1 + 2^-40).  Any other
-        input, near the tolerance or broken, is judged on the full S, and
-        its delta uses t = max(S - D)+ + 2^-52 max S + 2a: each S entry
-        may round down by u of itself, and S and T differ by at most 2a.
+        reads rows), is at most X = max(E+ + 3a, a + g), whatever the
+        verdict, and delta = X + a + g.  A few roundings of nonnegative
+        terms fit in (1 + 2^-40).  A computed S entry is within (1 + u) of
+        exact and fl(D + tol) within (1 - u), so no pair fails when X <=
+        tol - 4u (top + tol); the exact check is skipped when X, rounded
+        up by (1 + 2^-40), is at most a limit rounded down from that (8u
+        instead of 4u).
         """
-        n = len(D)
         tol = self.rel_tol()
         top = float(np.max(D))
         asym, gap = _asymmetry_and_gap(D)
@@ -342,31 +351,21 @@ class PointedMetricSpace:
         # separations than TOL * diameter.
         if gap <= 64.0 * np.finfo(float).eps * max(1.0, top):
             raise ValueError("distinct points must be at positive distance")
-        limit = tol - 2.0**-50 * (top + tol)
-        excess = _row_excess(D, limit)
-        if excess is not None:
-            rounding = 2.0**-53 * (top + diag) + 2.0**-1074
-            bound = max(max(excess, 0.0) + rounding + 3.0 * asym, asym + diag)
-            if bound * (1.0 + 2.0**-40) <= limit:
-                return (bound + asym + diag) * (1.0 + 2.0**-40)
-        S = sup_pairwise(D)
-        rows = max(1, _SLAB // n)
-        slab = np.empty((min(rows, n), n))
-        for i0 in range(0, n, rows):
-            lim = slab[: min(rows, n - i0)]
-            np.add(D[i0 : i0 + rows], tol, out=lim)
-            bad = np.flatnonzero(S[i0 : i0 + rows] > lim)
-            if bad.size:
+        rounding = 2.0**-53 * (top + diag) + 2.0**-1074
+        bound = max(max(_triangle_rows(D), 0.0) + rounding + 3.0 * asym, asym + diag)
+        if bound * (1.0 + 2.0**-40) > tol - 2.0**-50 * (top + tol):
+            pair = _triangle_rows(D, tol)
+            if pair is not None:
                 # At (x, z) the worst k has either d(x,k) > d(x,z) + d(z,k)
                 # or d(z,k) > d(z,x) + d(x,k); the message names the middle point.
-                x, z = divmod(i0 * n + int(bad[0]), n)
+                x, z = pair
                 k = int(np.argmax(np.abs(D[x] - D[z])))
+                if k in pair:
+                    raise ValueError("distance matrix asymmetry and self-distances together "
+                                     "exceed tolerance")
                 middle = z if D[x, k] > D[z, k] else x
                 raise ValueError(f"triangle inequality fails through point {self.ids[middle]!r}")
-        reach = float(np.max(S))
-        excess = max(0.0, float(np.max(np.subtract(S, D, out=S))))
-        # four rounded sums of nonnegative terms: (1 + u)^4 < 1 + 2^-40
-        return (excess + 3.0 * asym + diag + 2.0**-52 * reach) * (1.0 + 2.0**-40)
+        return (bound + asym + diag) * (1.0 + 2.0**-40)
 
     def __len__(self) -> int:
         return len(self.ids)

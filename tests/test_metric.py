@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from spiralpaste import (
     BlockVector,
@@ -28,7 +28,6 @@ from spiralpaste import (
 )
 from spiralpaste import metric
 from spiralpaste.fdd import _norm_a_aggregator
-from spiralpaste.metric import sup_pairwise
 from spiralpaste.sumspace import norm as sum_norm
 
 SPEC = SumSpaceSpec(SUP, (2,))
@@ -54,12 +53,12 @@ def oracle_verdict(D, ids):
 
     Asymmetry, then the diagonal, then positivity, then the first pair in
     row-major order with S > D + tol; the message names the middle point of
-    that pair's worst third point.
+    that pair's worst third point, or, when that point is one of the pair,
+    the asymmetry and self-distances.
     """
     n = len(D)
     top = float(np.max(D))
     tol = 1e-9 * max(1.0, top)
-    S = metric.sup_pairwise(D)
     if float(np.max(np.abs(D - D.T))) > tol:
         return "distance matrix asymmetry exceeds tolerance"
     if float(np.max(np.abs(np.diag(D)))) > tol:
@@ -67,13 +66,22 @@ def oracle_verdict(D, ids):
     off = D + np.diag(np.full(n, np.inf))
     if float(np.min(off)) <= 64.0 * np.finfo(float).eps * max(1.0, top):
         return "distinct points must be at positive distance"
-    broken = np.flatnonzero(S > D + tol)
-    if not broken.size:
+    pair = oracle_pair(D)
+    if pair is None:
         return None
-    x, z = divmod(int(broken[0]), n)
+    x, z = pair
     k = int(np.argmax(np.abs(D[x] - D[z])))
+    if k in pair:
+        return "distance matrix asymmetry and self-distances together exceed tolerance"
     middle = z if D[x, k] > D[z, k] else x
     return f"triangle inequality fails through point {ids[middle]!r}"
+
+
+def oracle_pair(D):
+    """The first entry in row-major order where S = sup_pairwise(D) exceeds fl(D + tol), or None."""
+    tol = 1e-9 * max(1.0, float(np.max(D)))
+    broken = np.flatnonzero(metric.sup_pairwise(D) > D + tol)
+    return divmod(int(broken[0]), len(D)) if broken.size else None
 
 
 def verdict(D, ids):
@@ -82,6 +90,19 @@ def verdict(D, ids):
     except ValueError as exc:
         return str(exc)
     return None
+
+
+def spy_on_the_row_loop(monkeypatch):
+    """Record, for each call of the matrix check's row loop, whether it ran the exact check."""
+    calls = []
+    row_loop = metric._triangle_rows
+
+    def spy(D, tol=None):
+        calls.append(tol is not None)
+        return row_loop(D, tol)
+
+    monkeypatch.setattr(metric, "_triangle_rows", spy)
+    return calls
 
 
 def exact_defect(D):
@@ -149,6 +170,21 @@ def _line3(far):
     return np.array([[0.0, 1.0, far], [1.0, 0.0, far - 1.0], [far, far - 1.0, 0.0]])
 
 
+def _late_first_pair():
+    """Four points on a line whose first failing entry is found after a later one.
+
+    d(b, d) is 2 tol too long, so (b, c) and (c, d) fail.  An asymmetry
+    of 0.6 tol at (a, d) and a self-distance of -0.5 tol at d, each within
+    tolerance, make (d, a) fail too, and row a finds it first.
+    """
+    D = np.abs(np.subtract.outer(np.arange(4.0), np.arange(4.0)))
+    tol = 3e-9
+    D[1, 3] = D[3, 1] = 2.0 + 2.0 * tol
+    D[3, 0] = 3.0 - 0.6 * tol
+    D[3, 3] = -0.5 * tol
+    return D
+
+
 def _near_cases():
     """(name, D, oracle verdict) for inputs within a few ulps of the tolerance."""
     cases = []
@@ -160,11 +196,14 @@ def _near_cases():
         D[0, 2] = D[2, 0] = _ulps(2.0 + tol, k)
         cases.append((f"line{k:+d}ulp", D, None if k < 0 else "triangle inequality fails through point 'b'"))
     # an asymmetry and a self-distance each within tolerance, whose sum is
-    # not: S reads |D[a, a] - D[b, a]| against D[a, b]
+    # not: S reads |D[a, a] - D[b, a]| against D[a, b], and two points
+    # have no triangle
     D = np.array([[-0.9e-9, 1.0], [1.0 + 0.9e-9, 0.0]])
-    cases.append(("skewed-pair", D, "triangle inequality fails through point 'a'"))
+    cases.append(("skewed-pair", D,
+                  "distance matrix asymmetry and self-distances together exceed tolerance"))
     D = np.array([[-0.4e-9, 1.0], [1.0 + 0.4e-9, 0.0]])
     cases.append(("skewed-pair-within", D, None))
+    cases.append(("late-first-pair", _late_first_pair(), "triangle inequality fails through point 'c'"))
     return cases
 
 
@@ -233,26 +272,33 @@ class TestValidation:
 
     @pytest.mark.parametrize("case", NEAR_THRESHOLD, ids=[c[0] for c in NEAR_THRESHOLD])
     def test_near_threshold_inputs_take_the_full_check(self, monkeypatch, case):
-        # the row pass cannot prove these inside the tolerance, so the full
-        # sup_pairwise check judges them; accepted or not, as the oracle does
+        # the proof pass cannot prove these inside the tolerance, so the
+        # exact check judges them; accepted or not, as the oracle does
         _, D, expected = case
         ids = ("a", "b", "c", "d")[: len(D)]
-        calls = []
-
-        def spy(V, kind="linf"):
-            calls.append(V.shape)
-            return sup_pairwise(V, kind)
-
-        monkeypatch.setattr(metric, "sup_pairwise", spy)
+        calls = spy_on_the_row_loop(monkeypatch)
         assert verdict(D, ids) == expected
-        assert calls == [D.shape]
-        monkeypatch.undo()
+        assert calls == [False, True]
         assert expected == oracle_verdict(D, ids)
 
     def test_clear_inputs_take_the_row_pass(self, monkeypatch):
-        monkeypatch.setattr(metric, "sup_pairwise", None)
-        for D in (tri_space().matrix, tree_space(60).matrix, _line3(2.0)):
+        inputs = (tri_space().matrix, tree_space(60).matrix, _line3(2.0))
+        calls = spy_on_the_row_loop(monkeypatch)
+        for D in inputs:
             PointedMetricSpace(ids=tuple(range(len(D))), basepoint=0, kind="matrix", matrix=D)
+        assert calls == [False] * 3
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=perturbed_metrics(near=True), upper=st.booleans())
+    @example(case=(_late_first_pair(), tuple("abcd")), upper=False)
+    def test_exact_check_finds_the_first_failing_pair(self, case, upper):
+        # the skew sits below the diagonal; transposed, it sits above it.
+        # The loop reads no diagonal entry: the diagonal check runs first.
+        D, _ = case
+        D = np.ascontiguousarray(D.T) if upper else D
+        tol = 1e-9 * max(1.0, float(np.max(D)))
+        assume(float(np.max(np.abs(np.diag(D)))) <= tol)
+        assert metric._triangle_rows(D, tol) == oracle_pair(D)
 
     @settings(max_examples=150, deadline=None)
     @given(case=perturbed_metrics(near=True))
@@ -435,9 +481,8 @@ class TestDistortion:
         assert peak < 16 * n * n * 8
 
     def test_matrix_validation_holds_one_pair_matrix(self):
-        # at most one (n, n) array, the full check's S, besides slabs of
-        # at most _SLAB entries; the next test pins that an input the row
-        # pass accepts allocates none
+        # the space keeps the input itself, and the checks hold a few
+        # buffers of _ROW_CHUNK entries besides it
         D = tree_space(400).matrix
         n = len(D)
         tracemalloc.start()
@@ -447,7 +492,7 @@ class TestDistortion:
         finally:
             tracemalloc.stop()
         assert sp.matrix is D
-        assert peak < n * n * 8 + 2 * metric._SLAB * 8
+        assert peak < 4 * metric._ROW_CHUNK * 8
 
     def test_matrix_validation_allocates_no_pair_matrix(self):
         # the checks hold a few buffers of _ROW_CHUNK entries; at n = 800
@@ -462,6 +507,25 @@ class TestDistortion:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert peak < allowance
+
+    def test_exact_check_allocates_no_pair_matrix(self, monkeypatch):
+        # a short pair moved to one ulp below fl(d + tol) is accepted, but
+        # only the exact check can tell; it stays within the allowance of
+        # an accepted input
+        allowance = 4 * metric._ROW_CHUNK * 8
+        D = tree_space(800).matrix.copy()
+        n = len(D)
+        tol = 1e-9 * max(1.0, float(np.max(D)))
+        D[0, 2] = D[2, 0] = _ulps(D[0, 2] + tol, -1)
+        calls = spy_on_the_row_loop(monkeypatch)
+        tracemalloc.start()
+        try:
+            PointedMetricSpace(ids=tuple(range(n)), basepoint=0, kind="matrix", matrix=D)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert calls == [False, True]
         assert peak < allowance
 
     @pytest.mark.parametrize("kind", ["linf", "l2"])
