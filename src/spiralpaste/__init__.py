@@ -23,10 +23,8 @@ from .fdd import (
     EquivalenceReport,
     FddModel,
     NoCotypeReport,
-    ambient_norm,
     embed_no_cotype,
     equivalence_ratio,
-    norm_a,
     pair_isometry_check,
     validate_model,
 )

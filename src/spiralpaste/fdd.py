@@ -19,13 +19,11 @@ import numpy as np
 from .errors import ModelInvalid
 from .metric import DistortionReport, PointedMetricSpace, distortion as measure_distortion
 from .spiral import PastedEmbedding, analytic_bound, paste
-from .sumspace import SUP, BlockVector, SumSpaceSpec, block_profile
+from .sumspace import SUP, SumSpaceSpec
 
 __all__ = [
     "FddModel",
     "validate_model",
-    "ambient_norm",
-    "norm_a",
     "equivalence_ratio",
     "EquivalenceReport",
     "pair_isometry_check",
@@ -69,26 +67,33 @@ class FddModel:
         return 1.0 - np.asarray(self.eps_list)
 
 
-def ambient_norm(model: FddModel, v: BlockVector) -> float:
-    """max over blocks of (1 - eps_n) ||v_n||_inf."""
-    return float(np.max(model.weights() * block_profile(v)))
+def _norm_a_aggregator(model: FddModel):
+    """Fold for (norm_a, ambient): max(ambient, running top1 + top2) and the weighted max.
 
-
-def _pair_sum(prof: np.ndarray) -> float:
-    if prof.size == 1:
-        return float(prof[0])
-    top = np.partition(prof, -2)[-2:]
-    return float(top[0] + top[1])
-
-
-def norm_a(model: FddModel, v: BlockVector) -> float:
-    """max(ambient norm, max over blocks j != k of ||v_j||_inf + ||v_k||_inf).
-
-    On a vector supported in two blocks this is exactly the sum of the two
-    block norms; on a single block it is that block's sup norm.
+    The ambient norm is max over blocks of (1 - eps_n) ||v_n||_inf, and
+    norm_a is the larger of it and the best sum ||v_j||_inf + ||v_k||_inf
+    over two distinct blocks: on a vector supported in two blocks exactly
+    the sum of the two block norms, on a single block that block's norm.
     """
-    prof = block_profile(v)
-    return max(float(np.max(model.weights() * prof)), _pair_sum(prof))
+    w = model.weights()
+
+    def fold(shape: tuple[int, int], blocks) -> tuple[np.ndarray, np.ndarray]:
+        amb, top1, top2, tmp = (np.zeros(shape) for _ in range(4))
+        for b, d in blocks:
+            np.multiply(d, w[b - 1], out=tmp)
+            np.maximum(amb, tmp, out=amb)
+            np.minimum(top1, d, out=tmp)
+            np.maximum(top2, tmp, out=top2)
+            np.maximum(top1, d, out=top1)
+        np.add(top1, top2, out=top1)
+        return np.maximum(amb, top1, out=top1), amb
+
+    return fold
+
+
+def _sup(rng: np.random.Generator, dim: int) -> float:
+    """Sup norm of a fresh uniform [-1, 1) vector of length ``dim``."""
+    return float(np.max(np.abs(rng.uniform(-1.0, 1.0, size=dim))))
 
 
 def validate_model(model: FddModel, epsilon: float) -> bool:
@@ -127,36 +132,26 @@ def equivalence_ratio(
     unweighted model) is attained, not merely approached.  The caller
     judges max_ratio against bound = 4 (1 + eps) / (1 - eps).
     """
-    spec = model.spec
     rng = np.random.default_rng(seed)
-    cands: list[BlockVector] = []
-    for b in range(1, model.num_blocks + 1):
-        cands.append(BlockVector(spec, {b: np.ones(model.block_dims[b - 1])}))
-    for j in range(1, model.num_blocks + 1):
-        for k in range(j + 1, model.num_blocks + 1):
-            cands.append(
-                BlockVector(
-                    spec,
-                    {j: np.ones(model.block_dims[j - 1]), k: np.ones(model.block_dims[k - 1])},
-                )
-            )
+    B = model.num_blocks
+    unit = np.eye(B)
+    cands = [*unit, *(unit[j] + unit[k] for j in range(B) for k in range(j + 1, B))]
     for _ in range(n):
-        blocks = {}
-        for b in range(1, model.num_blocks + 1):
+        prof = np.zeros(B)
+        drawn = False
+        for b in range(B):
             if rng.random() < 0.6:
-                blocks[b] = rng.uniform(-1.0, 1.0, size=model.block_dims[b - 1])
-        if not blocks:
-            b = int(rng.integers(1, model.num_blocks + 1))
-            blocks[b] = rng.uniform(-1.0, 1.0, size=model.block_dims[b - 1])
-        cands.append(BlockVector(spec, blocks))
+                prof[b] = _sup(rng, model.block_dims[b])
+                drawn = True
+        if not drawn:
+            b = int(rng.integers(1, B + 1)) - 1
+            prof[b] = _sup(rng, model.block_dims[b])
+        cands.append(prof)
 
+    profiles = np.stack(cands, axis=1)[:, None]
+    a, amb = _norm_a_aggregator(model)((1, len(cands)), zip(range(1, B + 1), profiles))
     bound = 4.0 * (1.0 + epsilon) / (1.0 - epsilon)
-    best = 1.0
-    for v in cands:
-        amb = ambient_norm(model, v)
-        if amb == 0.0:
-            continue
-        best = max(best, norm_a(model, v) / amb)
+    best = float(np.max(a[amb > 0.0] / amb[amb > 0.0], initial=1.0))
     return EquivalenceReport(best, bound, len(cands))
 
 
@@ -170,41 +165,14 @@ def pair_isometry_check(
         if not 1 <= b <= model.num_blocks:
             raise IndexError(f"block {b} outside 1..{model.num_blocks}")
     rng = np.random.default_rng(seed)
-    spec = model.spec
-    worst = 0.0
-    for _ in range(samples):
-        v = BlockVector(
-            spec,
-            {
-                j: rng.uniform(-1.0, 1.0, size=model.block_dims[j - 1]),
-                k: rng.uniform(-1.0, 1.0, size=model.block_dims[k - 1]),
-            },
-        )
-        prof = block_profile(v)
-        dev = abs(norm_a(model, v) - (prof[j - 1] + prof[k - 1]))
-        worst = max(worst, dev)
-    return worst
+    prof = np.zeros((2, 1, samples))
+    for s in range(samples):
+        prof[:, 0, s] = _sup(rng, model.block_dims[j - 1]), _sup(rng, model.block_dims[k - 1])
+    a, _ = _norm_a_aggregator(model)((1, samples), zip((j, k), prof))
+    return float(np.max(np.abs(a - (prof[0] + prof[1])), initial=0.0))
 
 
 # Embedding through the renormed model ----------------------------------------
-
-def _norm_a_aggregator(model: FddModel):
-    """Fold for (norm_a, ambient): max(ambient, running top1 + top2) and the weighted max."""
-    w = model.weights()
-
-    def fold(shape: tuple[int, int], blocks) -> tuple[np.ndarray, np.ndarray]:
-        amb, top1, top2, tmp = (np.zeros(shape) for _ in range(4))
-        for b, d in blocks:
-            np.multiply(d, w[b - 1], out=tmp)
-            np.maximum(amb, tmp, out=amb)
-            np.minimum(top1, d, out=tmp)
-            np.maximum(top2, tmp, out=top2)
-            np.maximum(top1, d, out=top1)
-        np.add(top1, top2, out=top1)
-        return np.maximum(amb, top1, out=top1), amb
-
-    return fold
-
 
 @dataclass(frozen=True)
 class NoCotypeReport:
@@ -232,9 +200,9 @@ def embed_no_cotype(
     eps_list, gives 108.0 at eps = 0.2 (formula: 7.2) and 5.5 at eps = 0.1
     (formula: 5.38).  One pair
     scan, pruned by the pasted map's envelope, measures both norms.  Its
-    ambient distance max_n (1 - eps_n) ||x_n - y_n||_inf is
-    ``ambient_norm`` of the difference; for weights other than 1 it can
-    differ by ulps from that of the weighted images.
+    ambient distance is max_n (1 - eps_n) ||x_n - y_n||_inf, the weighted
+    max of the difference's block norms; for weights other than 1 it can
+    differ by ulps from the sup distance of the weighted images.
     """
     emb = paste(space, 1.0, epsilon)
     model = FddModel(emb.spec.block_dims, tuple(eps_list or ()))

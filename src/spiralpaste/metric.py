@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
 from . import sumspace
 from .errors import SchemaError
-from .sumspace import BlockVector, SumSpaceSpec
+from .sumspace import BlockVector, Fold, SumSpaceSpec
 
 __all__ = [
     "PointedMetricSpace",
@@ -424,17 +424,6 @@ def ball(space: PointedMetricSpace, radius: float) -> PointedMetricSpace:
     return space._restrict([i for i in range(len(space)) if rho[i] <= radius])
 
 
-# A fold turns the stream of per-block pair distances into the pair
-# distances of the target norm: fold(shape, blocks) -> array of ``shape``,
-# where ``blocks`` yields (block index, buffer of that shape) and reuses the
-# buffer, so a fold must use it before asking for the next block.  The scan
-# folds (n, n) arrays, the pair envelope (rows, cols) slabs.  A fold that
-# measures several norms in one pass returns a tuple of arrays, one per norm.
-Fold = Callable[
-    [tuple[int, int], Iterator[tuple[int, np.ndarray]]], np.ndarray | tuple[np.ndarray, ...]
-]
-
-
 def _block_distances(
     space: PointedMetricSpace, image: Mapping, spec: SumSpaceSpec
 ) -> Iterator[tuple[int, np.ndarray]]:
@@ -536,15 +525,16 @@ def _pair_bounds(
     sum to at most r_x + r_y with r = (sum_b W[b]) (6.5u rho + delta (1 +
     2^-40)) + 2^-1060, rounded up.
 
-    Fold.  The p-sum, the max and fdd's (norm_a, ambient) folds are
-    monotone and 1-Lipschitz in the l1 norm of the block distances, so
-    |fold(K̂) - fold(C)| <= r_x + r_y.  A pair meets at most N = 2 max_x
-    #{b : W[b, x] > 0} nonzero blocks; a zero block is an exact no-op of
-    every fold.  Folded in floating point, each nonzero block after the
-    first costs the p-sum at most (p + 6) u before its closing 1/p power
-    (np.power taken as correct to 4 ulp), so a computed fold is within
-    (7N + 5) u of exact.  Both folds' errors, and the roundings of lo and
-    hi below, fit in mu = (16N + 16) u times the folded centre.
+    Fold.  ``sumspace.fold``'s p-sum and max, and fdd's (norm_a, ambient)
+    fold, are monotone and 1-Lipschitz in the l1 norm of the block
+    distances, so |fold(K̂) - fold(C)| <= r_x + r_y.  A pair meets at most
+    N = 2 max_x #{b : W[b, x] > 0} nonzero blocks; a zero block is an
+    exact no-op of every fold.  Folded in floating point, each nonzero
+    block after the first costs the p-sum at most (p + 6) u before its
+    closing 1/p power (np.power taken as correct to 4 ulp), so a computed
+    fold is within (7N + 5) u of exact.  The errors of the scan's fold of
+    K̂ and of this fold of C, and the roundings of lo and hi below, fit in
+    mu = (16N + 16) u times the folded centre.
 
     Range.  Everything is computed in units of a power of two that puts
     max D below 2^1000, so no centre or fold overflows.  A fold whose upper
@@ -619,44 +609,6 @@ def _candidates(space: PointedMetricSpace, W: np.ndarray, aggregator: Fold) -> P
     return space if keep.all() else space._restrict(list(np.flatnonzero(keep)))
 
 
-def _max_fold(shape: tuple[int, int], blocks: Iterator[tuple[int, np.ndarray]]) -> np.ndarray:
-    """Sup aggregation: the running max over blocks."""
-    out = np.zeros(shape)
-    for _, d in blocks:
-        np.maximum(out, d, out=out)
-    return out
-
-
-def _power_fold(p: float) -> Fold:
-    """p-sum aggregation, streamed and overflow-safe.
-
-    Keeps the running max M and S = sum_b (d_b / M)^p; when M grows, S is
-    rescaled by (M_old / M_new)^p, so no power ever exceeds 1 (the same
-    max-scaling as ``sumspace.norm``).
-    """
-
-    tiny = math.ulp(0.0)
-
-    def fold(shape: tuple[int, int], blocks: Iterator[tuple[int, np.ndarray]]) -> np.ndarray:
-        M, S = np.zeros(shape), np.zeros(shape)
-        grown, safe = np.empty(shape), np.empty(shape)
-        for _, d in blocks:
-            np.maximum(M, d, out=grown)
-            # where grown is 0 so are M and d, and 0 / tiny is 0
-            np.maximum(grown, tiny, out=safe)
-            np.divide(M, safe, out=M)
-            np.power(M, p, out=M)
-            np.multiply(S, M, out=S)
-            np.divide(d, safe, out=safe)
-            np.power(safe, p, out=safe)
-            np.add(S, safe, out=S)
-            M, grown = grown, M
-        np.power(S, 1.0 / p, out=S)
-        return np.multiply(M, S, out=S)
-
-    return fold
-
-
 def distortion(
     space: PointedMetricSpace,
     image: Mapping,
@@ -669,7 +621,8 @@ def distortion(
 
     ``image`` maps every point id to a BlockVector of ``target``.  An
     optional ``aggregator`` folds the per-block pair distances into pair
-    distances, replacing the p-sum (used for renormed target models).
+    distances, replacing ``sumspace.fold(target.p)`` (used for renormed
+    target models).
     A fold that returns a tuple of arrays gets a tuple of reports, one per
     array, and ``analytic_bound`` is then a tuple of the same length.
     Extra memory is a few (n, n) arrays, whatever the block dimensions.
@@ -689,7 +642,7 @@ def distortion(
         if image[pid].spec.block_dims != target.block_dims:
             raise ValueError(f"image of {pid!r} does not fit the target block layout")
     if aggregator is None:
-        aggregator = _max_fold if target.p == sumspace.SUP else _power_fold(target.p)
+        aggregator = sumspace.fold(target.p)
     if envelope is not None:
         space = _candidates(space, envelope, aggregator)
     folded = aggregator((len(space), len(space)), _block_distances(space, image, target))

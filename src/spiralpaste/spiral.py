@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ScheduleTooShort
 from .frechet import frechet_embed
 from .metric import PointedMetricSpace, ball, distortion as measure_distortion, DistortionReport
-from .sumspace import BlockVector, SumSpaceSpec
+from .sumspace import BlockVector, SumSpaceSpec, fold
 
 __all__ = [
     "RadiiSchedule",
@@ -108,8 +108,8 @@ def blend_theta(p: float, theta: float) -> tuple[float, float]:
 
     For 1 <= p <= 2 these are cos/sin raised to 2/p; for p > 2 cos/sin
     renormalised by the p-mean (cos^p t + sin^p t)^(1/p), taken after
-    dividing both by the larger, as ``sumspace.norm`` does, so that at large
-    p the two powers cannot both underflow to 0.
+    dividing both by the larger, so that at large p the two powers cannot
+    both underflow to 0.
     """
     if not 1.0 <= p < math.inf:
         raise ValueError(f"blend needs a finite exponent p >= 1, got {p}")
@@ -271,20 +271,17 @@ class PastedEmbedding:
     def norm_preservation_error(self) -> float:
         """max over points of | ||Tx|| - rho(x) |, scaled by max(1, rho_max).
 
-        Each norm is ``sumspace.norm``'s arithmetic: block sup norms over their
-        max m, summed as p-th powers, then m * sum^(1/p).
+        The norms are the target's fold on shape (1, n), over each block's
+        column of per-point sup norms.
         """
         rho = self.space.rho()
         rows, cols, arrays = zip(*(
             (i, k - 1, arr) for i, pid in enumerate(self.space.ids)
             for k, arr in self.images[pid].blocks.items()))
-        prof = np.zeros((len(rho), self.spec.num_blocks))
+        prof = np.zeros((self.spec.num_blocks, 1, len(rho)))
         starts = np.cumsum([0] + [a.size for a in arrays[:-1]])
-        prof[rows, cols] = np.maximum.reduceat(np.abs(np.concatenate(arrays)), starts)
-        m = np.max(prof, axis=1)
-        z = np.divide(prof, m[:, None], out=np.zeros_like(prof), where=m[:, None] > 0.0)
-        sums = np.sum(z**self.spec.p, axis=1)
-        norms = np.array([mi * float(si) ** (1.0 / self.spec.p) for mi, si in zip(m, sums)])
+        prof[cols, 0, rows] = np.maximum.reduceat(np.abs(np.concatenate(arrays)), starts)
+        norms = fold(self.spec.p)((1, len(rho)), zip(range(1, len(prof) + 1), prof))
         return float(np.max(np.abs(norms - rho))) / max(1.0, float(np.max(rho)))
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -111,24 +112,69 @@ def block_profile(v: BlockVector) -> np.ndarray:
     return prof
 
 
-def aggregate_profile(prof: np.ndarray, p: float) -> float:
-    """Aggregate per-block sup norms into the sum-space norm.
+# A fold turns a stream of per-block sup norms into norms of the target:
+# fold(shape, blocks) -> array of ``shape``, where ``blocks`` yields (block
+# index, array of that shape) and may reuse the array, so a fold must use it
+# before asking for the next block.  A block that is zero everywhere is an
+# exact no-op of every fold here, so it may be left out.  The distortion
+# scan folds (n, n) arrays of pair distances; a vector's norm is the fold
+# on shape (1, 1).  A fold that measures several norms in one pass returns
+# a tuple of arrays, one per norm.
+Fold = Callable[
+    [tuple[int, int], Iterator[tuple[int, np.ndarray]]], np.ndarray | tuple[np.ndarray, ...]
+]
 
-    Scaled by the leading block to stay exact on single-block profiles and
-    overflow-safe when entries^p would leave double range.
+
+def _max_fold(shape: tuple[int, int], blocks: Iterator[tuple[int, np.ndarray]]) -> np.ndarray:
+    """Sup aggregation: the running max over blocks."""
+    out = np.zeros(shape)
+    for _, d in blocks:
+        np.maximum(out, d, out=out)
+    return out
+
+
+def _power_fold(p: float) -> Fold:
+    """p-sum aggregation, streamed and overflow-safe.
+
+    Keeps the running max M and S = sum_b (d_b / M)^p; when M grows, S is
+    rescaled by (M_old / M_new)^p, so no power ever exceeds 1.  A zero
+    block leaves M and S exactly as they were.
     """
-    m = float(np.max(prof)) if prof.size else 0.0
-    if m == 0.0:
-        return 0.0
-    if p == SUP:
-        return m
-    z = prof / m
-    return m * float(np.sum(z**p)) ** (1.0 / p)
+
+    tiny = math.ulp(0.0)
+
+    def fold(shape: tuple[int, int], blocks: Iterator[tuple[int, np.ndarray]]) -> np.ndarray:
+        M, S = np.zeros(shape), np.zeros(shape)
+        grown, safe = np.empty(shape), np.empty(shape)
+        for _, d in blocks:
+            np.maximum(M, d, out=grown)
+            # where grown is 0 so are M and d, and 0 / tiny is 0
+            np.maximum(grown, tiny, out=safe)
+            np.divide(M, safe, out=M)
+            np.power(M, p, out=M)
+            np.multiply(S, M, out=S)
+            np.divide(d, safe, out=safe)
+            np.power(safe, p, out=safe)
+            np.add(S, safe, out=S)
+            M, grown = grown, M
+        np.power(S, 1.0 / p, out=S)
+        return np.multiply(M, S, out=S)
+
+    return fold
+
+
+def fold(p: float) -> Fold:
+    """The fold of the block sum with exponent ``p``: the max under SUP, else the p-sum."""
+    return _max_fold if p == SUP else _power_fold(p)
 
 
 def norm(v: BlockVector) -> float:
-    """Sum-space norm: (sum_n ||v_n||_inf^p)^(1/p), or the max under SUP."""
-    return aggregate_profile(block_profile(v), v.spec.p)
+    """Sum-space norm: (sum_n ||v_n||_inf^p)^(1/p), or the max under SUP.
+
+    The fold on shape (1, 1), over v's blocks in index order.
+    """
+    blocks = ((k, np.full((1, 1), np.max(np.abs(v.blocks[k])))) for k in sorted(v.blocks))
+    return float(fold(v.spec.p)((1, 1), blocks)[0, 0])
 
 
 def flat_triple_check(

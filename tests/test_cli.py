@@ -453,8 +453,18 @@ class TestOtherCommands:
     def test_fdd_demo_equivalence_is_judged_by_the_report(self, monkeypatch, tmp_path):
         # a renorming 100x the sup norm escapes [1, 4(1+eps)/(1-eps)]: the report
         # is written and its check fails, rather than the run ending in an error
-        real = fdd.norm_a
-        monkeypatch.setattr(fdd, "norm_a", lambda model, v: 100.0 * real(model, v))
+        real = fdd._norm_a_aggregator
+
+        def renormed_100x(model):
+            fold = real(model)
+
+            def scaled(shape, blocks):
+                a, amb = fold(shape, blocks)
+                return 100.0 * a, amb
+
+            return scaled
+
+        monkeypatch.setattr(fdd, "_norm_a_aggregator", renormed_100x)
         path = tmp_path / "line3.json"
         path.write_text(json.dumps({"basepoint": "o", "metric": "linf", "points": [
             {"id": "o", "coords": [0.0]}, {"id": "a", "coords": [1.0]},

@@ -27,7 +27,8 @@ from spiralpaste import (
     tree_space,
 )
 from spiralpaste.fdd import _norm_a_aggregator
-from spiralpaste.metric import _block_distances, _pair_bounds, _power_fold
+from spiralpaste.metric import _block_distances, _pair_bounds
+from spiralpaste.sumspace import _power_fold
 
 P_MENU = (1.0, 1.5, 2.0, 3.0, 10.0)
 

@@ -11,21 +11,29 @@ from spiralpaste import (
     ModelInvalid,
     SUP,
     SumSpaceSpec,
-    ambient_norm,
     analytic_bound,
+    block_profile,
     distortion,
     embed_no_cotype,
     equivalence_ratio,
-    norm_a,
     pair_isometry_check,
     validate_model,
 )
+from spiralpaste.fdd import _norm_a_aggregator
+
+from .norms import norm_a
 
 MODEL3 = FddModel((2, 2, 3))
 
 
 def mv(model, **blocks):
     return BlockVector(model.spec, {int(k[1:]): np.array(v, dtype=float) for k, v in blocks.items()})
+
+
+def folded(model, v):
+    """(norm_a, ambient) of one vector: the model's fold on shape (1, 1)."""
+    blocks = zip(range(1, model.num_blocks + 1), block_profile(v)[:, None, None])
+    return tuple(float(x[0, 0]) for x in _norm_a_aggregator(model)((1, 1), blocks))
 
 
 class TestModel:
@@ -47,23 +55,21 @@ class TestModel:
 class TestNorms:
     def test_single_block_norms_agree(self):
         v = mv(MODEL3, b2=[3.0, -1.0])
-        assert ambient_norm(MODEL3, v) == 3.0
-        assert norm_a(MODEL3, v) == 3.0
+        assert folded(MODEL3, v) == (3.0, 3.0)
 
     def test_two_block_pair_sum_wins(self):
         v = mv(MODEL3, b1=[3.0, 0.0], b2=[4.0, 1.0])
-        assert ambient_norm(MODEL3, v) == 4.0
-        assert norm_a(MODEL3, v) == 7.0
+        assert folded(MODEL3, v) == (7.0, 4.0)
 
     def test_three_blocks_top_two(self):
         v = mv(MODEL3, b1=[1.0, 0.0], b2=[4.0, 0.0], b3=[2.0, 0.0, 0.0])
-        assert norm_a(MODEL3, v) == 6.0  # 4 + 2, the two largest
+        assert folded(MODEL3, v)[0] == 6.0  # 4 + 2, the two largest
 
     def test_weighted_ambient(self):
         model = FddModel((2, 2), (0.5, 0.0))
         v = mv(model, b1=[4.0, 0.0])
-        assert ambient_norm(model, v) == 2.0  # scaled by 1 - eps_1
-        assert norm_a(model, v) == 4.0  # the pair term is unweighted
+        # the ambient norm is scaled by 1 - eps_1, the pair term is unweighted
+        assert folded(model, v) == (4.0, 2.0)
 
     def test_norm_a_dominates_ambient(self):
         rng = np.random.default_rng(0)
@@ -73,7 +79,8 @@ class TestNorms:
                 model.spec,
                 {1: rng.normal(size=2), 2: rng.normal(size=3)},
             )
-            assert norm_a(model, v) >= ambient_norm(model, v) - 1e-15
+            a, amb = folded(model, v)
+            assert a >= amb - 1e-15
 
 
 class TestValidateAndEquivalence:

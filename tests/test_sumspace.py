@@ -19,6 +19,8 @@ from spiralpaste import (
     norm,
 )
 
+from .norms import sum_norm
+
 SPEC3 = SumSpaceSpec(2.0, (2, 3, 1))
 
 
@@ -100,6 +102,18 @@ class TestNorm:
         u = vec(spec, b1=a[:2], b2=a[2:5], b3=a[5:])
         v = vec(spec, b1=b[:2], b2=b[2:5], b3=b[5:])
         assert norm(u + v) <= norm(u) + norm(v) + 1e-12 * (1 + norm(u) + norm(v))
+
+    @given(
+        st.lists(st.none() | st.floats(min_value=1e-300, max_value=1e300), min_size=1, max_size=8),
+        st.sampled_from([1.0, 1.5, 2.0, 3.0, 10.0, SUP]),
+    )
+    @settings(max_examples=300)
+    def test_fold_matches_the_plain_norm(self, block_norms, p):
+        # the streamed fold on shape (1, 1) against one max-scaled p-sum; None is an absent block
+        spec = SumSpaceSpec(p, (2,) * len(block_norms))
+        v = BlockVector(spec, {k: np.array([0.5 * x, -x])
+                               for k, x in enumerate(block_norms, 1) if x is not None})
+        assert math.isclose(norm(v), sum_norm(v), rel_tol=1e-15)
 
     @given(st.lists(st.floats(-10, 10), min_size=6, max_size=6))
     def test_exponent_monotonicity(self, a):
