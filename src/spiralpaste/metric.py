@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -164,49 +164,53 @@ def _asymmetry_and_gap(D: np.ndarray) -> tuple[float, float]:
     return asym, gap
 
 
-def _triangle_rows(D: np.ndarray, tol: float | None = None) -> float | tuple[int, int] | None:
-    """The matrix triangle check's one row loop: the proof pass, or with ``tol`` the exact check.
+def _triangle_rows(D: np.ndarray, tol: float, proven: Callable[[float], bool]) -> tuple:
+    """The matrix triangle check's one row loop: proof rows, then the exact tail.
 
     Row x reduces |D[z, k] - D[x, k]| for every z > x along the contiguous
-    k axis, about ``_ROW_CHUNK`` differences per numpy call.  The proof
-    pass reads k > x, so each triangle {x < z < k} is read through the two
-    pairs that hold its smallest point (n^3 / 3 differences), and returns
-    the largest fl(max_k |D[z, k] - D[x, k]| - D[x, z]).  The exact check
-    reads every k, so the reduction is S[x, z] = S[z, x], which it compares
-    with fl(D[x, z] + tol) and fl(D[z, x] + tol).  It returns the first
+    k axis, about ``_ROW_CHUNK`` differences per numpy call.  Its k > x
+    half reads each triangle {x < z < k} through the two pairs that hold
+    its smallest point (n^3 / 3 differences); the loop returns the largest
+    fl(max_{k > x} |D[z, k] - D[x, k]| - D[x, z]).  From the first row x0
+    whose running excess fails ``proven``, rows read k >= x0 (row x0 adds
+    its column k = x0) and compare S[x, z] = S[z, x] over k >= x0 with
+    fl(D[x, z] + tol) and fl(D[z, x] + tol).  It also returns the first
     failing entry (r, c) in row-major order, or None, and stops after row
     r: the entries (r, c) with c < r are found at rows c < r.
     """
     n = len(D)
     buf = np.empty(max(_ROW_CHUNK, n))
-    m = np.empty(n)
-    worst, first = -math.inf, n * n
+    hi, lo = np.empty(n), np.empty(n)
+    worst, first, x0 = -math.inf, n * n, n
     with np.errstate(over="ignore"):
         for x in range(n - 1):
-            w, k0 = n - 1 - x, (x + 1 if tol is None else 0)
-            v, far, width = D[x, k0:], D[x + 1 :, k0:], n - k0
+            w, k0 = n - 1 - x, min(x0, x + 1)
+            v, far, width, cut = D[x, k0:], D[x + 1 :, k0:], n - k0, x + 1 - k0
             rows = max(1, _ROW_CHUNK // width)
             for z0 in range(0, w, rows):
                 z1 = min(z0 + rows, w)
                 diff = buf[: (z1 - z0) * width].reshape(z1 - z0, width)
                 np.subtract(far[z0:z1], v, out=diff)
                 np.abs(diff, out=diff)
-                np.max(diff, axis=1, out=m[z0:z1])
-            if tol is None:
-                # here v is D[x, x + 1 :], the pairs (x, z)
-                worst = max(worst, float(np.max(np.subtract(m[:w], v, out=m[:w]))))
+                np.max(diff[:, cut:], axis=1, out=hi[z0:z1])
+                if cut:
+                    np.max(diff[:, :cut], axis=1, out=lo[z0:z1])
+            worst = max(worst, float(np.max(hi[:w] - D[x, x + 1 :])))
+            if x0 == n and proven(worst):
                 continue
-            ahead = np.flatnonzero(m[:w] > D[x, x + 1 :] + tol)
-            below = np.flatnonzero(m[:w] > D[x + 1 :, x] + tol)
+            if not cut:  # the first unproven row adds its own column k = x
+                x0 = x
+                np.abs(np.subtract(D[x + 1 :, x], D[x, x], out=lo[:w]), out=lo[:w])
+            np.maximum(hi[:w], lo[:w], out=lo[:w])
+            ahead = np.flatnonzero(lo[:w] > D[x, x + 1 :] + tol)
+            below = np.flatnonzero(lo[:w] > D[x + 1 :, x] + tol)
             if ahead.size:
                 first = min(first, x * n + x + 1 + int(ahead[0]))
             if below.size:
                 first = min(first, (x + 1 + int(below[0])) * n + x)
             if first < (x + 1) * n:
                 break
-    if tol is None:
-        return worst
-    return divmod(first, n) if first < n * n else None
+    return worst, (divmod(first, n) if first < n * n else None)
 
 
 @dataclass
@@ -229,7 +233,7 @@ class PointedMetricSpace:
     with a zero diagonal).  A restriction keeps its parent's delta.
       * 'matrix': t = max(e+ + 2^-53 (max D + g) + 2^-1074 + 3a, a + g),
         rounded up, where e is the largest excess the triangle check's
-        proof pass computes; see ``_validate_matrix`` for the proof.
+        proof rows compute; see ``_validate_matrix`` for the proof.
       * 'linf' and 'l2': see ``_coordinate_defect``.
     """
 
@@ -314,13 +318,12 @@ class PointedMetricSpace:
         message names the middle point of the first such pair in row-major
         order at its worst third point k, or, when k is x or z and so no
         triangle fails, the asymmetry and self-distances.  The row loop
-        (``_triangle_rows``) runs its proof pass to the end, and its exact
-        check only on an input the pass cannot prove inside the tolerance.
-        With u = 2^-53, top = max D, a and g as in the class docstring and
-        e the pass's largest computed excess:
+        (``_triangle_rows``) compares S only from the first row its proof
+        rows cannot prove inside the tolerance.  With u = 2^-53, top = max
+        D, a and g as in the class docstring and e the largest excess:
           * Rounding.  |fl(b - c)| >= (1 - u) |b - c|, and every |D[z, k]
             - D[x, k]| <= top + g because off-diagonal entries are
-            positive, so the pass's exact excess is E <= (e+ + u (top +
+            positive, so the rows' exact excess is E <= (e+ + u (top +
             g)) / (1 - u).  A subnormal difference is exact, and 2^-1074
             covers the product u (top + g) rounding into that range.
           * Coverage.  Row x reads D[x, k], D[x, z] and the far side D[z,
@@ -334,9 +337,13 @@ class PointedMetricSpace:
         verdict, and delta = X + a + g.  A few roundings of nonnegative
         terms fit in (1 + 2^-40).  A computed S entry is within (1 + u) of
         exact and fl(D + tol) within (1 - u), so no pair fails when X <=
-        tol - 4u (top + tol); the exact check is skipped when X, rounded
-        up by (1 + 2^-40), is at most a limit rounded down from that (8u
-        instead of 4u).
+        tol - 4u (top + tol).  The tail starts at the first row x0 after
+        which X so far, rounded up by (1 + 2^-40), passes a limit rounded
+        down from that (8u instead of 4u); x0 = 0 when a + g does.  A term
+        of S[r, c] - D[r, c] at k is an inequality of {r, c, k} that proof
+        row min(r, c, k) reads, moved by at most 3a.  So no entry with
+        min(r, c) < x0 fails, terms at k < x0 make no other entry fail, and
+        S over k >= x0 fails where S does.
         """
         tol = self.rel_tol()
         top = float(np.max(D))
@@ -352,20 +359,23 @@ class PointedMetricSpace:
         if gap <= 64.0 * np.finfo(float).eps * max(1.0, top):
             raise ValueError("distinct points must be at positive distance")
         rounding = 2.0**-53 * (top + diag) + 2.0**-1074
-        bound = max(max(_triangle_rows(D), 0.0) + rounding + 3.0 * asym, asym + diag)
-        if bound * (1.0 + 2.0**-40) > tol - 2.0**-50 * (top + tol):
-            pair = _triangle_rows(D, tol)
-            if pair is not None:
-                # At (x, z) the worst k has either d(x,k) > d(x,z) + d(z,k)
-                # or d(z,k) > d(z,x) + d(x,k); the message names the middle point.
-                x, z = pair
-                k = int(np.argmax(np.abs(D[x] - D[z])))
-                if k in pair:
-                    raise ValueError("distance matrix asymmetry and self-distances together "
-                                     "exceed tolerance")
-                middle = z if D[x, k] > D[z, k] else x
-                raise ValueError(f"triangle inequality fails through point {self.ids[middle]!r}")
-        return (bound + asym + diag) * (1.0 + 2.0**-40)
+        limit = tol - 2.0**-50 * (top + tol)
+
+        def bound(e: float) -> float:
+            return max(max(e, 0.0) + rounding + 3.0 * asym, asym + diag)
+
+        worst, pair = _triangle_rows(D, tol, lambda e: bound(e) * (1.0 + 2.0**-40) <= limit)
+        if pair is not None:
+            # At (x, z) the worst k has either d(x,k) > d(x,z) + d(z,k)
+            # or d(z,k) > d(z,x) + d(x,k); the message names the middle point.
+            x, z = pair
+            k = int(np.argmax(np.abs(D[x] - D[z])))
+            if k in pair:
+                raise ValueError("distance matrix asymmetry and self-distances together "
+                                 "exceed tolerance")
+            middle = z if D[x, k] > D[z, k] else x
+            raise ValueError(f"triangle inequality fails through point {self.ids[middle]!r}")
+        return (bound(worst) + asym + diag) * (1.0 + 2.0**-40)
 
     def __len__(self) -> int:
         return len(self.ids)

@@ -92,16 +92,46 @@ def verdict(D, ids):
 
 
 def spy_on_the_row_loop(monkeypatch):
-    """Record, for each call of the matrix check's row loop, whether it ran the exact check."""
+    """Record (x0, first failing pair) for each call of the matrix check's row loop.
+
+    The loop asks the predicate it is given once per proof row, from row 0
+    on, until the predicate first fails; x0 is that row, or None when every
+    row was proven.
+    """
     calls = []
     row_loop = metric._triangle_rows
 
-    def spy(D, tol=None):
-        calls.append(tol is not None)
-        return row_loop(D, tol)
+    def spy(D, tol, proven):
+        answers = []
+
+        def watched(e):
+            answers.append(proven(e))
+            return answers[-1]
+
+        worst, pair = row_loop(D, tol, watched)
+        calls.append((answers.index(False) if False in answers else None, pair))
+        return worst, pair
 
     monkeypatch.setattr(metric, "_triangle_rows", spy)
     return calls
+
+
+def proof_excess(D):
+    """The proof rows' largest excess, one row at a time: fl(|D[z, k] - D[x, k]|) - D[x, z] over z, k > x."""
+    e = -math.inf
+    for x in range(len(D) - 1):
+        far = np.abs(D[x + 1 :, x + 1 :] - D[x, x + 1 :])
+        e = max(e, float(np.max(far.max(axis=1) - D[x, x + 1 :])))
+    return e
+
+
+def defect_formula(D):
+    """delta = (max(e+ + 2^-53 (top + g) + 2^-1074 + 3a, a + g) + a + g)(1 + 2^-40), as computed."""
+    a = float(np.max(np.abs(D - D.T)))
+    g = float(np.max(np.abs(np.diag(D))))
+    rounding = 2.0**-53 * (float(np.max(D)) + g) + 2.0**-1074
+    bound = max(max(proof_excess(D), 0.0) + rounding + 3.0 * a, a + g)
+    return (bound + a + g) * (1.0 + 2.0**-40)
 
 
 def exact_defect(D):
@@ -212,6 +242,64 @@ def _near_cases():
 NEAR_THRESHOLD = _near_cases()
 
 
+def _two_lines():
+    """40 points under the sup metric: 0-19 on a far vertical line, 20-39 on the x axis.
+
+    A triangle through a pair of x-axis points and a point of the far line
+    is slack by at least 1, and the x-axis points form a line, so a pair
+    (20, z) moved by about tol is first seen by proof row 20.
+    """
+    C = np.array([(0.0, 100.0 + i) for i in range(20)] + [(float(i), 0.0) for i in range(20)])
+    return metric.sup_pairwise(C)
+
+
+def _below_diagonal():
+    """``_two_lines`` with S[20, 30] = 10 passing against d(20, 30) = 10 - 0.85 tol.
+
+    It fails against d(30, 20) = 10 - 1.15 tol, so the first failing entry
+    lies below the diagonal; the asymmetry of 0.3 tol leaves rows 0-19 proven.
+    """
+    tol = 1e-9 * 119.0
+    D = _two_lines()
+    D[20, 30], D[30, 20] = 10.0 - 0.85 * tol, 10.0 - 1.15 * tol
+    return D
+
+
+def _mid_cases():
+    """(name, D, x0, first failing pair) for inputs whose exact tail starts at row x0."""
+    tol = 1e-9 * 119.0
+    cases = []
+    for k in (-4, -1, 1, 4):
+        # d(20, 30) = fl(10 + tol) + k ulp breaks 20 -> 21 -> 30 by about tol,
+        # and fl(10 - tol) - k ulp breaks 20 -> 30 -> 31
+        for name, sign, broken in (("long", 1.0, (20, 21)), ("short", -1.0, (20, 30))):
+            D = _two_lines()
+            D[20, 30] = D[30, 20] = _ulps(10.0 + sign * tol, int(sign) * k)
+            cases.append((f"{name}{k:+d}ulp", D, 20, None if k < 0 else broken))
+    # the tail's row 20 reads its own column k = 20 at a self-distance of -0.9 tol
+    for k in (-1, 1):
+        D = _two_lines()
+        D[20, 30] = D[30, 20] = _ulps(10.0 + tol, k)
+        D[20, 20] = -0.9 * tol
+        cases.append((f"diagonal{k:+d}ulp", D, 20, None if k < 0 else (20, 21)))
+    # row 25, in the tail, reads the larger excess: delta must come from it
+    D = _two_lines()
+    D[20, 30] = D[30, 20] = _ulps(10.0 + tol, -4)
+    D[25, 35] = D[35, 25] = _ulps(10.0 + tol, -1)
+    cases.append(("two-pairs", D, 20, None))
+    D = _below_diagonal()
+    cases.append(("below-diagonal", D, 20, (30, 20)))
+    cases.append(("above-diagonal", np.ascontiguousarray(D.T), 20, (20, 30)))
+    # a + g = 1.1 tol puts the tail at row 0, whose own column k = 0 fails (0, 1)
+    D = _two_lines()
+    D[0, 0], D[1, 0] = -0.9 * tol, 1.0 + 0.2 * tol
+    cases.append(("own-column", D, 0, (0, 1)))
+    return cases
+
+
+MID_MATRIX = _mid_cases()
+
+
 class TestValidation:
     def test_duplicate_ids(self):
         with pytest.raises(ValueError):
@@ -274,25 +362,40 @@ class TestValidation:
 
     @pytest.mark.parametrize("case", NEAR_THRESHOLD, ids=[c[0] for c in NEAR_THRESHOLD])
     def test_near_threshold_inputs_take_the_full_check(self, monkeypatch, case):
-        # the proof pass cannot prove these inside the tolerance, so the
-        # exact check judges them; accepted or not, as the oracle does
+        # the proof rows cannot prove these inside the tolerance from row 0
+        # on, so every row's S is judged; accepted or not, as the oracle does
         _, D, expected = case
         ids = ("a", "b", "c", "d")[: len(D)]
         calls = spy_on_the_row_loop(monkeypatch)
         assert verdict(D, ids) == expected
-        assert calls == [False, True]
+        assert calls == [(0, oracle_pair(D))]
         assert expected == oracle_verdict(D, ids)
+
+    @pytest.mark.parametrize("case", MID_MATRIX, ids=[c[0] for c in MID_MATRIX])
+    def test_the_tail_starts_at_the_first_unproven_row(self, monkeypatch, case):
+        _, D, x0, pair = case
+        ids = tuple(f"p{k}" for k in range(len(D)))
+        calls = spy_on_the_row_loop(monkeypatch)
+        assert verdict(D, ids) == oracle_verdict(D, ids)
+        assert calls == [(x0, pair)]
+        assert pair == oracle_pair(D)
+        if pair is None:
+            # the tail's k > x halves feed the excess as the proof rows do
+            sp = PointedMetricSpace(ids=ids, basepoint=ids[0], kind="matrix", matrix=D)
+            assert sp._defect == defect_formula(D)
 
     def test_clear_inputs_take_the_row_pass(self, monkeypatch):
         inputs = (tri_space().matrix, tree_space(60).matrix, _line3(2.0))
         calls = spy_on_the_row_loop(monkeypatch)
         for D in inputs:
             PointedMetricSpace(ids=tuple(range(len(D))), basepoint=0, kind="matrix", matrix=D)
-        assert calls == [False] * 3
+        assert calls == [(None, None)] * 3
 
     @settings(max_examples=300, deadline=None)
     @given(case=perturbed_metrics(near=True), upper=st.booleans())
     @example(case=(_late_first_pair(), tuple("abcd")), upper=False)
+    @example(case=(_below_diagonal(), ()), upper=False)
+    @example(case=(_below_diagonal(), ()), upper=True)
     def test_exact_check_finds_the_first_failing_pair(self, case, upper):
         # the skew sits below the diagonal; transposed, it sits above it.
         # The loop reads no diagonal entry: the diagonal check runs first.
@@ -300,7 +403,18 @@ class TestValidation:
         D = np.ascontiguousarray(D.T) if upper else D
         tol = 1e-9 * max(1.0, float(np.max(D)))
         assert float(np.max(np.abs(np.diag(D)))) <= tol
-        assert metric._triangle_rows(D, tol) == oracle_pair(D)
+        with pytest.MonkeyPatch.context() as patch:
+            calls = spy_on_the_row_loop(patch)
+            verdict(D, tuple(range(len(D))))
+        assert [pair for _, pair in calls] == [oracle_pair(D)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=perturbed_metrics(near=True))
+    def test_defect_is_the_proof_rows_formula(self, case):
+        D, ids = case
+        assume(oracle_verdict(D, ids) is None)
+        sp = PointedMetricSpace(ids=ids, basepoint=ids[0], kind="matrix", matrix=D)
+        assert sp._defect == defect_formula(D)
 
     @settings(max_examples=150, deadline=None)
     @given(case=perturbed_metrics(near=True))
@@ -333,6 +447,7 @@ class TestValidation:
             again = PointedMetricSpace(ids=sp.ids, basepoint=sp.basepoint, kind="matrix",
                                        matrix=sp.matrix.copy())
             assert again._defect >= exact_defect(sp.matrix)
+            assert again._defect == defect_formula(sp.matrix)
 
     def test_tolerance_scales_with_diameter(self):
         # absolute 1e-9 asymmetry is far below double resolution at 1e9
@@ -513,8 +628,8 @@ class TestDistortion:
 
     def test_exact_check_allocates_no_pair_matrix(self, monkeypatch):
         # a short pair moved to one ulp below fl(d + tol) is accepted, but
-        # only the exact check can tell; it stays within the allowance of
-        # an accepted input
+        # only the exact tail, from row 0, can tell; it stays within the
+        # allowance of an accepted input
         allowance = 4 * metric._ROW_CHUNK * 8
         D = tree_space(800).matrix.copy()
         n = len(D)
@@ -527,7 +642,7 @@ class TestDistortion:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert calls == [False, True]
+        assert calls == [(0, None)]
         assert peak < allowance
 
     @pytest.mark.parametrize("kind", ["linf", "l2"])
