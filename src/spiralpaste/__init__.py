@@ -63,9 +63,7 @@ from .sumspace import (
     SUP,
     BlockVector,
     SumSpaceSpec,
-    block_profile,
     flat_triple_check,
-    norm,
 )
 
 __version__ = "0.1.0"

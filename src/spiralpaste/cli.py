@@ -249,7 +249,7 @@ def _cmd_counterexample(args: argparse.Namespace) -> tuple[dict, bool]:
             row[f"bound_dim_{m}"] = packing_bound(radius, delta, m, 4.0)
         packing.append(row)
 
-    eps_exact = verify_separation_epsilon(12)
+    eps_exact = verify_separation_epsilon()
     checks = {
         "rays_additive": bool(additive),
         "rays_in_carrier": carried,

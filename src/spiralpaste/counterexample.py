@@ -11,8 +11,10 @@ comparisons.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
@@ -100,17 +102,12 @@ def ray_point(cfg: CounterexampleConfig, j: int, t: int) -> dict[int, int]:
 def in_carrier(cfg: CounterexampleConfig, vec: dict[int, int]) -> bool:
     """Whether a sparse integer vector lies in the carrier set: finitely many
     nonzero coordinates, each a nonnegative multiple of 3^(its level)."""
-    # position -> level lookup over all configured levels
-    level_of = {1: 0}
-    for t in range(1, cfg.depth + 1):
-        for pos in cfg.level_positions(t):
-            level_of[pos] = t
+    starts = list(accumulate(cfg.N, initial=2))  # level t is starts[t-1] .. starts[t] - 1
     for pos, val in vec.items():
         if val == 0:
             continue
-        if pos not in level_of:
-            return False
-        if val < 0 or val % (3 ** level_of[pos]) != 0:
+        level = bisect_right(starts, pos)  # 0 at position 1, depth + 1 past the last level
+        if pos < 1 or level > cfg.depth or val < 0 or val % (3**level) != 0:
             return False
     return True
 
@@ -172,11 +169,11 @@ def separation_witness(cfg: CounterexampleConfig, t: int) -> SeparationWitness:
     return SeparationWitness(t, rays, tuple(pts), dmin, 3 ** (t - 1))
 
 
-def verify_separation_epsilon(t_max: int = 12) -> bool:
-    """Exact check (fractions) that eps = 1/9 gives equality at t = 1..t_max
-    and that any larger eps fails at every level."""
+def verify_separation_epsilon() -> bool:
+    """Exact check (fractions) that eps = 1/9 gives equality at t = 1..12
+    and that any larger eps fails at every one of those levels."""
     eps = Fraction(1, 9)
-    for t in range(1, t_max + 1):
+    for t in range(1, 13):
         lhs = Fraction(3) ** (t - 1) - 2 * eps * Fraction(3) ** t
         rhs = Fraction(3) ** (t - 2)
         if lhs != rhs:

@@ -39,7 +39,9 @@ TOL = 1e-9
 _KINDS = ("matrix", "linf", "l2")
 
 # Entries of sup_pairwise's two work buffers together: 1 MiB of doubles.
-# A 4 MiB cap timed within noise of it on the 600-point triangle check.
+# It serves the full block scan: embed (1, 0.5) on a 600-point tree scanned
+# in 0.14 s at 2^17 and 0.17 s at 2^19 (medians of 15, 2-CPU Xeon, numpy
+# 2.4); 2^15, 2^16 and 2^18 were no faster.
 _SLAB = 1 << 17
 
 # Entries of each work buffer of the matrix checks: 256 KiB of doubles.

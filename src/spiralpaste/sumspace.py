@@ -20,8 +20,6 @@ __all__ = [
     "SUP",
     "SumSpaceSpec",
     "BlockVector",
-    "norm",
-    "block_profile",
     "flat_triple_check",
     "FLAT_PROPORTIONAL",
     "FLAT_NOT_PROPORTIONAL",
@@ -87,39 +85,15 @@ class BlockVector:
             clean[k] = arr
         object.__setattr__(self, "blocks", clean)
 
-    def __add__(self, other: "BlockVector") -> "BlockVector":
-        if other.spec != self.spec:
-            raise ValueError("mismatched specs")
-        out = {k: v.copy() for k, v in self.blocks.items()}
-        for k, v in other.blocks.items():
-            out[k] = out[k] + v if k in out else v.copy()
-        return BlockVector(self.spec, out)
-
-    def __sub__(self, other: "BlockVector") -> "BlockVector":
-        return self + (other * -1.0)
-
-    def __mul__(self, scalar: float) -> "BlockVector":
-        return BlockVector(self.spec, {k: v * scalar for k, v in self.blocks.items()})
-
-    __rmul__ = __mul__
-
-
-def block_profile(v: BlockVector) -> np.ndarray:
-    """Per-block sup norms over the full block range, zeros included."""
-    prof = np.zeros(v.spec.num_blocks)
-    for k, arr in v.blocks.items():
-        prof[k - 1] = np.max(np.abs(arr)) if arr.size else 0.0
-    return prof
-
 
 # A fold turns a stream of per-block sup norms into norms of the target:
 # fold(shape, blocks) -> array of ``shape``, where ``blocks`` yields (block
 # index, array of that shape) and may reuse the array, so a fold must use it
 # before asking for the next block.  A block that is zero everywhere is an
 # exact no-op of every fold here, so it may be left out.  The distortion
-# scan folds (n, n) arrays of pair distances; a vector's norm is the fold
-# on shape (1, 1).  A fold that measures several norms in one pass returns
-# a tuple of arrays, one per norm.
+# scan folds (n, n) arrays of pair distances; the flat-triple check folds a
+# triple's three differences on shape (1, 3).  A fold that measures several
+# norms in one pass returns a tuple of arrays, one per norm.
 Fold = Callable[
     [tuple[int, int], Iterator[tuple[int, np.ndarray]]], np.ndarray | tuple[np.ndarray, ...]
 ]
@@ -168,15 +142,6 @@ def fold(p: float) -> Fold:
     return _max_fold if p == SUP else _power_fold(p)
 
 
-def norm(v: BlockVector) -> float:
-    """Sum-space norm: (sum_n ||v_n||_inf^p)^(1/p), or the max under SUP.
-
-    The fold on shape (1, 1), over v's blocks in index order.
-    """
-    blocks = ((k, np.full((1, 1), np.max(np.abs(v.blocks[k])))) for k in sorted(v.blocks))
-    return float(fold(v.spec.p)((1, 1), blocks)[0, 0])
-
-
 def flat_triple_check(
     x: BlockVector, y: BlockVector, z: BlockVector, tol: float = 1e-8
 ) -> tuple[str, float | None]:
@@ -191,16 +156,21 @@ def flat_triple_check(
     """
     if x.spec.p == SUP:
         raise ValueError("flat-triple classification needs a finite aggregation exponent")
-    d_xy = norm(x - y)
-    d_yz = norm(y - z)
-    d_xz = norm(x - z)
+    if not x.spec == y.spec == z.spec:
+        raise ValueError("mismatched specs")
+    # block b's sup norms of x - y, y - z and x - z; an absent block is zero
+    prof = np.zeros((x.spec.num_blocks, 1, 3))
+    for j, (u, v) in enumerate(((x, y), (y, z), (x, z))):
+        for k in u.blocks.keys() | v.blocks.keys():
+            prof[k - 1, 0, j] = np.max(np.abs(u.blocks.get(k, 0.0) - v.blocks.get(k, 0.0)))
+    d_xy, d_yz, d_xz = map(float, fold(x.spec.p)((1, 3), enumerate(prof, 1))[0])
     scale = max(d_xy, d_yz, d_xz, 1.0)
     if min(d_xy, d_yz, d_xz) <= tol * scale:
         raise DegenerateTriple(f"coincident points in triple: distances {(d_xy, d_yz, d_xz)}")
     if abs(d_xz - (d_xy + d_yz)) > tol * scale:
         return NOT_FLAT, None
-    a = block_profile(x - y)
-    b = block_profile(y - z)
+    # contiguous copies: a strided a @ b can round differently
+    a, b = prof[:, 0, 0].copy(), prof[:, 0, 1].copy()
     denom = float(b @ b)
     ratio = float(a @ b) / denom
     if ratio > 0 and float(np.max(np.abs(a - ratio * b))) <= tol * scale:

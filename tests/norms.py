@@ -4,11 +4,29 @@ Each reads one vector's block profile and aggregates it directly, with the
 max-scaled arithmetic of a single p-sum: block norms over their max m,
 summed as p-th powers, then m * sum^(1/p).  They share no code with the
 streamed folds in ``spiralpaste.sumspace`` and ``spiralpaste.fdd``.
+``combine`` forms the differences and combinations they are applied to.
 """
 
 import numpy as np
 
-from spiralpaste import SUP, block_profile
+from spiralpaste import SUP, BlockVector
+
+
+def block_profile(v):
+    """Per-block sup norms over the full block range, zeros included."""
+    prof = np.zeros(v.spec.num_blocks)
+    for k, arr in v.blocks.items():
+        prof[k - 1] = np.max(np.abs(arr))
+    return prof
+
+
+def combine(u, v, t=1.0):
+    """u + t * v, block by block; a block absent from both stays absent."""
+    assert u.spec == v.spec
+    blocks = {k: arr.copy() for k, arr in u.blocks.items()}
+    for k, arr in v.blocks.items():
+        blocks[k] = blocks[k] + t * arr if k in blocks else t * arr
+    return BlockVector(u.spec, blocks)
 
 
 def sum_norm(v):

@@ -43,6 +43,7 @@ from spiralpaste import (
 )
 from spiralpaste.sumspace import SUP
 from .conftest import random_integer_space
+from .norms import combine
 
 P_MENU = (1.0, 1.5, 2.0, 3.0, 4.0)
 EPS_MENU = (0.5, 0.2, 0.1)
@@ -171,7 +172,7 @@ def test_criterion_6_counterexample_witnesses():
             w = separation_witness(cfg, t)
             assert len(w.points) == cfg.N[t - 2]
             assert w.min_distance >= 3 ** (t - 1)
-        assert verify_separation_epsilon(12)
+        assert verify_separation_epsilon()
         info.append("8 rays additive; separations t=2..6; eps=1/9 sharp to t=12")
 
 
@@ -187,7 +188,7 @@ def test_criterion_7_flat_triple_law():
                 step = BlockVector(spec, {1: rng.normal(size=2), 2: rng.normal(size=3),
                                           3: rng.normal(size=2)})
                 t = float(rng.uniform(0.1, 0.9))
-                verdict, _ = flat_triple_check(x, x + t * step, x + step)
+                verdict, _ = flat_triple_check(x, combine(x, step, t), combine(x, step))
                 assert verdict == FLAT_PROPORTIONAL, f"p={p}: got {verdict}"
                 count += 1
         spec1 = SumSpaceSpec(1.0, (2, 2))

@@ -122,7 +122,7 @@ class TestSeparation:
             assert w.min_distance == frozen[t]
 
     def test_epsilon_value_and_exactness(self):
-        assert verify_separation_epsilon(12)
+        assert verify_separation_epsilon()
 
     def test_equality_is_sharp(self):
         # one directly computed instance of the level inequality at eps = 1/9

@@ -12,7 +12,6 @@ from spiralpaste import (
     SUP,
     SumSpaceSpec,
     analytic_bound,
-    block_profile,
     distortion,
     embed_no_cotype,
     equivalence_ratio,
@@ -21,7 +20,7 @@ from spiralpaste import (
 )
 from spiralpaste.fdd import _norm_a_aggregator
 
-from .norms import norm_a
+from .norms import block_profile, combine, norm_a
 
 MODEL3 = FddModel((2, 2, 3))
 
@@ -133,7 +132,7 @@ class TestEmbedNoCotype:
         worst_hi, worst_lo = 0.0, math.inf
         for i, u in enumerate(ids):
             for v in ids[i + 1:]:
-                ratio = norm_a(model, emb.images[u] - emb.images[v]) / line.dist(u, v)
+                ratio = norm_a(model, combine(emb.images[u], emb.images[v], -1.0)) / line.dist(u, v)
                 worst_hi = max(worst_hi, ratio)
                 worst_lo = min(worst_lo, ratio)
         assert res.report_a.distortion == pytest.approx(worst_hi / worst_lo, rel=1e-12)

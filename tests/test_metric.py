@@ -27,7 +27,7 @@ from spiralpaste import (
 from spiralpaste import metric
 from spiralpaste.fdd import _norm_a_aggregator
 
-from .norms import ambient_norm, norm_a, sum_norm
+from .norms import ambient_norm, combine, norm_a, sum_norm
 
 SPEC = SumSpaceSpec(SUP, (2,))
 
@@ -697,7 +697,7 @@ def sparse_images(draw):
 
 def _brute_ratios(sp, images, target_norm):
     ratios = [
-        target_norm(images[u] - images[v]) / sp.dist(u, v)
+        target_norm(combine(images[u], images[v], -1.0)) / sp.dist(u, v)
         for i, u in enumerate(sp.ids)
         for v in sp.ids[i + 1:]
     ]

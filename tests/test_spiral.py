@@ -19,7 +19,6 @@ from spiralpaste import (
     distortion,
     line_space,
     needed_bands,
-    norm,
     paste,
     radii_schedule,
     seam_check,
@@ -29,6 +28,9 @@ from spiralpaste import (
     spiral_point,
     tree_space,
 )
+from spiralpaste.sumspace import fold
+
+from .norms import block_profile, sum_norm
 
 P_MENU = (1.0, 1.5, 2.0, 3.0, 4.0)
 
@@ -298,9 +300,7 @@ class TestPaste:
 
     def test_basepoint_image_is_zero(self, line):
         emb = paste(line, 2.0, 0.2)
-        from spiralpaste import norm
-
-        assert norm(emb.images[line.basepoint]) == 0.0
+        assert sum_norm(emb.images[line.basepoint]) == 0.0
 
     def test_images_touch_two_consecutive_blocks(self, line):
         emb = paste(line, 1.0, 0.2)
@@ -321,13 +321,14 @@ class TestPaste:
         ("line", 1.5, 0.2), ("line", 3.0, 0.1),
     ])
     def test_norm_preservation_is_the_norm_loop(self, request, name, p, eps):
-        # the per-point sumspace.norm loop is the oracle, to the last bit
+        # each point folded on (1, 1) is the oracle, to the last bit: this checks the batching
         sp = request.getfixturevalue(name)
         emb = paste(sp, p, eps)
         rho = sp.rho()
         worst = 0.0
         for i, pid in enumerate(sp.ids):
-            worst = max(worst, abs(norm(emb.images[pid]) - rho[i]))
+            blocks = enumerate(block_profile(emb.images[pid])[:, None, None], 1)
+            worst = max(worst, abs(float(fold(p)((1, 1), blocks)[0, 0]) - rho[i]))
         assert emb.norm_preservation_error() == worst / max(1.0, float(np.max(rho)))
 
     def test_measured_distortion_under_bound(self, line):

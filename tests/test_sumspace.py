@@ -1,4 +1,4 @@
-"""Block-sum space: norms, profiles, and the flat-triple classifier."""
+"""Block-sum space: vectors, the fold as a norm, and the flat-triple classifier."""
 
 import math
 
@@ -14,18 +14,22 @@ from spiralpaste import (
     BlockVector,
     DegenerateTriple,
     SumSpaceSpec,
-    block_profile,
     flat_triple_check,
-    norm,
 )
+from spiralpaste.sumspace import fold
 
-from .norms import sum_norm
+from .norms import block_profile, combine, sum_norm
 
 SPEC3 = SumSpaceSpec(2.0, (2, 3, 1))
 
 
 def vec(spec, **blocks):
     return BlockVector(spec, {int(k[1:]): np.array(v, dtype=float) for k, v in blocks.items()})
+
+
+def norm(v):
+    """The target norm of one vector: the block sum's fold on shape (1, 1)."""
+    return float(fold(v.spec.p)((1, 1), enumerate(block_profile(v)[:, None, None], 1))[0, 0])
 
 
 class TestSpecAndVector:
@@ -47,21 +51,8 @@ class TestSpecAndVector:
         with pytest.raises(ValueError):
             BlockVector(SPEC3, {4: np.zeros(1)})
 
-    def test_arithmetic(self):
-        u = vec(SPEC3, b1=[1, 2], b3=[5])
-        v = vec(SPEC3, b2=[1, 1, 1], b3=[2])
-        w = u + v
-        assert np.allclose(w.blocks[1], [1, 2])
-        assert np.allclose(w.blocks[3], [7])
-        assert norm(u - u) == 0.0
-        assert np.allclose((2.0 * u).blocks[1], [2, 4])
-
 
 class TestNorm:
-    def test_profile_oracle(self):
-        v = vec(SPEC3, b1=[3, -1], b2=[0, 4, 0])
-        assert np.array_equal(block_profile(v), [3.0, 4.0, 0.0])
-
     def test_norm_oracles(self):
         v = vec(SPEC3, b1=[3, 0], b2=[0, 4, 0])
         assert norm(v) == 5.0  # p = 2 on profile (3, 4)
@@ -80,7 +71,7 @@ class TestNorm:
     def test_dyadic_scaling_exact(self, k):
         v = vec(SPEC3, b1=[1.5, -2.25], b2=[0.75, 0, 3.5])
         lam = 2.0**k
-        assert norm(lam * v) == lam * norm(v)
+        assert norm(combine(vec(SPEC3), v, lam)) == lam * norm(v)
 
     @given(
         st.floats(min_value=1e-3, max_value=1e3, allow_nan=False),
@@ -89,7 +80,7 @@ class TestNorm:
     def test_generic_scaling(self, lam, p):
         spec = SumSpaceSpec(p, (2, 3, 1))
         v = vec(spec, b1=[1.5, -2.25], b2=[0.75, 0, 3.5], b3=[-1.0])
-        assert math.isclose(norm(lam * v), lam * norm(v), rel_tol=1e-12)
+        assert math.isclose(norm(combine(vec(spec), v, lam)), lam * norm(v), rel_tol=1e-12)
 
     @given(
         st.lists(st.floats(-10, 10), min_size=6, max_size=6),
@@ -101,7 +92,7 @@ class TestNorm:
         spec = SumSpaceSpec(p, (2, 3, 1))
         u = vec(spec, b1=a[:2], b2=a[2:5], b3=a[5:])
         v = vec(spec, b1=b[:2], b2=b[2:5], b3=b[5:])
-        assert norm(u + v) <= norm(u) + norm(v) + 1e-12 * (1 + norm(u) + norm(v))
+        assert norm(combine(u, v)) <= norm(u) + norm(v) + 1e-12 * (1 + norm(u) + norm(v))
 
     @given(
         st.lists(st.none() | st.floats(min_value=1e-300, max_value=1e300), min_size=1, max_size=8),
@@ -131,7 +122,7 @@ class TestFlatTriple:
         spec = SumSpaceSpec(2.0, (2, 2))
         x = vec(spec, b1=[0, 0], b2=[0, 0])
         z = vec(spec, b1=[2, 1], b2=[-1, 3])
-        y = x + 0.25 * (z - x)
+        y = combine(x, combine(z, x, -1.0), 0.25)
         verdict, ratio = flat_triple_check(x, y, z)
         assert verdict == FLAT_PROPORTIONAL
         assert math.isclose(ratio, 0.25 / 0.75, rel_tol=1e-12)
@@ -166,6 +157,12 @@ class TestFlatTriple:
         with pytest.raises(ValueError):
             flat_triple_check(x, y, z)
 
+    def test_mismatched_specs_rejected(self):
+        x = vec(SumSpaceSpec(2.0, (2,)), b1=[0, 0])
+        y = vec(SumSpaceSpec(1.0, (2,)), b1=[1, 0])
+        with pytest.raises(ValueError, match="mismatched specs"):
+            flat_triple_check(x, y, x)
+
     @given(
         st.floats(min_value=0.05, max_value=0.95),
         st.sampled_from([1.5, 2.0, 3.0]),
@@ -177,10 +174,47 @@ class TestFlatTriple:
         spec = SumSpaceSpec(p, (2, 3, 1))
         x = vec(spec, b1=rng.normal(size=2), b2=rng.normal(size=3), b3=rng.normal(size=1))
         step = vec(spec, b1=rng.normal(size=2), b2=rng.normal(size=3), b3=rng.normal(size=1))
-        if norm(step) < 1e-3:
+        if sum_norm(step) < 1e-3:
             return
-        z = x + step
-        y = x + t * step
+        z = combine(x, step)
+        y = combine(x, step, t)
         verdict, ratio = flat_triple_check(x, y, z)
         assert verdict == FLAT_PROPORTIONAL
         assert math.isclose(ratio, t / (1.0 - t), rel_tol=1e-6)
+
+    @given(
+        st.floats(min_value=0.05, max_value=0.95),
+        st.sampled_from([1.0, 1.5, 2.0, 3.0, 7.0]),
+        st.booleans(),
+        st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    @settings(max_examples=300)
+    def test_verdicts_match_the_plain_norm_rule(self, t, p, collinear, seed):
+        # the classifier's rule applied to tests.norms' plain norms of the three differences
+        rng = np.random.default_rng(seed)
+        spec = SumSpaceSpec(p, (2, 3, 1))
+        if collinear:  # test_random_collinear's triples
+            x, step = (vec(spec, b1=rng.normal(size=2), b2=rng.normal(size=3),
+                           b3=rng.normal(size=1)) for _ in range(2))
+            y, z = combine(x, step, t), combine(x, step)
+        else:  # each block present with probability 1/2
+            x, y, z = (BlockVector(spec, {k: rng.normal(size=d)
+                                          for k, d in enumerate(spec.block_dims, 1)
+                                          if rng.random() < 0.5}) for _ in range(3))
+        tol = 1e-8
+        d_xy, d_yz, d_xz = (sum_norm(combine(u, v, -1.0)) for u, v in ((x, y), (y, z), (x, z)))
+        scale = max(d_xy, d_yz, d_xz, 1.0)
+        if min(d_xy, d_yz, d_xz) <= tol * scale:
+            with pytest.raises(DegenerateTriple):
+                flat_triple_check(x, y, z, tol)
+            return
+        verdict, ratio = flat_triple_check(x, y, z, tol)
+        if abs(d_xz - (d_xy + d_yz)) > tol * scale:
+            assert verdict == NOT_FLAT and ratio is None
+            return
+        a, b = block_profile(combine(x, y, -1.0)), block_profile(combine(y, z, -1.0))
+        r = float(a @ b) / float(b @ b)
+        if r > 0 and float(np.max(np.abs(a - r * b))) <= tol * scale:
+            assert verdict == FLAT_PROPORTIONAL and math.isclose(ratio, r, rel_tol=1e-12)
+        else:
+            assert verdict == FLAT_NOT_PROPORTIONAL and ratio is None
