@@ -222,9 +222,9 @@ def _cmd_counterexample(args: argparse.Namespace) -> tuple[dict, bool]:
         pts = [ray_point(c, j, t) for t in range(c.depth + 1)]
         additive &= verify_metric_ray(pts)
         carried &= all(in_carrier(c, pt) for pt in pts)
-        rays.append({"ray": j, "points": [{str(i): v for i, v in p.items()} for p in pts]})
+        rays.append({"ray": j, "points": pts})
 
-    separations = []
+    separations, packing = [], []
     for t in range(2, c.depth + 1):
         w = separation_witness(c, t)
         separations.append(
@@ -236,12 +236,9 @@ def _cmd_counterexample(args: argparse.Namespace) -> tuple[dict, bool]:
                 "bound": w.bound,
             }
         )
-
-    # How the witness counts stack up against fixed-dimension packing limits,
-    # at the separation 3^(t-2) that survives projecting onto finitely many
-    # blocks with tails <= 1/9 (the equality verify_separation_epsilon checks).
-    packing = []
-    for t in range(2, c.depth + 1):
+        # How the witness counts stack up against fixed-dimension packing limits,
+        # at the separation 3^(t-2) that survives projecting onto finitely many
+        # blocks with tails <= 1/9 (the equality verify_separation_epsilon checks).
         radius = (3**t - 1) / 2
         delta = float(3 ** (t - 2))
         row = {"level": t, "radius": radius, "delta": delta, "count": c.N[t - 2]}

@@ -12,7 +12,7 @@ comparisons.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 
@@ -38,10 +38,13 @@ __all__ = [
 class CounterexampleConfig:
     """Level widths N_1..N_T and the number of rays J; the depth T is len(N).
 
-    Rays choose positions in levels 1..T-1 only, so J >= N_1..N_{T-1} suffices."""
+    Rays choose positions in levels 1..T-1 only, so J >= N_1..N_{T-1} suffices.
+    `starts`, set once from N and kept out of init, repr, == and hash, lays out
+    the levels: level t >= 1 is positions starts[t-1]..starts[t]-1, level 0 is {1}."""
 
     N: tuple[int, ...] = (2, 3, 4, 5, 6, 7)
     ray_count: int = 8
+    starts: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "N", tuple(int(n) for n in self.N))
@@ -58,23 +61,17 @@ class CounterexampleConfig:
         if self.ray_count < need:
             raise ValueError(f"ray_count {self.ray_count} cannot cover every position of "
                              f"levels 1..{self.depth - 1} (need at least {need})")
+        object.__setattr__(self, "starts", tuple(accumulate(self.N, initial=2)))
 
     @property
     def depth(self) -> int:
         return len(self.N)
 
-    def level_positions(self, t: int) -> tuple[int, ...]:
-        """The 1-based coordinate positions of level t (level 0 is {1})."""
-        if t == 0:
-            return (1,)
-        if not 1 <= t <= self.depth:
-            raise IndexError(f"level {t} outside 0..{self.depth}")
-        start = 2 + sum(self.N[: t - 1])
-        return tuple(range(start, start + self.N[t - 1]))
-
     def choice(self, j: int, t: int) -> int:
         """The level-t position of ray j, round robin over the level's positions."""
-        return self.level_positions(t)[(j - 1) % self.N[t - 1]]
+        if not 1 <= t <= self.depth:
+            raise IndexError(f"level {t} outside 1..{self.depth}")
+        return self.starts[t - 1] + (j - 1) % self.N[t - 1]
 
 
 def ray_point(cfg: CounterexampleConfig, j: int, t: int) -> dict[int, int]:
@@ -102,11 +99,10 @@ def ray_point(cfg: CounterexampleConfig, j: int, t: int) -> dict[int, int]:
 def in_carrier(cfg: CounterexampleConfig, vec: dict[int, int]) -> bool:
     """Whether a sparse integer vector lies in the carrier set: finitely many
     nonzero coordinates, each a nonnegative multiple of 3^(its level)."""
-    starts = list(accumulate(cfg.N, initial=2))  # level t is starts[t-1] .. starts[t] - 1
     for pos, val in vec.items():
         if val == 0:
             continue
-        level = bisect_right(starts, pos)  # 0 at position 1, depth + 1 past the last level
+        level = bisect_right(cfg.starts, pos)  # 0 at position 1, depth + 1 past the last level
         if pos < 1 or level > cfg.depth or val < 0 or val % (3**level) != 0:
             return False
     return True
@@ -114,8 +110,7 @@ def in_carrier(cfg: CounterexampleConfig, vec: dict[int, int]) -> bool:
 
 def linf_distance(a: dict[int, int], b: dict[int, int]) -> int:
     """Exact sup-norm distance between sparse integer vectors."""
-    keys = set(a) | set(b)
-    return max((abs(a.get(k, 0) - b.get(k, 0)) for k in keys), default=0)
+    return max((abs(a.get(k, 0) - b.get(k, 0)) for k in a.keys() | b.keys()), default=0)
 
 
 def verify_metric_ray(points) -> bool:

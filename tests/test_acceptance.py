@@ -234,6 +234,7 @@ def test_criterion_9_cli_determinism(tmp_path):
         runs = [
             ["embed", "--input", str(space_path), "--p", "2", "--epsilon", "0.2"],
             ["fdd-demo", "--input", str(space_path), "--epsilon", "0.2", "--seed", "3"],
+            ["counterexample"],
         ]
         for argv in runs:
             outs = []
@@ -243,4 +244,4 @@ def test_criterion_9_cli_determinism(tmp_path):
                 outs.append(r.stdout)
             assert outs[0] == outs[1], f"nondeterministic report for {argv[0]}"
             assert outs[0]
-        info.append("embed and fdd-demo reports byte-identical across reruns")
+        info.append("embed, fdd-demo and counterexample reports byte-identical across reruns")

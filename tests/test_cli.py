@@ -485,6 +485,11 @@ class TestOtherCommands:
         rep = json.loads(out.read_text())
         assert rep["depth"] == 40
         assert all(rep["checks"].values())
+        assert rep["ball_points"] == 1462
+        assert len(rep["separations"]) == 39
+        assert all(s["min_distance"] >= s["bound"] for s in rep["separations"])
+        assert len(rep["rays"]) == 40
+        assert all(len(r["points"]) == 41 for r in rep["rays"])
 
     def test_sweep_rows(self, line_doc, tmp_path):
         out = tmp_path / "sweep.csv"

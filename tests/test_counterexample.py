@@ -21,6 +21,26 @@ from spiralpaste import (
 )
 
 
+def level_oracle(N):
+    """The positions of levels 0..T, laid out by walking the axis from 1:
+    level 0 is {1}, then N_1, N_2, ... consecutive positions."""
+    levels, pos = [[1]], 2
+    for n in N:
+        levels.append(list(range(pos, pos + n)))
+        pos += n
+    return levels
+
+
+def carrier_oracle(levels, pos, val):
+    """Whether {pos: val} lies in the carrier, read off the level lists."""
+    if val == 0:
+        return True
+    for level, positions in enumerate(levels):
+        if pos in positions:
+            return val >= 0 and val % 3**level == 0
+    return False
+
+
 @pytest.fixture(scope="module")
 def cfg():
     return CounterexampleConfig()
@@ -45,14 +65,16 @@ class TestConfig:
 
     def test_level_positions_partition(self):
         cfg = CounterexampleConfig()
-        assert cfg.level_positions(0) == (1,)
-        assert cfg.level_positions(1) == (2, 3)
-        assert cfg.level_positions(2) == (4, 5, 6)
+        levels = level_oracle(cfg.N)
+        assert levels[:3] == [[1], [2, 3], [4, 5, 6]]
+        assert cfg.starts == (2, 4, 7, 11, 16, 22, 29)
         seen = set()
         for t in range(0, cfg.depth + 1):
-            pos = set(cfg.level_positions(t))
+            pos = set(levels[t])
             assert not (pos & seen)
             seen |= pos
+            if t:
+                assert list(range(cfg.starts[t - 1], cfg.starts[t])) == levels[t]
 
 
 class TestFamily:
@@ -61,7 +83,7 @@ class TestFamily:
                        CounterexampleConfig(N=(3, 5, 8, 13), ray_count=8)):
             for t in range(1, config.depth):
                 hit = {config.choice(j, t) for j in range(1, config.ray_count + 1)}
-                assert hit == set(config.level_positions(t))
+                assert hit == set(level_oracle(config.N)[t])
 
 
 class TestRayPoints:
@@ -169,6 +191,25 @@ def test_any_valid_family_has_exact_witnesses(cfg):
     for t in range(2, cfg.depth + 1):
         w = separation_witness(cfg, t)
         assert w.min_distance >= 3 ** (t - 1)
+
+
+@settings(max_examples=50, deadline=None)
+@given(small_config())
+def test_level_layout_matches_oracle(cfg):
+    levels, T = level_oracle(cfg.N), cfg.depth
+    for t in range(1, T + 1):
+        assert list(range(cfg.starts[t - 1], cfg.starts[t])) == levels[t]
+        assert all(cfg.choice(j, t) in levels[t] for j in range(1, cfg.ray_count + 1))
+        if t < T:
+            assert {cfg.choice(j, t) for j in range(1, cfg.N[t - 1] + 1)} == set(levels[t])
+    for t in (0, T + 1):
+        with pytest.raises(IndexError):
+            cfg.choice(1, t)
+    past = levels[-1][-1] + 1
+    for pos in [0, 1, past] + [p for level in levels[1:] for p in (level[0], level[-1])]:
+        k = next((t for t, positions in enumerate(levels) if pos in positions), T + 1)
+        for val in (0, 3**k, 3**k - 1, 3**k + 1, -3**k):
+            assert in_carrier(cfg, {pos: val}) == carrier_oracle(levels, pos, val), (pos, val)
 
 
 def triple_loop_ray(points) -> bool:
