@@ -77,7 +77,7 @@ def _norm_a_aggregator(model: FddModel):
     """
     w = model.weights()
 
-    def fold(shape: tuple[int, int], blocks) -> tuple[np.ndarray, np.ndarray]:
+    def fold(shape: tuple[int, ...], blocks) -> tuple[np.ndarray, np.ndarray]:
         amb, top1, top2, tmp = (np.zeros(shape) for _ in range(4))
         for b, d in blocks:
             np.multiply(d, w[b - 1], out=tmp)

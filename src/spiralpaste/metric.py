@@ -39,20 +39,20 @@ TOL = 1e-9
 _KINDS = ("matrix", "linf", "l2")
 
 # Entries of sup_pairwise's two work buffers together: 1 MiB of doubles.
-# It serves the full block scan: embed (1, 0.5) on a 600-point tree scanned
-# in 0.14 s at 2^17 and 0.17 s at 2^19 (medians of 15, 2-CPU Xeon, numpy
-# 2.4); 2^15, 2^16 and 2^18 were no faster.
+# It bounds the extra memory of a coordinate space's distance build.
 _SLAB = 1 << 17
 
-# Entries of each work buffer of the matrix checks: 256 KiB of doubles.
-# 2^14 was slower and 2^16 to 2^17 no faster on the 600-point tree.
+# Entries of each work buffer of the matrix checks and the pair scan's gathers:
+# 256 KiB of doubles.  On the 600-point tree the checks were slower at 2^14 and
+# no faster at 2^16 to 2^17, and a scan of all its pairs took 0.37 s at 2^17,
+# not 0.27 s (medians of 6, 2-CPU Xeon, numpy 2.4).
 _ROW_CHUNK = 1 << 15
 
 
 def sup_pairwise(V: np.ndarray, kind: str = "linf") -> np.ndarray:
     """Pairwise distances of the rows of V: sup norm ('linf') or Euclidean ('l2').
 
-    Serial kernel of coordinate spaces and block distances.  It takes the columns of V
+    Serial kernel of the coordinate spaces.  It takes the columns of V
     a slab at a time, copied out transposed so that each column is one
     contiguous row.  For each chunk of rows of the upper triangle it
     writes the (rows, cols, m) differences into one buffer, reduces them
@@ -436,34 +436,46 @@ def ball(space: PointedMetricSpace, radius: float) -> PointedMetricSpace:
     return space._restrict([i for i in range(len(space)) if rho[i] <= radius])
 
 
-def _block_distances(
-    space: PointedMetricSpace, image: Mapping, spec: SumSpaceSpec
+def _pair_distances(
+    space: PointedMetricSpace, image: Mapping, spec: SumSpaceSpec, I: np.ndarray, J: np.ndarray
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (b, D_b) for every block some image touches, D_b[i, j] = ||x_i,b - x_j,b||_inf.
+    """Yield (b, d_b) for every block some pair touches, d_b[k] = ||x_I[k],b - x_J[k],b||_inf.
 
-    Only a block's support (the points whose image has that block) goes
-    through the kernel; a pair with one point outside the support is at
-    the other point's block norm, a pair with both outside at 0.  D_b is
-    one (n, n) buffer, overwritten for every block.
+    Only the pairs' points are read.  A pair with one point outside the
+    block's support (the points whose image has it) is at the other point's
+    block norm, a pair with both outside at 0.  Pairs with both inside
+    gather both vectors, ``_ROW_CHUNK`` entries at a time.  d_b is one
+    buffer, overwritten for every block.
     """
     n = len(space)
     rows: dict[int, list[int]] = {b: [] for b in range(1, spec.num_blocks + 1)}
     vecs: dict[int, list[np.ndarray]] = {b: [] for b in rows}
-    for i, pid in enumerate(space.ids):
-        for b, arr in image[pid].blocks.items():
+    used = np.zeros(n, dtype=bool)
+    used[I] = used[J] = True
+    for i in np.flatnonzero(used):
+        for b, arr in image[space.ids[i]].blocks.items():
             rows[b].append(i)
             vecs[b].append(arr)
-    buf = np.empty((n, n))
+    d = np.empty(len(I))
     for b, support in rows.items():
         if not support:
             continue
         V = np.stack(vecs[b])
-        norms = np.max(np.abs(V), axis=1)
-        buf.fill(0.0)
-        buf[support, :] = norms[:, None]
-        buf[:, support] = norms[None, :]
-        buf[np.ix_(support, support)] = sup_pairwise(V)
-        yield b, buf
+        at, norm = np.full(n, -1), np.zeros(n)
+        at[support] = np.arange(len(support))
+        norm[support] = np.max(np.abs(V), axis=1)
+        step = max(1, _ROW_CHUNK // V.shape[1])
+        for k0 in range(0, len(I), _ROW_CHUNK):
+            i, j = I[k0 : k0 + _ROW_CHUNK], J[k0 : k0 + _ROW_CHUNK]
+            part = d[k0 : k0 + _ROW_CHUNK]
+            np.maximum(norm[i], norm[j], out=part)
+            both = np.flatnonzero((at[i] >= 0) & (at[j] >= 0))
+            for s0 in range(0, len(both), step):
+                k = both[s0 : s0 + step]
+                diff = V[at[i[k]]]
+                diff -= V[at[j[k]]]
+                part[k] = np.max(np.abs(diff, out=diff), axis=1)
+        yield b, d
 
 
 def _slab_centres(
@@ -475,17 +487,17 @@ def _slab_centres(
     for x = rows[i], y = cols[j] and z the one with the larger w; ``D`` is
     the (rows, cols) slab of the matrix.  A pair with one point outside the
     support (w = 0) is at the other point's w rho, a pair with both outside
-    at 0, as in ``_block_distances``, whose buffer protocol this shares.
+    at 0, as in ``_pair_distances``, whose buffer protocol this shares.
     Only blocks some column uses are yielded: ``rows`` is part of ``cols``.
     """
-    buf = np.empty(D.shape)
+    buf, far = np.empty(D.shape), np.empty(D.shape)
     for b in np.flatnonzero(W[:, cols].any(axis=1)):
         wx, wy = W[b, rows, None], W[b, cols]
         if not wx.any():
             np.copyto(buf, wy * rho[cols])
         else:
             np.subtract(wx, wy, out=buf)
-            far = buf * rho[rows, None]
+            np.multiply(buf, rho[rows, None], out=far)
             buf *= -rho[cols]
             np.maximum(buf, far, out=buf)
             np.minimum(wx, wy, out=far)
@@ -494,10 +506,8 @@ def _slab_centres(
         yield int(b) + 1, buf
 
 
-def _pair_bounds(
-    space: PointedMetricSpace, W: np.ndarray, aggregator: Fold
-) -> Iterator[tuple[np.ndarray, np.ndarray, list[tuple[np.ndarray, np.ndarray]]]]:
-    """Yield (rows, cols, [(lo, hi) per folded norm]): bounds on the scanned ratios of a slab.
+def _pair_bounds(space: PointedMetricSpace, W: np.ndarray, aggregator: Fold) -> Iterator[tuple]:
+    """Yield (pairs, [(lo, hi) per folded norm]): bounds on the scanned ratios of a slab's pairs.
 
     ``W`` is the (B, n) coefficient array of a pasted distance-vector map:
     x's image in block b is w_x F_b(x) with w_x = W[b - 1, x], computed as
@@ -508,9 +518,10 @@ def _pair_bounds(
     Slabs.  Points are grouped by their first block (each image has at
     most that block and the next).  A group's slab pairs its points (rows)
     with its own and every later group's points (cols, the group first, in
-    row order), so it folds only the blocks from its own on.  Entry (i, j)
-    is the pair (rows[i], cols[j]); in the leading square only j > i are
-    pairs, so every pair is in exactly one slab.
+    row order), so it folds only the blocks from its own on.  ``pairs``
+    holds x n + y for the pair x < y at each entry.  In the leading square
+    only j > i are pairs, the rest hold -1, so every pair is in exactly one
+    slab; a last group of one point has none and is skipped.
 
     Block distance.  Say w_x >= w_y, and write f_z = D[:, z] - D[:, base].
     Then w_x f_x - w_y f_y = w_y (f_x - f_y) + (w_x - w_y) f_x, whose sup
@@ -560,17 +571,19 @@ def _pair_bounds(
     radius = W.sum(axis=0) * (6.5 * u * rho + space._defect * (1.0 + 2.0**-40))
     radius = radius * (1.0 + 2.0**-36) + 2.0**-1060
     mu = (32 * int(np.count_nonzero(W, axis=0).max()) + 16) * u
-    symmetric = np.array_equal(D, D.T)
     first = np.argmax(W > 0, axis=0)
     order = np.argsort(first, kind="stable")
     cuts = [0, *(np.flatnonzero(np.diff(first[order])) + 1), len(order)]
     for start, stop in zip(cuts, cuts[1:]):
         rows, cols = order[start:stop], order[start:]
-        slab = np.maximum(D[rows][:, cols], 0.0)
+        if len(cols) == 1:
+            continue
+        slab = np.maximum(D[np.ix_(rows, cols)], 0.0)
         folded = aggregator(slab.shape, _slab_centres(W, rows, cols, slab, rho))
-        if not symmetric:
-            # the scan divides the pair x < y by D[x, y]
-            slab = np.where(rows[:, None] < cols, slab, D[cols][:, rows].T)
+        pairs = np.minimum.outer(rows, cols) * len(D) + np.maximum.outer(rows, cols)
+        pairs[:, : len(rows)][np.tri(len(rows), dtype=bool)] = -1
+        # the scan divides the pair x < y by D[x, y]; -1 reads the last entry
+        np.take(D, pairs, out=slab, mode="wrap")
         bounds = []
         for hi in folded if isinstance(folded, tuple) else (folded,):
             lo = np.multiply(hi, mu)
@@ -588,37 +601,33 @@ def _pair_bounds(
                 np.divide(lo, slab, out=lo)
                 np.divide(hi, slab, out=hi)
             bounds.append((lo, hi))
-        yield rows, cols, bounds
+        yield pairs, bounds
+        del slab, folded, pairs, bounds, lo, hi  # before the next slab is built
 
 
-def _candidates(space: PointedMetricSpace, W: np.ndarray, aggregator: Fold) -> PointedMetricSpace:
-    """The subspace of every pair that can set the scan's max or min ratio, and the basepoint.
+def _candidates(space: PointedMetricSpace, W: np.ndarray, aggregator: Fold) -> tuple:
+    """The pairs (I, J), I < J in row-major order, that can set the scan's max or min ratio.
 
-    The max ratio is at least the largest lower bound, so a pair whose
-    upper bound is below it cannot attain the max; likewise for the min.
-    A NaN bound compares false and keeps its pair.  When every row is
-    kept, this is ``space`` itself.
+    A pair whose upper end is below the largest lower end (top) cannot set
+    the max ratio, nor one whose lower end is above the smallest upper end
+    (bottom) the min.  Each slab keeps the pairs that reach the running top
+    or bottom, and the final ones filter these again; NaN keeps its pair.
     """
-    slabs = list(_pair_bounds(space, W, aggregator))
-    for rows, _, bounds in slabs:
-        no_pair = np.tri(len(rows), dtype=bool)
-        for lo, hi in bounds:
-            lo[:, : len(rows)][no_pair] = -np.inf
-            hi[:, : len(rows)][no_pair] = np.inf
-    norms = range(len(slabs[0][2]))
-    top = [np.max([np.max(bounds[k][0]) for *_, bounds in slabs]) for k in norms]
-    bottom = [np.min([np.min(bounds[k][1]) for *_, bounds in slabs]) for k in norms]
-    keep = np.zeros(len(space), dtype=bool)
-    keep[space.index(space.basepoint)] = True
-    for rows, cols, bounds in slabs:
-        pairs = np.zeros((len(rows), len(cols)), dtype=bool)
-        for (lo, hi), t, b in zip(bounds, top, bottom):
-            pairs |= ~(hi < t)
-            pairs |= ~(lo > b)
-        pairs[:, : len(rows)][np.tri(len(rows), dtype=bool)] = False
-        keep[rows[pairs.any(axis=1)]] = True
-        keep[cols[pairs.any(axis=0)]] = True
-    return space if keep.all() else space._restrict(list(np.flatnonzero(keep)))
+    top, bottom, kept = -np.inf, np.inf, []
+
+    def reach(bounds: list) -> np.ndarray:
+        ends = zip(bounds, top, bottom)
+        return np.logical_or.reduce([~(hi < t) | ~(lo > b) for (lo, hi), t, b in ends])
+
+    for pairs, bounds in _pair_bounds(space, W, aggregator):
+        real = pairs >= 0
+        top = np.maximum(top, [np.max(lo, where=real, initial=-np.inf) for lo, _ in bounds])
+        bottom = np.minimum(bottom, [np.min(hi, where=real, initial=np.inf) for _, hi in bounds])
+        keep = real & reach(bounds)
+        kept.append((pairs[keep], [(lo[keep], hi[keep]) for lo, hi in bounds]))
+        del pairs, bounds  # before the next slab is built
+    survivors = np.concatenate([keys[reach(bounds)] for keys, bounds in kept])
+    return np.divmod(np.sort(survivors), len(space))
 
 
 def distortion(
@@ -634,18 +643,18 @@ def distortion(
     ``image`` maps every point id to a BlockVector of ``target``.  An
     optional ``aggregator`` folds the per-block pair distances into pair
     distances, replacing ``sumspace.fold(target.p)`` (used for renormed
-    target models).
-    A fold that returns a tuple of arrays gets a tuple of reports, one per
-    array, and ``analytic_bound`` is then a tuple of the same length.
-    Extra memory is a few (n, n) arrays, whatever the block dimensions.
+    target models).  A fold that returns a tuple of arrays gets a tuple of
+    reports, one per array, and ``analytic_bound`` is then a tuple of the
+    same length.  Extra memory is a few arrays of one entry per scanned
+    pair, plus one block's vectors.
 
     ``envelope`` is the (B, n) coefficient array of a pasted
     distance-vector map (``PastedEmbedding.envelope()``).  With it, each
     pair's ratio gets a closed-form interval (``_pair_bounds``), and the
-    scan runs only on the subspace of the pairs whose interval reaches the
-    largest lower end or the smallest upper end, plus the basepoint.  Every
-    other pair is strictly inside, and the subspace keeps the row order, so
-    the report is the full scan's, tie-break included.
+    scan runs only on the pairs whose interval reaches the largest lower
+    end or the smallest upper end.  Every other pair is strictly inside,
+    and the pairs keep their row-major order, so the report is the full
+    scan's, tie-break included.
     """
     n = len(space)
     if n < 2:
@@ -655,34 +664,24 @@ def distortion(
             raise ValueError(f"image of {pid!r} does not fit the target block layout")
     if aggregator is None:
         aggregator = sumspace.fold(target.p)
-    if envelope is not None:
-        space = _candidates(space, envelope, aggregator)
-    folded = aggregator((len(space), len(space)), _block_distances(space, image, target))
+    I, J = np.triu_indices(n, 1) if envelope is None else _candidates(space, envelope, aggregator)
+    folded = aggregator(I.shape, _pair_distances(space, image, target, I, J))
     if isinstance(folded, tuple):
-        return tuple(_report(space, *pair) for pair in zip(folded, analytic_bound, strict=True))
-    return _report(space, folded, analytic_bound)
+        return tuple(_report(space, I, J, *pair) for pair in zip(folded, analytic_bound, strict=True))
+    return _report(space, I, J, folded, analytic_bound)
 
 
-def _report(space: PointedMetricSpace, ratios: np.ndarray, bound: float | None) -> DistortionReport:
-    """Report on one (n, n) array of target pair distances, which it overwrites."""
-    n = len(space)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(ratios, space.matrix, out=ratios)
-    # Mask the diagonal and below; argmax/argmin then pick the first pair
-    # in row-major order over the upper triangle.
-    lower = np.tri(n, dtype=bool)
-    ratios[lower] = -np.inf
-    k_max = int(np.argmax(ratios))
-    hi = float(ratios.flat[k_max])
-    ratios[lower] = np.inf
-    k_min = int(np.argmin(ratios))
-    lo = float(ratios.flat[k_min])
-    max_pair = tuple(space.ids[i] for i in divmod(k_max, n))
-    min_pair = tuple(space.ids[i] for i in divmod(k_min, n))
+def _report(
+    space: PointedMetricSpace, I: np.ndarray, J: np.ndarray, ratios: np.ndarray, bound: float | None
+) -> DistortionReport:
+    """Report on the target distances of the pairs (I, J), in row-major order; overwrites them."""
+    np.divide(ratios, space.matrix[I, J], out=ratios)
+    k_max, k_min = int(np.argmax(ratios)), int(np.argmin(ratios))
+    hi, lo = float(ratios[k_max]), float(ratios[k_min])
+    max_pair = (space.ids[I[k_max]], space.ids[J[k_max]])
+    min_pair = (space.ids[I[k_min]], space.ids[J[k_min]])
     dist = np.inf if lo == 0.0 else hi / lo
-    passed = bound is None or dist <= bound
-    if lo == 0.0:
-        passed = False
+    passed = lo != 0.0 and (bound is None or dist <= bound)
     return DistortionReport(dist, lo, max_pair, min_pair, bound, passed)
 
 

@@ -91,15 +91,15 @@ class BlockVector:
 # index, array of that shape) and may reuse the array, so a fold must use it
 # before asking for the next block.  A block that is zero everywhere is an
 # exact no-op of every fold here, so it may be left out.  The distortion
-# scan folds (n, n) arrays of pair distances; the flat-triple check folds a
-# triple's three differences on shape (1, 3).  A fold that measures several
+# scan folds its m pairs' distances on shape (m,); the flat-triple check folds
+# a triple's three differences on shape (1, 3).  A fold that measures several
 # norms in one pass returns a tuple of arrays, one per norm.
 Fold = Callable[
-    [tuple[int, int], Iterator[tuple[int, np.ndarray]]], np.ndarray | tuple[np.ndarray, ...]
+    [tuple[int, ...], Iterator[tuple[int, np.ndarray]]], np.ndarray | tuple[np.ndarray, ...]
 ]
 
 
-def _max_fold(shape: tuple[int, int], blocks: Iterator[tuple[int, np.ndarray]]) -> np.ndarray:
+def _max_fold(shape: tuple[int, ...], blocks: Iterator[tuple[int, np.ndarray]]) -> np.ndarray:
     """Sup aggregation: the running max over blocks."""
     out = np.zeros(shape)
     for _, d in blocks:
@@ -117,7 +117,7 @@ def _power_fold(p: float) -> Fold:
 
     tiny = math.ulp(0.0)
 
-    def fold(shape: tuple[int, int], blocks: Iterator[tuple[int, np.ndarray]]) -> np.ndarray:
+    def fold(shape: tuple[int, ...], blocks: Iterator[tuple[int, np.ndarray]]) -> np.ndarray:
         M, S = np.zeros(shape), np.zeros(shape)
         grown, safe = np.empty(shape), np.empty(shape)
         for _, d in blocks:

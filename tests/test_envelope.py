@@ -27,7 +27,7 @@ from spiralpaste import (
     tree_space,
 )
 from spiralpaste.fdd import _norm_a_aggregator
-from spiralpaste.metric import _block_distances, _pair_bounds
+from spiralpaste.metric import _candidates, _pair_bounds, _pair_distances
 from spiralpaste.sumspace import _power_fold
 
 P_MENU = (1.0, 1.5, 2.0, 3.0, 10.0)
@@ -98,26 +98,40 @@ def _fold(emb, fdd):
 
 
 def assert_envelope_holds(space, emb, fdd):
-    """(a) every pair's full-scan ratio lies in its interval; (b) the pruned report is the full one."""
+    """(a) every pair's scanned ratio lies in its interval; (b) the pruned report is the full one."""
     spec, fold = _fold(emb, fdd)
     n = len(space)
-    folded = fold((n, n), _block_distances(space, emb.images, spec))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = [f / space.matrix for f in (folded if fdd else (folded,))]
-    pairs = 0
-    for rows, cols, bounds in _pair_bounds(space, emb.envelope(), fold):
-        x, y = np.minimum.outer(rows, cols), np.maximum.outer(rows, cols)
-        real = np.ones((len(rows), len(cols)), dtype=bool)
-        real[:, : len(rows)] = ~np.tri(len(rows), dtype=bool)
-        pairs += int(real.sum())
+    I, J = np.triu_indices(n, 1)
+    folded = fold(I.shape, _pair_distances(space, emb.images, spec, I, J))
+    ratios = []
+    for f in folded if fdd else (folded,):
+        ratio = np.full((n, n), np.nan)
+        ratio[I, J] = f / space.matrix[I, J]
+        ratios.append(ratio.reshape(-1))
+    seen, ends = [], []
+    for pairs, bounds in _pair_bounds(space, emb.envelope(), fold):
+        real = pairs >= 0
+        seen.append(pairs[real])
+        ends.append([(lo[real], hi[real]) for lo, hi in bounds])
         for ratio, (lo, hi) in zip(ratios, bounds):
-            got = ratio[x, y]
+            got = ratio[pairs]
             out = real & ~((lo <= got) & (got <= hi))
-            assert not out.any(), (
-                f"pair {space.ids[x[out][0]]}, {space.ids[y[out][0]]}: ratio "
-                f"{got[out][0]!r} outside [{lo[out][0]!r}, {hi[out][0]!r}]"
-            )
-    assert pairs == n * (n - 1) // 2
+            if out.any():
+                x, y = divmod(int(pairs[out][0]), n)
+                pytest.fail(f"pair {space.ids[x]}, {space.ids[y]}: ratio {got[out][0]!r} "
+                            f"outside [{lo[out][0]!r}, {hi[out][0]!r}]")
+    # every pair x < y is in exactly one slab
+    seen = np.concatenate(seen)
+    assert np.array_equal(np.sort(seen), I * n + J)
+    # the candidates are the pairs whose interval reaches the largest lower
+    # end or the smallest upper end of some norm
+    reach = np.zeros(len(seen), dtype=bool)
+    for k in range(len(ends[0])):
+        lo = np.concatenate([slab[k][0] for slab in ends])
+        hi = np.concatenate([slab[k][1] for slab in ends])
+        reach |= ~(hi < np.max(lo)) | ~(lo > np.min(hi))
+    x, y = _candidates(space, emb.envelope(), fold)
+    assert np.array_equal(x * n + y, np.sort(seen[reach]))
     bound = (None, None) if fdd else None
     full = distortion(space, emb.images, spec, bound, aggregator=fold)
     assert distortion(space, emb.images, spec, bound, aggregator=fold,
@@ -214,11 +228,40 @@ def test_envelope_scan_peaks_no_higher_than_the_full_scan(p, eps, fdd):
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    # when every row is a candidate the same full scan runs after the
-    # envelope pass; 64 KiB, a tenth of one (n, n) array, covers the
-    # interpreter's own bookkeeping between two runs
+    # the envelope pass holds one slab at a time and the scan only the kept
+    # pairs; 64 KiB, a tenth of one (n, n) array, covers the interpreter's
+    # own bookkeeping between two runs
     assert peaks[1] <= peaks[0] + 64 * 1024
     assert peaks[0] < 16 * n * n * 8
+
+
+def test_envelope_scan_at_a_mass_tie_peaks_at_three_pair_matrices():
+    # at (1, 0.5) thousands of pairs tie near ratio 1, so about half the
+    # pairs stay candidates; the scan holds only those, not (n, n) arrays
+    space = tree_space(300)
+    n = len(space)
+    emb = paste(space, 1.0, 0.5)
+    envelope = emb.envelope()
+    tracemalloc.start()
+    try:
+        distortion(space, emb.images, emb.spec, envelope=envelope)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * n * n * 8
+
+
+def test_envelope_skips_a_last_group_of_one_point():
+    # the farthest point alone has the last first block, so its slab holds no pair
+    coords = np.array([[0.0], [1.0], [3.0], [1e300]])
+    space = PointedMetricSpace(tuple("oabc"), "o", "linf", coords=coords)
+    emb = paste(space, 2.0, 0.1)
+    first = np.argmax(emb.envelope() > 0, axis=0)
+    assert np.count_nonzero(first == first.max()) == 1
+    slabs = list(_pair_bounds(space, emb.envelope(), _power_fold(2.0)))
+    assert len(slabs) == len(np.unique(first)) - 1
+    assert_envelope_holds(space, emb, fdd=False)
+    assert_envelope_holds(space, paste(space, 1.0, 0.1), fdd=True)
 
 
 def test_envelope_reads_the_images():
