@@ -19,7 +19,7 @@ import numpy as np
 
 from . import sumspace
 from .errors import SchemaError
-from .sumspace import BlockVector, Fold, SumSpaceSpec
+from .sumspace import Fold, SumSpaceSpec
 
 __all__ = [
     "PointedMetricSpace",
@@ -42,10 +42,9 @@ _KINDS = ("matrix", "linf", "l2")
 # It bounds the extra memory of a coordinate space's distance build.
 _SLAB = 1 << 17
 
-# Entries of each work buffer of the matrix checks and the pair scan's gathers:
-# 256 KiB of doubles.  On the 600-point tree the checks were slower at 2^14 and
-# no faster at 2^16 to 2^17, and a scan of all its pairs took 0.37 s at 2^17,
-# not 0.27 s (medians of 6, 2-CPU Xeon, numpy 2.4).
+# Entries of each work buffer of the matrix checks: 256 KiB of doubles.  On
+# the 600-point tree the checks were slower at 2^14 and no faster at 2^16 to
+# 2^17 (medians of 6, 2-CPU Xeon, numpy 2.4).
 _ROW_CHUNK = 1 << 15
 
 
@@ -436,48 +435,6 @@ def ball(space: PointedMetricSpace, radius: float) -> PointedMetricSpace:
     return space._restrict([i for i in range(len(space)) if rho[i] <= radius])
 
 
-def _pair_distances(
-    space: PointedMetricSpace, image: Mapping, spec: SumSpaceSpec, I: np.ndarray, J: np.ndarray
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (b, d_b) for every block some pair touches, d_b[k] = ||x_I[k],b - x_J[k],b||_inf.
-
-    Only the pairs' points are read.  A pair with one point outside the
-    block's support (the points whose image has it) is at the other point's
-    block norm, a pair with both outside at 0.  Pairs with both inside
-    gather both vectors, ``_ROW_CHUNK`` entries at a time.  d_b is one
-    buffer, overwritten for every block.
-    """
-    n = len(space)
-    rows: dict[int, list[int]] = {b: [] for b in range(1, spec.num_blocks + 1)}
-    vecs: dict[int, list[np.ndarray]] = {b: [] for b in rows}
-    used = np.zeros(n, dtype=bool)
-    used[I] = used[J] = True
-    for i in np.flatnonzero(used):
-        for b, arr in image[space.ids[i]].blocks.items():
-            rows[b].append(i)
-            vecs[b].append(arr)
-    d = np.empty(len(I))
-    for b, support in rows.items():
-        if not support:
-            continue
-        V = np.stack(vecs[b])
-        at, norm = np.full(n, -1), np.zeros(n)
-        at[support] = np.arange(len(support))
-        norm[support] = np.max(np.abs(V), axis=1)
-        step = max(1, _ROW_CHUNK // V.shape[1])
-        for k0 in range(0, len(I), _ROW_CHUNK):
-            i, j = I[k0 : k0 + _ROW_CHUNK], J[k0 : k0 + _ROW_CHUNK]
-            part = d[k0 : k0 + _ROW_CHUNK]
-            np.maximum(norm[i], norm[j], out=part)
-            both = np.flatnonzero((at[i] >= 0) & (at[j] >= 0))
-            for s0 in range(0, len(both), step):
-                k = both[s0 : s0 + step]
-                diff = V[at[i[k]]]
-                diff -= V[at[j[k]]]
-                part[k] = np.max(np.abs(diff, out=diff), axis=1)
-        yield b, d
-
-
 def _slab_centres(
     W: np.ndarray, rows: np.ndarray, cols: np.ndarray, D: np.ndarray, rho: np.ndarray
 ) -> Iterator[tuple[int, np.ndarray]]:
@@ -487,7 +444,7 @@ def _slab_centres(
     for x = rows[i], y = cols[j] and z the one with the larger w; ``D`` is
     the (rows, cols) slab of the matrix.  A pair with one point outside the
     support (w = 0) is at the other point's w rho, a pair with both outside
-    at 0, as in ``_pair_distances``, whose buffer protocol this shares.
+    at 0, as in ``sumspace._pair_distances``, whose buffer protocol this shares.
     Only blocks some column uses are yielded: ``rows`` is part of ``cols``.
     """
     buf, far = np.empty(D.shape), np.empty(D.shape)
@@ -646,7 +603,9 @@ def distortion(
     target models).  A fold that returns a tuple of arrays gets a tuple of
     reports, one per array, and ``analytic_bound`` is then a tuple of the
     same length.  Extra memory is a few arrays of one entry per scanned
-    pair, plus one block's vectors.
+    pair, plus one block's vectors.  A scanned pair whose target distance
+    or ratio is NaN or overflows raises ValueError naming the first such
+    pair in row-major order.
 
     ``envelope`` is the (B, n) coefficient array of a pasted
     distance-vector map (``PastedEmbedding.envelope()``).  With it, each
@@ -659,23 +618,34 @@ def distortion(
     n = len(space)
     if n < 2:
         raise ValueError("distortion needs at least two points")
+    vectors = []
     for pid in space.ids:
-        if image[pid].spec.block_dims != target.block_dims:
+        vectors.append(image[pid])
+        if vectors[-1].spec.block_dims != target.block_dims:
             raise ValueError(f"image of {pid!r} does not fit the target block layout")
     if aggregator is None:
         aggregator = sumspace.fold(target.p)
     I, J = np.triu_indices(n, 1) if envelope is None else _candidates(space, envelope, aggregator)
-    folded = aggregator(I.shape, _pair_distances(space, image, target, I, J))
+    with np.errstate(over="ignore", invalid="ignore"):
+        folded = aggregator(I.shape, sumspace._pair_distances(vectors, I, J))
+        D = space.matrix[I, J]
+        ratios = [np.divide(f, D, out=f) for f in (folded if isinstance(folded, tuple) else (folded,))]
+    finite = np.logical_and.reduce([np.isfinite(r) for r in ratios])
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise ValueError(
+            f"target distances must be finite: pair ({space.ids[I[k]]!r}, {space.ids[J[k]]!r}) "
+            "has a distance or ratio that is NaN or overflows double range"
+        )
     if isinstance(folded, tuple):
-        return tuple(_report(space, I, J, *pair) for pair in zip(folded, analytic_bound, strict=True))
-    return _report(space, I, J, folded, analytic_bound)
+        return tuple(_report(space, I, J, *pair) for pair in zip(ratios, analytic_bound, strict=True))
+    return _report(space, I, J, ratios[0], analytic_bound)
 
 
 def _report(
     space: PointedMetricSpace, I: np.ndarray, J: np.ndarray, ratios: np.ndarray, bound: float | None
 ) -> DistortionReport:
-    """Report on the target distances of the pairs (I, J), in row-major order; overwrites them."""
-    np.divide(ratios, space.matrix[I, J], out=ratios)
+    """Report on the ratios of the pairs (I, J), in row-major order."""
     k_max, k_min = int(np.argmax(ratios)), int(np.argmin(ratios))
     hi, lo = float(ratios[k_max]), float(ratios[k_min])
     max_pair = (space.ids[I[k_max]], space.ids[J[k_max]])

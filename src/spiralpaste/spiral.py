@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ScheduleTooShort
 from .frechet import frechet_embed
 from .metric import PointedMetricSpace, ball, distortion as measure_distortion, DistortionReport
-from .sumspace import BlockVector, SumSpaceSpec, fold
+from .sumspace import BlockVector, SumSpaceSpec, _pair_distances, fold
 
 __all__ = [
     "RadiiSchedule",
@@ -271,17 +271,14 @@ class PastedEmbedding:
     def norm_preservation_error(self) -> float:
         """max over points of | ||Tx|| - rho(x) |, scaled by max(1, rho_max).
 
-        The norms are the target's fold on shape (1, n), over each block's
-        column of per-point sup norms.
+        ||Tx|| is read as the target distance of the pair (basepoint, x),
+        whose image is 0, for every x, the basepoint included: the target's
+        fold of ``sumspace._pair_distances`` on shape (n,).
         """
         rho = self.space.rho()
-        rows, cols, arrays = zip(*(
-            (i, k - 1, arr) for i, pid in enumerate(self.space.ids)
-            for k, arr in self.images[pid].blocks.items()))
-        prof = np.zeros((self.spec.num_blocks, 1, len(rho)))
-        starts = np.cumsum([0] + [a.size for a in arrays[:-1]])
-        prof[cols, 0, rows] = np.maximum.reduceat(np.abs(np.concatenate(arrays)), starts)
-        norms = fold(self.spec.p)((1, len(rho)), zip(range(1, len(prof) + 1), prof))
+        vectors = [self.images[pid] for pid in self.space.ids]
+        base = np.full(len(rho), self.space.index(self.space.basepoint))
+        norms = fold(self.spec.p)(rho.shape, _pair_distances(vectors, base, np.arange(len(rho))))
         return float(np.max(np.abs(norms - rho))) / max(1.0, float(np.max(rho)))
 
 

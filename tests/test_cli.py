@@ -87,7 +87,11 @@ class TestEmbed:
         ([0.0, 1.0, 1e300], "0.1", ["fdd-demo"]),
         ([0.0, 1.0, 1e200, 1.7e308], "0.5", ["embed", "--p", "2"]),
         ([0.0, 1.0, 1e200, 1.7e308], "0.5", ["fdd-demo"]),
-    ], ids=["1e300-embed", "1e300-fdd", "1.7e308-embed", "1.7e308-fdd"])
+        # pasted images stay inside double range: no target distance overflows
+        ([0.0, 1.0, 1e200, 1e300, 1.7e308], "0.5", ["embed", "--p", "1"]),
+        ([0.0, 1.0, 1e200, 1e300, 1.7e308], "0.5", ["embed", "--p", "2"]),
+    ], ids=["1e300-embed", "1e300-fdd", "1.7e308-embed", "1.7e308-fdd", "five-1.7e308-p1",
+            "five-1.7e308-p2"])
     def test_radii_past_double_range(self, tmp_path, xs, eps, argv):
         doc = {"basepoint": "x0", "metric": "linf",
                "points": [{"id": f"x{i}", "coords": [x]} for i, x in enumerate(xs)]}
@@ -367,6 +371,20 @@ class TestDistortionCommand:
                      "--out", str(out)]) == 1
         assert json.loads(out.read_text())["report"]["distortion"] == "inf"
 
+    def test_overflowing_target_distance_names_its_pair(self, tmp_path, capsys):
+        # valid inputs whose image distances 2e308 and 2.5e308 overflow a double
+        space = {"basepoint": "x0", "metric": "linf",
+                 "points": [{"id": f"x{i}", "coords": [float(i)]} for i in range(3)]}
+        doc = {"p": 2, "block_dims": [1],
+               "images": {"x0": {"1": [-1e308]}, "x1": {"1": [1e308]}, "x2": {"1": [1.5e308]}}}
+        (tmp_path / "space.json").write_text(json.dumps(space))
+        (tmp_path / "map.json").write_text(json.dumps(doc))
+        assert main(["distortion", "--input", str(tmp_path / "space.json"),
+                     "--map", str(tmp_path / "map.json")]) == 2
+        assert capsys.readouterr().err == (
+            "error: target distances must be finite: pair ('x0', 'x1') has a distance or "
+            "ratio that is NaN or overflows double range\n")
+
     def test_missing_image_is_schema_error(self, int_doc, tmp_path):
         path, sp = int_doc
         doc = self.build_map_doc(sp)
@@ -441,6 +459,15 @@ class TestOtherCommands:
         # diameter: the coordinate kinds accept that, the matrix rule would not
         assert main(["spiral", "--epsilon", "0.1", "--tmax", "1e20",
                      "--out", str(tmp_path / "r.json")]) == 0
+
+    @pytest.mark.parametrize("tmax", ["1.7e308", "1.79e308"])
+    def test_spiral_overflowing_point_distance(self, capsys, tmp_path, tmax):
+        # the curve's far points lie on opposite sides: their distance overflows
+        assert main(["spiral", "--epsilon", "1", "--tmax", tmax, "--samples", "512",
+                     "--out", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: target distances must be finite: pair ('t05")
+        assert "RuntimeWarning" not in err and not (tmp_path / "r.json").exists()
 
     def test_fdd_demo(self, line_doc, tmp_path):
         out = tmp_path / "r.json"

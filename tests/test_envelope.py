@@ -27,8 +27,8 @@ from spiralpaste import (
     tree_space,
 )
 from spiralpaste.fdd import _norm_a_aggregator
-from spiralpaste.metric import _candidates, _pair_bounds, _pair_distances
-from spiralpaste.sumspace import _power_fold
+from spiralpaste.metric import _candidates, _pair_bounds
+from spiralpaste.sumspace import _pair_distances, _power_fold
 
 P_MENU = (1.0, 1.5, 2.0, 3.0, 10.0)
 
@@ -102,7 +102,7 @@ def assert_envelope_holds(space, emb, fdd):
     spec, fold = _fold(emb, fdd)
     n = len(space)
     I, J = np.triu_indices(n, 1)
-    folded = fold(I.shape, _pair_distances(space, emb.images, spec, I, J))
+    folded = fold(I.shape, _pair_distances([emb.images[pid] for pid in space.ids], I, J))
     ratios = []
     for f in folded if fdd else (folded,):
         ratio = np.full((n, n), np.nan)

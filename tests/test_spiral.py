@@ -287,6 +287,13 @@ def tree600():
     return tree_space(600, seed=1)
 
 
+@pytest.fixture(scope="module")
+def wide5():
+    # max D = 1.7e308: the block norms span most of double range
+    coords = np.array([[0.0], [1.0], [1e200], [1e300], [1.7e308]])
+    return PointedMetricSpace(tuple("oabcd"), "o", "linf", coords=coords)
+
+
 class TestPaste:
     def test_single_band_is_provider_exact(self):
         # all points inside the unit ball: the map is the provider itself
@@ -318,7 +325,7 @@ class TestPaste:
 
     @pytest.mark.parametrize("name, p, eps", [
         ("tree600", 2.0, 0.2), ("tree600", 1.0, 0.5), ("tree600", 3.0, 0.1),
-        ("line", 1.5, 0.2), ("line", 3.0, 0.1),
+        ("line", 1.5, 0.2), ("line", 3.0, 0.1), ("wide5", 2.0, 0.5),
     ])
     def test_norm_preservation_is_the_norm_loop(self, request, name, p, eps):
         # each point folded on (1, 1) is the oracle, to the last bit: this checks the batching
