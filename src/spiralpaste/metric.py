@@ -6,7 +6,8 @@ the sup or Euclidean norm, plus a distinguished basepoint.  Distortion of
 a map into a block sum is measured over every unordered pair: by scanning
 them all, or, given a pasted map's ``envelope``, by scanning only the
 pairs whose certified ratio interval can set the max or the min, which
-gives the same report.
+gives the same report.  The intervals come in closed form, a fixed number
+of pairs at a time in row-major order.
 """
 
 from __future__ import annotations
@@ -46,6 +47,12 @@ _SLAB = 1 << 17
 # the 600-point tree the checks were slower at 2^14 and no faster at 2^16 to
 # 2^17 (medians of 6, 2-CPU Xeon, numpy 2.4).
 _ROW_CHUNK = 1 << 15
+
+# Pairs per chunk of the envelope pass: 64 KiB per array.  On the 600-point
+# tree the pass took 13-24 ms per (p, eps) at 2^13, 15-29 ms at 2^12 and no
+# less at 2^14 or 2^15, where its peak doubles with each step (medians of 9,
+# 2-CPU Xeon, numpy 2.4).
+_BOUND_CHUNK = 1 << 13
 
 
 def sup_pairwise(V: np.ndarray, kind: str = "linf") -> np.ndarray:
@@ -435,36 +442,34 @@ def ball(space: PointedMetricSpace, radius: float) -> PointedMetricSpace:
     return space._restrict([i for i in range(len(space)) if rho[i] <= radius])
 
 
-def _slab_centres(
-    W: np.ndarray, rows: np.ndarray, cols: np.ndarray, D: np.ndarray, rho: np.ndarray
+def _pair_centres(
+    W: np.ndarray, I: np.ndarray, J: np.ndarray, D: np.ndarray, rho: np.ndarray
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (b, C_b) on a slab: the closed-form block distances of a pasted distance-vector map.
+    """Yield (b, C_b) on pairs (I, J): the closed-form block distances of a pasted distance-vector map.
 
-    With w = W[b - 1], C_b[i, j] = min(w_x, w_y) D[i, j] + |w_x - w_y| rho_z
-    for x = rows[i], y = cols[j] and z the one with the larger w; ``D`` is
-    the (rows, cols) slab of the matrix.  A pair with one point outside the
-    support (w = 0) is at the other point's w rho, a pair with both outside
-    at 0, as in ``sumspace._pair_distances``, whose buffer protocol this shares.
-    Only blocks some column uses are yielded: ``rows`` is part of ``cols``.
+    With w = W[b - 1], C_b[k] = min(w_x, w_y) D[k] + |w_x - w_y| rho_z for
+    x = I[k], y = J[k] and z the one with the larger w; ``D`` holds the
+    pairs' distances.  A pair with one point outside the support (w = 0) is
+    at the other point's w rho, a pair with both outside at 0, as in
+    ``sumspace._pair_distances``, whose buffer protocol this shares.  I is
+    sorted, so only the blocks some point from I[0] on uses are yielded.
     """
-    buf, far = np.empty(D.shape), np.empty(D.shape)
-    for b in np.flatnonzero(W[:, cols].any(axis=1)):
-        wx, wy = W[b, rows, None], W[b, cols]
-        if not wx.any():
-            np.copyto(buf, wy * rho[cols])
-        else:
-            np.subtract(wx, wy, out=buf)
-            np.multiply(buf, rho[rows, None], out=far)
-            buf *= -rho[cols]
-            np.maximum(buf, far, out=buf)
-            np.minimum(wx, wy, out=far)
-            far *= D
-            buf += far
+    buf, far = np.empty(len(I)), np.empty(len(I))
+    rx, ry = rho[I], -rho[J]
+    for b in np.flatnonzero(W[:, I[0] :].any(axis=1)):
+        wx, wy = W[b, I], W[b, J]
+        np.subtract(wx, wy, out=buf)
+        np.multiply(buf, rx, out=far)
+        buf *= ry
+        np.maximum(buf, far, out=buf)
+        np.minimum(wx, wy, out=far)
+        far *= D
+        buf += far
         yield int(b) + 1, buf
 
 
 def _pair_bounds(space: PointedMetricSpace, W: np.ndarray, aggregator: Fold) -> Iterator[tuple]:
-    """Yield (pairs, [(lo, hi) per folded norm]): bounds on the scanned ratios of a slab's pairs.
+    """Yield (keys, [(lo, hi) per folded norm]): bounds on the scanned ratios of a chunk of pairs.
 
     ``W`` is the (B, n) coefficient array of a pasted distance-vector map:
     x's image in block b is w_x F_b(x) with w_x = W[b - 1, x], computed as
@@ -472,13 +477,9 @@ def _pair_bounds(space: PointedMetricSpace, W: np.ndarray, aggregator: Fold) -> 
     anchors k of a ball that holds every point with w > 0.  The scan's
     ratio of a pair x < y, fl(fold(K̂)[x, y] / D[x, y]), lies in [lo, hi].
 
-    Slabs.  Points are grouped by their first block (each image has at
-    most that block and the next).  A group's slab pairs its points (rows)
-    with its own and every later group's points (cols, the group first, in
-    row order), so it folds only the blocks from its own on.  ``pairs``
-    holds x n + y for the pair x < y at each entry.  In the leading square
-    only j > i are pairs, the rest hold -1, so every pair is in exactly one
-    slab; a last group of one point has none and is skipped.
+    Chunks.  The pairs x < y come in row-major order, ``_BOUND_CHUNK`` at
+    a time, and ``keys`` holds x n + y for each, so every pair is in
+    exactly one chunk and the chunks' keys are sorted.
 
     Block distance.  Say w_x >= w_y, and write f_z = D[:, z] - D[:, base].
     Then w_x f_x - w_y f_y = w_y (f_x - f_y) + (w_x - w_y) f_x, whose sup
@@ -489,17 +490,17 @@ def _pair_bounds(space: PointedMetricSpace, W: np.ndarray, aggregator: Fold) -> 
     the bound reads, so the norm is at most C + w_y a + (w_x - w_y) a +
     w_x t = C + w_x (t + a).  Anchor k = x attains w_x D[x, x] - (w_x -
     w_y) D[x, base] - w_y D[x, y], so the norm is at least C - w_x (a + g).
-    A point outside the support has w = 0 and the same C.  D and rho are
-    read clipped at 0: only the diagonal and the basepoint's own rho can
-    be negative (by at most g), and the basepoint's image is exactly 0, so
-    T[base, base] = 0 is what the bound reads there.  So the exact kernel
-    is within max(w_x, w_y) delta of C, and C >= 0 on every pair.  In floating point, the two
-    subtractions and two products before the kernel's subtraction, and
-    that one, err by at most 2u (w_x |f_x| + w_y |f_y|) + u |the
-    difference|, with |f_z| <= rho_z + delta and u = 2^-53: 3u (w_x rho_x
-    + w_y rho_y) up to delta u terms.  The centre's four roundings add
-    3u C <= 3u (w_x rho_x + w_y rho_y + w_x delta).  An underflowing
-    product errs by 2^-1075 more.  So
+    A point outside the support has w = 0 and the same C.  rho is read
+    clipped at 0: off-diagonal entries are positive, so only the
+    basepoint's own rho can be negative (by at most g), and the basepoint's
+    image is exactly 0, so T[base, base] = 0 is what the bound reads there.
+    So the exact kernel is within max(w_x, w_y) delta of C, and C >= 0 on
+    every pair.  In floating point, the two subtractions and two products
+    before the kernel's subtraction, and that one, err by at most 2u (w_x
+    |f_x| + w_y |f_y|) + u |the difference|, with |f_z| <= rho_z + delta
+    and u = 2^-53: 3u (w_x rho_x + w_y rho_y) up to delta u terms.  The
+    centre's four roundings add 3u C <= 3u (w_x rho_x + w_y rho_y + w_x
+    delta).  An underflowing product errs by 2^-1075 more.  So
     |K̂_b - C_b| <= 6.5u (w_x rho_x + w_y rho_y) + max(w_x, w_y) delta
     (1 + 2^-40) + 2^-1072, and since max <= sum, the blocks' half-widths
     sum to at most r_x + r_y with r = (sum_b W[b]) (6.5u rho + delta (1 +
@@ -523,29 +524,25 @@ def _pair_bounds(space: PointedMetricSpace, W: np.ndarray, aggregator: Fold) -> 
     """
     u = 2.0**-53
     D, rho = space.matrix, np.maximum(space.rho(), 0.0)
+    n = len(D)
     unit = math.ldexp(1.0, max(0, math.frexp(float(np.max(D)))[1] - 1000))
     W = W / unit
     radius = W.sum(axis=0) * (6.5 * u * rho + space._defect * (1.0 + 2.0**-40))
     radius = radius * (1.0 + 2.0**-36) + 2.0**-1060
     mu = (32 * int(np.count_nonzero(W, axis=0).max()) + 16) * u
-    first = np.argmax(W > 0, axis=0)
-    order = np.argsort(first, kind="stable")
-    cuts = [0, *(np.flatnonzero(np.diff(first[order])) + 1), len(order)]
-    for start, stop in zip(cuts, cuts[1:]):
-        rows, cols = order[start:stop], order[start:]
-        if len(cols) == 1:
-            continue
-        slab = np.maximum(D[np.ix_(rows, cols)], 0.0)
-        folded = aggregator(slab.shape, _slab_centres(W, rows, cols, slab, rho))
-        pairs = np.minimum.outer(rows, cols) * len(D) + np.maximum.outer(rows, cols)
-        pairs[:, : len(rows)][np.tri(len(rows), dtype=bool)] = -1
-        # the scan divides the pair x < y by D[x, y]; -1 reads the last entry
-        np.take(D, pairs, out=slab, mode="wrap")
+    # row x's first pair (x, x + 1) is pair number starts[x] in row-major order
+    starts = np.arange(n) * (2 * n - 1 - np.arange(n)) // 2
+    for k0 in range(0, starts[-1], _BOUND_CHUNK):
+        k = np.arange(k0, min(k0 + _BOUND_CHUNK, starts[-1]))
+        I = np.searchsorted(starts, k, side="right") - 1
+        J = k - starts[I] + I + 1
+        d = D[I, J]
+        folded = aggregator(I.shape, _pair_centres(W, I, J, d, rho))
         bounds = []
         for hi in folded if isinstance(folded, tuple) else (folded,):
             lo = np.multiply(hi, mu)
-            lo += radius[rows, None]
-            lo += radius[cols]
+            lo += radius[I]
+            lo += radius[J]
             np.add(hi, lo, out=hi)
             np.multiply(lo, 2.0, out=lo)
             np.subtract(hi, lo, out=lo)
@@ -554,12 +551,11 @@ def _pair_bounds(space: PointedMetricSpace, W: np.ndarray, aggregator: Fold) -> 
                 hi[hi >= 2.0**1023 / unit] = np.inf
                 lo *= unit
                 hi *= unit
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                np.divide(lo, slab, out=lo)
-                np.divide(hi, slab, out=hi)
+            with np.errstate(over="ignore"):
+                np.divide(lo, d, out=lo)
+                np.divide(hi, d, out=hi)
             bounds.append((lo, hi))
-        yield pairs, bounds
-        del slab, folded, pairs, bounds, lo, hi  # before the next slab is built
+        yield I * n + J, bounds
 
 
 def _candidates(space: PointedMetricSpace, W: np.ndarray, aggregator: Fold) -> tuple:
@@ -567,7 +563,7 @@ def _candidates(space: PointedMetricSpace, W: np.ndarray, aggregator: Fold) -> t
 
     A pair whose upper end is below the largest lower end (top) cannot set
     the max ratio, nor one whose lower end is above the smallest upper end
-    (bottom) the min.  Each slab keeps the pairs that reach the running top
+    (bottom) the min.  Each chunk keeps the pairs that reach the running top
     or bottom, and the final ones filter these again; NaN keeps its pair.
     """
     top, bottom, kept = -np.inf, np.inf, []
@@ -576,15 +572,13 @@ def _candidates(space: PointedMetricSpace, W: np.ndarray, aggregator: Fold) -> t
         ends = zip(bounds, top, bottom)
         return np.logical_or.reduce([~(hi < t) | ~(lo > b) for (lo, hi), t, b in ends])
 
-    for pairs, bounds in _pair_bounds(space, W, aggregator):
-        real = pairs >= 0
-        top = np.maximum(top, [np.max(lo, where=real, initial=-np.inf) for lo, _ in bounds])
-        bottom = np.minimum(bottom, [np.min(hi, where=real, initial=np.inf) for _, hi in bounds])
-        keep = real & reach(bounds)
-        kept.append((pairs[keep], [(lo[keep], hi[keep]) for lo, hi in bounds]))
-        del pairs, bounds  # before the next slab is built
+    for keys, bounds in _pair_bounds(space, W, aggregator):
+        top = np.maximum(top, [np.max(lo) for lo, _ in bounds])
+        bottom = np.minimum(bottom, [np.min(hi) for _, hi in bounds])
+        keep = reach(bounds)
+        kept.append((keys[keep], [(lo[keep], hi[keep]) for lo, hi in bounds]))
     survivors = np.concatenate([keys[reach(bounds)] for keys, bounds in kept])
-    return np.divmod(np.sort(survivors), len(space))
+    return np.divmod(survivors, len(space))
 
 
 def distortion(
@@ -604,8 +598,9 @@ def distortion(
     reports, one per array, and ``analytic_bound`` is then a tuple of the
     same length.  Extra memory is a few arrays of one entry per scanned
     pair, plus one block's vectors.  A scanned pair whose target distance
-    or ratio is NaN or overflows raises ValueError naming the first such
-    pair in row-major order.
+    or ratio is NaN or overflows, or whose positive distance has a ratio
+    below 2^-1022, raises ValueError naming the first such pair in
+    row-major order.
 
     ``envelope`` is the (B, n) coefficient array of a pasted
     distance-vector map (``PastedEmbedding.envelope()``).  With it, each
@@ -629,13 +624,17 @@ def distortion(
     with np.errstate(over="ignore", invalid="ignore"):
         folded = aggregator(I.shape, sumspace._pair_distances(vectors, I, J))
         D = space.matrix[I, J]
-        ratios = [np.divide(f, D, out=f) for f in (folded if isinstance(folded, tuple) else (folded,))]
-    finite = np.logical_and.reduce([np.isfinite(r) for r in ratios])
-    if not finite.all():
-        k = int(np.argmin(finite))
+        ratios, ok = [], np.ones(I.shape, dtype=bool)
+        for f in folded if isinstance(folded, tuple) else (folded,):
+            zero = f == 0.0
+            ratios.append(np.divide(f, D, out=f))
+            # a positive distance whose ratio is below the normal doubles underflowed
+            ok &= np.isfinite(f) & ((f >= 2.0**-1022) | zero)
+    if not ok.all():
+        k = int(np.argmin(ok))
         raise ValueError(
             f"target distances must be finite: pair ({space.ids[I[k]]!r}, {space.ids[J[k]]!r}) "
-            "has a distance or ratio that is NaN or overflows double range"
+            "has a distance or ratio that is NaN or out of double range"
         )
     if isinstance(folded, tuple):
         return tuple(_report(space, I, J, *pair) for pair in zip(ratios, analytic_bound, strict=True))

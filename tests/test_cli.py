@@ -383,7 +383,7 @@ class TestDistortionCommand:
                      "--map", str(tmp_path / "map.json")]) == 2
         assert capsys.readouterr().err == (
             "error: target distances must be finite: pair ('x0', 'x1') has a distance or "
-            "ratio that is NaN or overflows double range\n")
+            "ratio that is NaN or out of double range\n")
 
     def test_missing_image_is_schema_error(self, int_doc, tmp_path):
         path, sp = int_doc

@@ -27,7 +27,7 @@ from spiralpaste import (
     tree_space,
 )
 from spiralpaste.fdd import _norm_a_aggregator
-from spiralpaste.metric import _candidates, _pair_bounds
+from spiralpaste.metric import _candidates, _pair_bounds, _pair_centres
 from spiralpaste.sumspace import _pair_distances, _power_fold
 
 P_MENU = (1.0, 1.5, 2.0, 3.0, 10.0)
@@ -108,30 +108,29 @@ def assert_envelope_holds(space, emb, fdd):
         ratio = np.full((n, n), np.nan)
         ratio[I, J] = f / space.matrix[I, J]
         ratios.append(ratio.reshape(-1))
-    seen, ends = [], []
-    for pairs, bounds in _pair_bounds(space, emb.envelope(), fold):
-        real = pairs >= 0
-        seen.append(pairs[real])
-        ends.append([(lo[real], hi[real]) for lo, hi in bounds])
+    chunks, ends = [], []
+    for keys, bounds in _pair_bounds(space, emb.envelope(), fold):
+        chunks.append(keys)
+        ends.append(bounds)
         for ratio, (lo, hi) in zip(ratios, bounds):
-            got = ratio[pairs]
-            out = real & ~((lo <= got) & (got <= hi))
+            got = ratio[keys]
+            out = ~((lo <= got) & (got <= hi))
             if out.any():
-                x, y = divmod(int(pairs[out][0]), n)
+                x, y = divmod(int(keys[out][0]), n)
                 pytest.fail(f"pair {space.ids[x]}, {space.ids[y]}: ratio {got[out][0]!r} "
                             f"outside [{lo[out][0]!r}, {hi[out][0]!r}]")
-    # every pair x < y is in exactly one slab
-    seen = np.concatenate(seen)
-    assert np.array_equal(np.sort(seen), I * n + J)
+    # the chunks hold every pair x < y once, in row-major order
+    keys = np.concatenate(chunks)
+    assert np.array_equal(keys, I * n + J)
     # the candidates are the pairs whose interval reaches the largest lower
     # end or the smallest upper end of some norm
-    reach = np.zeros(len(seen), dtype=bool)
+    reach = np.zeros(len(keys), dtype=bool)
     for k in range(len(ends[0])):
-        lo = np.concatenate([slab[k][0] for slab in ends])
-        hi = np.concatenate([slab[k][1] for slab in ends])
+        lo = np.concatenate([chunk[k][0] for chunk in ends])
+        hi = np.concatenate([chunk[k][1] for chunk in ends])
         reach |= ~(hi < np.max(lo)) | ~(lo > np.min(hi))
     x, y = _candidates(space, emb.envelope(), fold)
-    assert np.array_equal(x * n + y, np.sort(seen[reach]))
+    assert np.array_equal(x * n + y, keys[reach])
     bound = (None, None) if fdd else None
     full = distortion(space, emb.images, spec, bound, aggregator=fold)
     assert distortion(space, emb.images, spec, bound, aggregator=fold,
@@ -228,9 +227,9 @@ def test_envelope_scan_peaks_no_higher_than_the_full_scan(p, eps, fdd):
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    # the envelope pass holds one slab at a time and the scan only the kept
-    # pairs; 64 KiB, a tenth of one (n, n) array, covers the interpreter's
-    # own bookkeeping between two runs
+    # the envelope pass holds one chunk of pairs at a time and the scan
+    # only the kept pairs; 64 KiB, a tenth of one (n, n) array, covers the
+    # interpreter's own bookkeeping between two runs
     assert peaks[1] <= peaks[0] + 64 * 1024
     assert peaks[0] < 16 * n * n * 8
 
@@ -251,17 +250,66 @@ def test_envelope_scan_at_a_mass_tie_peaks_at_three_pair_matrices():
     assert peak <= 3 * n * n * 8
 
 
-def test_envelope_skips_a_last_group_of_one_point():
-    # the farthest point alone has the last first block, so its slab holds no pair
+@pytest.mark.parametrize("p, fdd", [(3.0, False), (1.0, True)], ids=["embed", "fdd"])
+def test_envelope_scan_on_a_600_point_tree_peaks_at_two_pair_matrices(p, fdd):
+    # at eps = 0.1 three points in four share their first block; the pass
+    # holds one chunk of pairs at a time, whatever the points' blocks
+    space = tree_space(600, seed=1)
+    n = len(space)
+    emb = paste(space, p, 0.1)
+    spec, fold = _fold(emb, fdd)
+    bound = (None, None) if fdd else None
+    envelope = emb.envelope()
+    tracemalloc.start()
+    try:
+        distortion(space, emb.images, spec, bound, aggregator=fold, envelope=envelope)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * n * n * 8
+
+
+def far_space():
+    """Four points on a line, the farthest 1e300 away."""
     coords = np.array([[0.0], [1.0], [3.0], [1e300]])
-    space = PointedMetricSpace(tuple("oabc"), "o", "linf", coords=coords)
+    return PointedMetricSpace(tuple("oabc"), "o", "linf", coords=coords)
+
+
+def test_envelope_with_a_lone_farthest_point():
+    # the farthest point alone has the last first block
+    space = far_space()
     emb = paste(space, 2.0, 0.1)
     first = np.argmax(emb.envelope() > 0, axis=0)
     assert np.count_nonzero(first == first.max()) == 1
-    slabs = list(_pair_bounds(space, emb.envelope(), _power_fold(2.0)))
-    assert len(slabs) == len(np.unique(first)) - 1
     assert_envelope_holds(space, emb, fdd=False)
     assert_envelope_holds(space, paste(space, 1.0, 0.1), fdd=True)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+@pytest.mark.parametrize("eps", [0.5, 0.1])
+@pytest.mark.parametrize("make", [lambda: tree_space(150), lambda: line_space(64), far_space],
+                         ids=["tree", "line", "far"])
+def test_every_block_centre_is_within_its_width(make, eps, p):
+    # _pair_bounds' per-block claim, before any fold: |K̂_b - C_b| <= 6.5u
+    # (w_x rho_x + w_y rho_y) + max(w_x, w_y) delta (1 + 2^-40) + 2^-1072;
+    # max D < 2^1000 here, so the pass's unit is 1
+    space = make()
+    emb = paste(space, p, eps)
+    W, n, u = emb.envelope(), len(space), 2.0**-53
+    assert W is not None and np.max(space.matrix) < 2.0**1000
+    I, J = np.triu_indices(n, 1)
+    rho = np.maximum(space.rho(), 0.0)
+    centres = {b: C.copy() for b, C in _pair_centres(W, I, J, space.matrix[I, J], rho)}
+    images = [emb.images[pid] for pid in space.ids]
+    distances = {b: d.copy() for b, d in _pair_distances(images, I, J)}
+    for b, w in enumerate(W, 1):
+        width = (6.5 * u * (w[I] * rho[I] + w[J] * rho[J])
+                 + np.maximum(w[I], w[J]) * space._defect * (1.0 + 2.0**-40) + 2.0**-1072)
+        gap = np.abs(distances.get(b, 0.0) - centres.get(b, 0.0))
+        out = np.flatnonzero(~(gap <= width))
+        if out.size:
+            x, y = space.ids[I[out[0]]], space.ids[J[out[0]]]
+            pytest.fail(f"block {b}, pair {x}, {y}: gap {gap[out[0]]!r} > width {width[out[0]]!r}")
 
 
 def test_envelope_reads_the_images():

@@ -561,6 +561,25 @@ class TestDistortion:
         rep = distortion(sp, {pid: zero for pid in sp.ids}, SPEC)
         assert math.isinf(rep.distortion) and not rep.passed
 
+    def test_underflowing_ratio_names_its_pair(self):
+        # a uniform scaling by 1e-330: every ratio lies below the subnormals
+        spec = SumSpaceSpec(2.0, (1,))
+        sp = PointedMetricSpace(ids=("a", "b", "c"), basepoint="a", kind="linf",
+                                coords=np.array([[0.0], [1e300], [2e300]]))
+        images = {pid: BlockVector(spec, {1: np.array([x])})
+                  for pid, x in zip(sp.ids, (0.0, 1e-30, 2e-30))}
+        with pytest.raises(ValueError, match=r"pair \('a', 'b'\) has a distance or ratio "
+                                             "that is NaN or out of double range"):
+            distortion(sp, images, spec)
+        # a target distance of exactly 0 stays a non-injective map
+        images["b"] = images["a"]
+        with pytest.raises(ValueError, match=r"pair \('a', 'c'\)"):
+            distortion(sp, images, spec)
+        tiny = PointedMetricSpace(ids=("a", "b", "c"), basepoint="a", kind="linf",
+                                  coords=np.array([[0.0], [1.0], [2.0]]))
+        rep = distortion(tiny, images, spec)
+        assert math.isinf(rep.distortion) and rep.scale_r == 0.0 and not rep.passed
+
     def test_bound_verdict(self):
         sp = tri_space()
         images = {
