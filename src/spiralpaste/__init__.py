@@ -13,7 +13,6 @@ from .counterexample import (
     verify_separation_epsilon,
 )
 from .errors import (
-    DegenerateTriple,
     ModelInvalid,
     ScheduleTooShort,
     SchemaError,
@@ -56,14 +55,6 @@ from .spiral import (
     spiral_distortion,
     spiral_point,
 )
-from .sumspace import (
-    FLAT_NOT_PROPORTIONAL,
-    FLAT_PROPORTIONAL,
-    NOT_FLAT,
-    SUP,
-    BlockVector,
-    SumSpaceSpec,
-    flat_triple_check,
-)
+from .sumspace import SUP, BlockVector, SumSpaceSpec
 
 __version__ = "0.1.0"

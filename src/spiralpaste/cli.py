@@ -112,12 +112,16 @@ def _load_map(doc) -> tuple[SumSpaceSpec, dict]:
     for pid, blocks in raw.items():
         if not isinstance(blocks, dict):
             raise SchemaError(f"image of {pid!r} must be an object keyed by block index")
-        parsed = {}
+        parsed, keys = {}, {}
         for key, vals in blocks.items():
             try:
                 idx = int(key)
             except ValueError as exc:
                 raise SchemaError(f"block key {key!r} of {pid!r} is not an integer") from exc
+            if idx in keys:
+                raise SchemaError(
+                    f"block keys {keys[idx]!r} and {key!r} of {pid!r} both name block {idx}")
+            keys[idx] = key
             if not isinstance(vals, list) or not all(_is_number(v) for v in vals):
                 raise SchemaError(f"block {key} of {pid!r} must be a list of numbers")
             parsed[idx] = _floats(vals, f"block {key} of {pid!r}")
@@ -442,7 +446,7 @@ def main(argv=None) -> int:
         else:
             payload, passed = _HANDLERS[args.subcommand](args)
             text = _render_report(args, payload, passed)
-    except (SchemaError, ValueError, OSError) as exc:
+    except (SchemaError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SpiralPasteError as exc:

@@ -3,7 +3,6 @@
 __all__ = [
     "SpiralPasteError",
     "SchemaError",
-    "DegenerateTriple",
     "ScheduleTooShort",
     "ModelInvalid",
 ]
@@ -15,10 +14,6 @@ class SpiralPasteError(Exception):
 
 class SchemaError(SpiralPasteError):
     """A JSON document does not match the documented input schema."""
-
-
-class DegenerateTriple(SpiralPasteError):
-    """Two of the three points handed to a flat-triple check coincide."""
 
 
 class ScheduleTooShort(SpiralPasteError):

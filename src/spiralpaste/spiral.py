@@ -341,16 +341,18 @@ def paste(
 
 
 def seam_check(emb: PastedEmbedding) -> tuple[float, int]:
-    """Compare both adjacent branch formulas' blend placements on every seam point.
+    """Compare the map's blend placement with the next branch formula on every seam point.
 
     A point with rho in a handover interval [R_{2i}, R_{2i+1}] is in the
-    domains of branches i and i+1.  Branch i puts (c, s) in blocks (i, i+1),
-    branch i+1 (c', s') in (i+1, i+2); for ball images of sup norm rho they
-    are rho * max(c, |s - c'|, s') apart, whatever the provider, and exactly
-    0.0 by the clamped blends.  Returns (max gap, number of points checked).
+    domains of branches i and i+1.  The map holds branch i's (c, s) in
+    blocks (i, i+1), read from W; branch i+1's formula puts (c', s') in
+    (i+1, i+2).  For ball images of sup norm rho they are
+    rho * max(c, |s - c'|, s') apart, whatever the provider, and exactly 0.0
+    by the clamped blends.  Returns (max gap, number of points checked).
     """
     sched = emb.layout.schedule
     rho = emb.space.rho()
+    W = emb.coefficients
     worst = 0.0
     checked = 0
     for i, pid in enumerate(emb.space.ids):
@@ -358,7 +360,7 @@ def seam_check(emb: PastedEmbedding) -> tuple[float, int]:
         # band_of puts rho in (R_{2b-1}, R_{2b+1}], so only band b's handover can hold it
         band = emb.band_of[pid]
         if band < sched.band_count and sched.radii[2 * band - 1] <= r:
-            c, s = blend(emb.spec.p, sched, band, r)
+            c, s = float(W[band - 1, i]), float(W[band, i])
             c_next, s_next = blend(emb.spec.p, sched, band + 1, r)
             worst = max(worst, r * max(c, abs(s - c_next), s_next))
             checked += 1

@@ -14,25 +14,11 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DegenerateTriple
-
-__all__ = [
-    "SUP",
-    "SumSpaceSpec",
-    "BlockVector",
-    "flat_triple_check",
-    "FLAT_PROPORTIONAL",
-    "FLAT_NOT_PROPORTIONAL",
-    "NOT_FLAT",
-]
+__all__ = ["SUP", "SumSpaceSpec", "BlockVector"]
 
 # Aggregation-by-maximum sentinel.  Stored as the float infinity so that
 # p-comparisons stay ordinary comparisons.
 SUP = math.inf
-
-FLAT_PROPORTIONAL = "FLAT_PROPORTIONAL"
-FLAT_NOT_PROPORTIONAL = "FLAT_NOT_PROPORTIONAL"
-NOT_FLAT = "NOT_FLAT"
 
 # Entries of each work buffer of the pair kernel's gathers: 256 KiB of doubles.
 # A scan of all the 600-point tree's pairs took 0.37 s at 2^17, not 0.27 s
@@ -134,9 +120,9 @@ def _pair_distances(
 # index, array of that shape) and may reuse the array, so a fold must use it
 # before asking for the next block.  A block that is zero everywhere is an
 # exact no-op of every fold here, so it may be left out.  The distortion scan
-# and the norm check fold m pairs' ``_pair_distances`` on shape (m,), the
-# flat-triple check its three on (3,).  A fold that measures several norms in
-# one pass returns a tuple of arrays, one per norm.
+# and the norm check fold m pairs' ``_pair_distances`` on shape (m,).  A fold
+# that measures several norms in one pass returns a tuple of arrays, one per
+# norm.
 Fold = Callable[
     [tuple[int, ...], Iterator[tuple[int, np.ndarray]]], np.ndarray | tuple[np.ndarray, ...]
 ]
@@ -183,38 +169,3 @@ def _power_fold(p: float) -> Fold:
 def fold(p: float) -> Fold:
     """The fold of the block sum with exponent ``p``: the max under SUP, else the p-sum."""
     return _max_fold if p == SUP else _power_fold(p)
-
-
-def flat_triple_check(
-    x: BlockVector, y: BlockVector, z: BlockVector, tol: float = 1e-8
-) -> tuple[str, float | None]:
-    """Classify a triple by the additivity ||x-z|| = ||x-y|| + ||y-z||.
-
-    Returns (verdict, ratio).  A triple is FLAT when the norm identity
-    holds to ``tol``; a flat triple is PROPORTIONAL when the per-block
-    profile of x - y is a positive multiple of the profile of y - z
-    (least-squares multiplier, sup-norm residual <= tol).  For finite
-    p strictly between 1 and infinity flatness forces proportionality;
-    at p = 1 it need not, which the verdict records.
-    """
-    if x.spec.p == SUP:
-        raise ValueError("flat-triple classification needs a finite aggregation exponent")
-    if not x.spec == y.spec == z.spec:
-        raise ValueError("mismatched specs")
-    # block b's sup norms of x - y, y - z and x - z; an absent block is zero
-    prof = np.zeros((x.spec.num_blocks, 3))
-    for b, d in _pair_distances((x, y, z), np.array([0, 1, 0]), np.array([1, 2, 2])):
-        prof[b - 1] = d
-    d_xy, d_yz, d_xz = map(float, fold(x.spec.p)((3,), enumerate(prof, 1)))
-    scale = max(d_xy, d_yz, d_xz, 1.0)
-    if min(d_xy, d_yz, d_xz) <= tol * scale:
-        raise DegenerateTriple(f"coincident points in triple: distances {(d_xy, d_yz, d_xz)}")
-    if abs(d_xz - (d_xy + d_yz)) > tol * scale:
-        return NOT_FLAT, None
-    # contiguous copies: a strided a @ b can round differently
-    a, b = prof[:, 0].copy(), prof[:, 1].copy()
-    denom = float(b @ b)
-    ratio = float(a @ b) / denom
-    if ratio > 0 and float(np.max(np.abs(a - ratio * b))) <= tol * scale:
-        return FLAT_PROPORTIONAL, ratio
-    return FLAT_NOT_PROPORTIONAL, None

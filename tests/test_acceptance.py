@@ -1,4 +1,4 @@
-"""Acceptance gate: nine checks, one verdict line each.
+"""Acceptance gate: eight checks, one verdict line each.
 
 Each check emits "[acceptance] criterion N <name>: PASS/FAIL (...)" and
 enforces its runtime cap.  Lines are printed as they happen (visible with
@@ -18,8 +18,6 @@ import numpy as np
 
 import spiralpaste
 from spiralpaste import (
-    FLAT_NOT_PROPORTIONAL,
-    FLAT_PROPORTIONAL,
     BlockVector,
     CounterexampleConfig,
     FddModel,
@@ -29,7 +27,6 @@ from spiralpaste import (
     distortion,
     embed_no_cotype,
     equivalence_ratio,
-    flat_triple_check,
     frechet_embed,
     in_carrier,
     linf_distance,
@@ -43,7 +40,6 @@ from spiralpaste import (
 )
 from spiralpaste.sumspace import SUP
 from .conftest import random_integer_space
-from .norms import combine
 
 P_MENU = (1.0, 1.5, 2.0, 3.0, 4.0)
 EPS_MENU = (0.5, 0.2, 0.1)
@@ -174,30 +170,6 @@ def test_criterion_6_counterexample_witnesses():
             assert w.min_distance >= 3 ** (t - 1)
         assert verify_separation_epsilon()
         info.append("8 rays additive; separations t=2..6; eps=1/9 sharp to t=12")
-
-
-def test_criterion_7_flat_triple_law():
-    with criterion(7, "flat-triple profile law", 5.0) as info:
-        rng = np.random.default_rng(7)
-        count = 0
-        for p in (1.5, 2.0, 3.0):
-            spec = SumSpaceSpec(p, (2, 3, 2))
-            for _ in range(334):
-                x = BlockVector(spec, {1: rng.normal(size=2), 2: rng.normal(size=3),
-                                       3: rng.normal(size=2)})
-                step = BlockVector(spec, {1: rng.normal(size=2), 2: rng.normal(size=3),
-                                          3: rng.normal(size=2)})
-                t = float(rng.uniform(0.1, 0.9))
-                verdict, _ = flat_triple_check(x, combine(x, step, t), combine(x, step))
-                assert verdict == FLAT_PROPORTIONAL, f"p={p}: got {verdict}"
-                count += 1
-        spec1 = SumSpaceSpec(1.0, (2, 2))
-        x = BlockVector(spec1, {})
-        y = BlockVector(spec1, {1: np.array([3.0, 1.0])})
-        z = BlockVector(spec1, {1: np.array([3.0, 1.0]), 2: np.array([0.0, 2.0])})
-        verdict, _ = flat_triple_check(x, y, z)
-        assert verdict == FLAT_NOT_PROPORTIONAL
-        info.append(f"{count} collinear triples proportional; exponent-1 witness splits")
 
 
 def test_criterion_8_renormed_model(test_spaces):

@@ -385,6 +385,17 @@ class TestDistortionCommand:
             "error: target distances must be finite: pair ('x0', 'x1') has a distance or "
             "ratio that is NaN or out of double range\n")
 
+    @pytest.mark.parametrize("keys", [("1", "01"), ("01", "1")])
+    def test_duplicate_block_keys_are_schema_errors(self, pair_doc, tmp_path, capsys, keys):
+        # "1" and "01" both parse to block 1; neither may silently win
+        doc = {"p": 2, "block_dims": [1],
+               "images": {"o": {"1": [0]}, "a": dict(zip(keys, ([5], [1])))}}
+        map_path = tmp_path / "map.json"
+        map_path.write_text(json.dumps(doc))
+        assert main(["distortion", "--input", pair_doc, "--map", str(map_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: block keys {keys[0]!r} and {keys[1]!r} of 'a' both name block 1\n")
+
     def test_missing_image_is_schema_error(self, int_doc, tmp_path):
         path, sp = int_doc
         doc = self.build_map_doc(sp)
@@ -468,6 +479,14 @@ class TestOtherCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: target distances must be finite: pair ('t05")
         assert "RuntimeWarning" not in err and not (tmp_path / "r.json").exists()
+
+    def test_spiral_too_large_to_allocate(self, capsys, tmp_path):
+        # the l2 distance matrix of 10^6 samples needs 7.28 TiB, which the kernel refuses
+        assert main(["spiral", "--epsilon", "0.1", "--samples", "1000000",
+                     "--out", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate 7.28 TiB") and "Traceback" not in err
+        assert not (tmp_path / "r.json").exists()
 
     def test_fdd_demo(self, line_doc, tmp_path):
         out = tmp_path / "r.json"

@@ -361,22 +361,33 @@ class TestPaste:
             assert checked >= 1
 
     def test_seam_mismatch_is_reported(self, monkeypatch):
-        # a blend that leaves (0, 1) on the handover plateau puts branch b's
-        # image where branch b + 1 has none: a gap, not an exception
+        # a blend that gives (0, 0.75) on the handover plateau, where branch
+        # b + 1 puts the full image: a gap, not an exception.  The seam point
+        # lies outside band b's ball, so paste can put no weight in block b.
         line = line_space()
-        emb = paste(line, 2.0, 0.2)
-        gap, checked = seam_check(emb)
+        gap, checked = seam_check(paste(line, 2.0, 0.2))
         assert gap == 0.0 and checked >= 1
         real = spiral.blend
 
         def off(p, schedule, band, rho):
             c, s = real(p, schedule, band, rho)
-            return (0.25, 0.75) if (c, s) == (0.0, 1.0) else (c, s)
+            return (0.0, 0.75) if (c, s) == (0.0, 1.0) else (c, s)
 
         monkeypatch.setattr(spiral, "blend", off)
-        bad, bad_checked = seam_check(emb)
+        bad, bad_checked = seam_check(paste(line, 2.0, 0.2))
         assert bad > 0.0
         assert bad_checked == checked
+
+    def test_seam_check_reads_the_map(self):
+        # swapping c and s of one seam point in W, after paste, opens a gap of its rho
+        line = line_space()
+        emb = paste(line, 2.0, 0.2)
+        i = line.index("x025")
+        b = emb.band_of["x025"]
+        W = emb.coefficients
+        W[[b - 1, b], i] = W[[b, b - 1], i]
+        gap, checked = seam_check(emb)
+        assert gap == float(line.rho()[i]) and math.isclose(gap, 3046.99, rel_tol=1e-5)
 
     def test_seam_points_by_construction(self):
         # place points exactly inside the handover plateaus

@@ -1,4 +1,4 @@
-"""Block-sum space: vectors, the fold as a norm, and the flat-triple classifier."""
+"""Block-sum space: vectors and the fold as a norm."""
 
 import math
 
@@ -6,16 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spiralpaste import (
-    FLAT_NOT_PROPORTIONAL,
-    FLAT_PROPORTIONAL,
-    NOT_FLAT,
-    SUP,
-    BlockVector,
-    DegenerateTriple,
-    SumSpaceSpec,
-    flat_triple_check,
-)
+from spiralpaste import SUP, BlockVector, SumSpaceSpec
 from spiralpaste.sumspace import fold
 
 from .norms import block_profile, combine, sum_norm
@@ -116,105 +107,3 @@ class TestNorm:
         for lo, hi in zip(vals, vals[1:]):
             assert hi <= lo + 1e-12 * (1 + lo)
 
-
-class TestFlatTriple:
-    def test_collinear_is_flat_proportional(self):
-        spec = SumSpaceSpec(2.0, (2, 2))
-        x = vec(spec, b1=[0, 0], b2=[0, 0])
-        z = vec(spec, b1=[2, 1], b2=[-1, 3])
-        y = combine(x, combine(z, x, -1.0), 0.25)
-        verdict, ratio = flat_triple_check(x, y, z)
-        assert verdict == FLAT_PROPORTIONAL
-        assert math.isclose(ratio, 0.25 / 0.75, rel_tol=1e-12)
-
-    def test_disjoint_support_p1_flat_not_proportional(self):
-        spec = SumSpaceSpec(1.0, (2, 2))
-        x = vec(spec)
-        y = vec(spec, b1=[3, 1])
-        z = vec(spec, b1=[3, 1], b2=[0, 2])
-        verdict, ratio = flat_triple_check(x, y, z)
-        assert verdict == FLAT_NOT_PROPORTIONAL and ratio is None
-
-    def test_generic_triple_not_flat(self):
-        spec = SumSpaceSpec(2.0, (2, 2))
-        x = vec(spec, b1=[0, 0])
-        y = vec(spec, b1=[1, 0])
-        z = vec(spec, b1=[1, 1], b2=[1, 0])
-        verdict, ratio = flat_triple_check(x, y, z)
-        assert verdict == NOT_FLAT and ratio is None
-
-    def test_degenerate_raises(self):
-        spec = SumSpaceSpec(2.0, (2,))
-        x = vec(spec, b1=[1, 1])
-        with pytest.raises(DegenerateTriple):
-            flat_triple_check(x, x, vec(spec, b1=[2, 2]))
-
-    def test_sup_rejected(self):
-        spec = SumSpaceSpec(SUP, (2,))
-        x = vec(spec, b1=[0, 0])
-        y = vec(spec, b1=[1, 0])
-        z = vec(spec, b1=[2, 0])
-        with pytest.raises(ValueError):
-            flat_triple_check(x, y, z)
-
-    def test_mismatched_specs_rejected(self):
-        x = vec(SumSpaceSpec(2.0, (2,)), b1=[0, 0])
-        y = vec(SumSpaceSpec(1.0, (2,)), b1=[1, 0])
-        with pytest.raises(ValueError, match="mismatched specs"):
-            flat_triple_check(x, y, x)
-
-    @given(
-        st.floats(min_value=0.05, max_value=0.95),
-        st.sampled_from([1.5, 2.0, 3.0]),
-        st.integers(min_value=0, max_value=2**31 - 1),
-    )
-    @settings(max_examples=150)
-    def test_random_collinear(self, t, p, seed):
-        rng = np.random.default_rng(seed)
-        spec = SumSpaceSpec(p, (2, 3, 1))
-        x = vec(spec, b1=rng.normal(size=2), b2=rng.normal(size=3), b3=rng.normal(size=1))
-        step = vec(spec, b1=rng.normal(size=2), b2=rng.normal(size=3), b3=rng.normal(size=1))
-        if sum_norm(step) < 1e-3:
-            return
-        z = combine(x, step)
-        y = combine(x, step, t)
-        verdict, ratio = flat_triple_check(x, y, z)
-        assert verdict == FLAT_PROPORTIONAL
-        assert math.isclose(ratio, t / (1.0 - t), rel_tol=1e-6)
-
-    @given(
-        st.floats(min_value=0.05, max_value=0.95),
-        st.sampled_from([1.0, 1.5, 2.0, 3.0, 7.0]),
-        st.booleans(),
-        st.integers(min_value=0, max_value=2**31 - 1),
-    )
-    @settings(max_examples=300)
-    def test_verdicts_match_the_plain_norm_rule(self, t, p, collinear, seed):
-        # the classifier's rule applied to tests.norms' plain norms of the three differences
-        rng = np.random.default_rng(seed)
-        spec = SumSpaceSpec(p, (2, 3, 1))
-        if collinear:  # test_random_collinear's triples
-            x, step = (vec(spec, b1=rng.normal(size=2), b2=rng.normal(size=3),
-                           b3=rng.normal(size=1)) for _ in range(2))
-            y, z = combine(x, step, t), combine(x, step)
-        else:  # each block present with probability 1/2
-            x, y, z = (BlockVector(spec, {k: rng.normal(size=d)
-                                          for k, d in enumerate(spec.block_dims, 1)
-                                          if rng.random() < 0.5}) for _ in range(3))
-        tol = 1e-8
-        d_xy, d_yz, d_xz = (sum_norm(combine(u, v, -1.0)) for u, v in ((x, y), (y, z), (x, z)))
-        scale = max(d_xy, d_yz, d_xz, 1.0)
-        if min(d_xy, d_yz, d_xz) <= tol * scale:
-            with pytest.raises(DegenerateTriple):
-                flat_triple_check(x, y, z, tol)
-            return
-        verdict, ratio = flat_triple_check(x, y, z, tol)
-        if abs(d_xz - (d_xy + d_yz)) > tol * scale:
-            assert verdict == NOT_FLAT and ratio is None
-            return
-        a, b = block_profile(combine(x, y, -1.0)), block_profile(combine(y, z, -1.0))
-        r = float(a @ b) / float(b @ b)
-        if r > 0 and float(np.max(np.abs(a - r * b))) <= tol * scale:
-            assert verdict == FLAT_PROPORTIONAL and math.isclose(ratio, r, rel_tol=1e-12)
-        else:
-            assert verdict == FLAT_NOT_PROPORTIONAL and ratio is None
