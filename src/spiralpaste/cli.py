@@ -79,9 +79,18 @@ def _render_report(args: argparse.Namespace, payload: dict, passed: bool) -> str
 
 
 def _read_json(path: str):
+    def unique_keys(pairs: list) -> dict:
+        # a key repeated in one object is a schema error, not a silent overwrite
+        doc = dict(pairs)
+        if len(doc) < len(pairs):
+            seen: set = set()
+            key = next(k for k, _ in pairs if k in seen or seen.add(k))
+            raise SchemaError(f"JSON in {path} repeats key {key!r} in one object")
+        return doc
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON in {path}: {exc}") from exc
     except RecursionError as exc:
@@ -143,9 +152,7 @@ def _spiral_verdict(space: PointedMetricSpace, p: float, epsilon: float) -> tupl
     """
     emb = paste(space, p, epsilon)
     bound = analytic_bound(p, epsilon)
-    rep = measure_distortion(
-        space, emb.images, emb.spec, analytic_bound=bound, envelope=emb.envelope()
-    )
+    rep = measure_distortion(space, emb.images, emb.spec, bound, candidates=emb.candidates)
     gap, seam_pairs = seam_check(emb)
     npe = emb.norm_preservation_error()
     sched = emb.layout.schedule
@@ -446,13 +453,13 @@ def main(argv=None) -> int:
         else:
             payload, passed = _HANDLERS[args.subcommand](args)
             text = _render_report(args, payload, passed)
+        _write(text, args.out)
     except (SchemaError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SpiralPasteError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _write(text, args.out)
     print(f"{args.subcommand}: {'pass' if passed else 'FAIL'}", file=sys.stderr)
     return 0 if passed else 1
 

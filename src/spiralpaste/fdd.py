@@ -213,6 +213,6 @@ def embed_no_cotype(
         model.spec,
         (analytic_bound(1.0, epsilon), 4.0 * (1.0 + epsilon) ** 2 / (1.0 - epsilon)),
         aggregator=_norm_a_aggregator(model),
-        envelope=emb.envelope(),
+        candidates=emb.candidates,
     )
     return NoCotypeReport(emb, model, report_a, report_ambient)

@@ -3,18 +3,16 @@
 A space is a finite list of opaque point ids with a metric given either
 as an explicit symmetric matrix or induced by per-point coordinates under
 the sup or Euclidean norm, plus a distinguished basepoint.  Distortion of
-a map into a block sum is measured over every unordered pair: by scanning
-them all, or, given a pasted map's ``envelope``, by scanning only the
-pairs whose certified ratio interval can set the max or the min, which
-gives the same report.  The intervals come in closed form, a fixed number
-of pairs at a time in row-major order.
+a map into a block sum is measured over every unordered pair, or over a
+caller's candidate pairs that hold every pair able to set the max or the
+min, which gives the same report.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -47,12 +45,6 @@ _SLAB = 1 << 17
 # the 600-point tree the checks were slower at 2^14 and no faster at 2^16 to
 # 2^17 (medians of 6, 2-CPU Xeon, numpy 2.4).
 _ROW_CHUNK = 1 << 15
-
-# Pairs per chunk of the envelope pass: 64 KiB per array.  On the 600-point
-# tree the pass took 13-24 ms per (p, eps) at 2^13, 15-29 ms at 2^12 and no
-# less at 2^14 or 2^15, where its peak doubles with each step (medians of 9,
-# 2-CPU Xeon, numpy 2.4).
-_BOUND_CHUNK = 1 << 13
 
 
 def sup_pairwise(V: np.ndarray, kind: str = "linf") -> np.ndarray:
@@ -442,152 +434,13 @@ def ball(space: PointedMetricSpace, radius: float) -> PointedMetricSpace:
     return space._restrict([i for i in range(len(space)) if rho[i] <= radius])
 
 
-def _pair_centres(
-    W: np.ndarray, I: np.ndarray, J: np.ndarray, D: np.ndarray, rho: np.ndarray
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (b, C_b) on pairs (I, J): the closed-form block distances of a pasted distance-vector map.
-
-    With w = W[b - 1], C_b[k] = min(w_x, w_y) D[k] + |w_x - w_y| rho_z for
-    x = I[k], y = J[k] and z the one with the larger w; ``D`` holds the
-    pairs' distances.  A pair with one point outside the support (w = 0) is
-    at the other point's w rho, a pair with both outside at 0, as in
-    ``sumspace._pair_distances``, whose buffer protocol this shares.  I is
-    sorted, so only the blocks some point from I[0] on uses are yielded.
-    """
-    buf, far = np.empty(len(I)), np.empty(len(I))
-    rx, ry = rho[I], -rho[J]
-    for b in np.flatnonzero(W[:, I[0] :].any(axis=1)):
-        wx, wy = W[b, I], W[b, J]
-        np.subtract(wx, wy, out=buf)
-        np.multiply(buf, rx, out=far)
-        buf *= ry
-        np.maximum(buf, far, out=buf)
-        np.minimum(wx, wy, out=far)
-        far *= D
-        buf += far
-        yield int(b) + 1, buf
-
-
-def _pair_bounds(space: PointedMetricSpace, W: np.ndarray, aggregator: Fold) -> Iterator[tuple]:
-    """Yield (keys, [(lo, hi) per folded norm]): bounds on the scanned ratios of a chunk of pairs.
-
-    ``W`` is the (B, n) coefficient array of a pasted distance-vector map:
-    x's image in block b is w_x F_b(x) with w_x = W[b - 1, x], computed as
-    fl(w_x F̂_b(x)), where F̂_b(x)_k = fl(D[k, x] - D[k, base]) for the
-    anchors k of a ball that holds every point with w > 0.  The scan's
-    ratio of a pair x < y, fl(fold(K̂)[x, y] / D[x, y]), lies in [lo, hi].
-
-    Chunks.  The pairs x < y come in row-major order, ``_BOUND_CHUNK`` at
-    a time, and ``keys`` holds x n + y for each, so every pair is in
-    exactly one chunk and the chunks' keys are sorted.
-
-    Block distance.  Say w_x >= w_y, and write f_z = D[:, z] - D[:, base].
-    Then w_x f_x - w_y f_y = w_y (f_x - f_y) + (w_x - w_y) f_x, whose sup
-    norm is at most w_y T[x, y] + (w_x - w_y) T[x, base].  The space's
-    ``_defect`` delta = t + a + g bounds T - D by t, the asymmetry by a and
-    the diagonal by g.  The centre C = w_y D[., .] + (w_x - w_y) rho_x reads
-    D[x, y] or D[y, x], and rho_x = D[base, x]; each is within a of what
-    the bound reads, so the norm is at most C + w_y a + (w_x - w_y) a +
-    w_x t = C + w_x (t + a).  Anchor k = x attains w_x D[x, x] - (w_x -
-    w_y) D[x, base] - w_y D[x, y], so the norm is at least C - w_x (a + g).
-    A point outside the support has w = 0 and the same C.  rho is read
-    clipped at 0: off-diagonal entries are positive, so only the
-    basepoint's own rho can be negative (by at most g), and the basepoint's
-    image is exactly 0, so T[base, base] = 0 is what the bound reads there.
-    So the exact kernel is within max(w_x, w_y) delta of C, and C >= 0 on
-    every pair.  In floating point, the two subtractions and two products
-    before the kernel's subtraction, and that one, err by at most 2u (w_x
-    |f_x| + w_y |f_y|) + u |the difference|, with |f_z| <= rho_z + delta
-    and u = 2^-53: 3u (w_x rho_x + w_y rho_y) up to delta u terms.  The
-    centre's four roundings add 3u C <= 3u (w_x rho_x + w_y rho_y + w_x
-    delta).  An underflowing product errs by 2^-1075 more.  So
-    |K̂_b - C_b| <= 6.5u (w_x rho_x + w_y rho_y) + max(w_x, w_y) delta
-    (1 + 2^-40) + 2^-1072, and since max <= sum, the blocks' half-widths
-    sum to at most r_x + r_y with r = (sum_b W[b]) (6.5u rho + delta (1 +
-    2^-40)) + 2^-1060, rounded up.
-
-    Fold.  ``sumspace.fold``'s p-sum and max, and fdd's (norm_a, ambient)
-    fold, are monotone and 1-Lipschitz in the l1 norm of the block
-    distances, so |fold(K̂) - fold(C)| <= r_x + r_y.  A pair meets at most
-    N = 2 max_x #{b : W[b, x] > 0} nonzero blocks; a zero block is an
-    exact no-op of every fold.  Folded in floating point, each nonzero
-    block after the first costs the p-sum at most (p + 6) u before its
-    closing 1/p power (np.power taken as correct to 4 ulp), so a computed
-    fold is within (7N + 5) u of exact.  The errors of the scan's fold of
-    K̂ and of this fold of C, and the roundings of lo and hi below, fit in
-    mu = (16N + 16) u times the folded centre.
-
-    Range.  Everything is computed in units of a power of two that puts
-    max D below 2^1000, so no centre or fold overflows.  A fold whose upper
-    end reaches 2^1023 might round to inf in the scan, so its hi is inf.
-    Dividing by D is monotone, so the bounds on the fold bound the ratio.
-    """
-    u = 2.0**-53
-    D, rho = space.matrix, np.maximum(space.rho(), 0.0)
-    n = len(D)
-    unit = math.ldexp(1.0, max(0, math.frexp(float(np.max(D)))[1] - 1000))
-    W = W / unit
-    radius = W.sum(axis=0) * (6.5 * u * rho + space._defect * (1.0 + 2.0**-40))
-    radius = radius * (1.0 + 2.0**-36) + 2.0**-1060
-    mu = (32 * int(np.count_nonzero(W, axis=0).max()) + 16) * u
-    # row x's first pair (x, x + 1) is pair number starts[x] in row-major order
-    starts = np.arange(n) * (2 * n - 1 - np.arange(n)) // 2
-    for k0 in range(0, starts[-1], _BOUND_CHUNK):
-        k = np.arange(k0, min(k0 + _BOUND_CHUNK, starts[-1]))
-        I = np.searchsorted(starts, k, side="right") - 1
-        J = k - starts[I] + I + 1
-        d = D[I, J]
-        folded = aggregator(I.shape, _pair_centres(W, I, J, d, rho))
-        bounds = []
-        for hi in folded if isinstance(folded, tuple) else (folded,):
-            lo = np.multiply(hi, mu)
-            lo += radius[I]
-            lo += radius[J]
-            np.add(hi, lo, out=hi)
-            np.multiply(lo, 2.0, out=lo)
-            np.subtract(hi, lo, out=lo)
-            if unit > 1.0:
-                np.minimum(lo, 2.0**1023 / unit, out=lo)
-                hi[hi >= 2.0**1023 / unit] = np.inf
-                lo *= unit
-                hi *= unit
-            with np.errstate(over="ignore"):
-                np.divide(lo, d, out=lo)
-                np.divide(hi, d, out=hi)
-            bounds.append((lo, hi))
-        yield I * n + J, bounds
-
-
-def _candidates(space: PointedMetricSpace, W: np.ndarray, aggregator: Fold) -> tuple:
-    """The pairs (I, J), I < J in row-major order, that can set the scan's max or min ratio.
-
-    A pair whose upper end is below the largest lower end (top) cannot set
-    the max ratio, nor one whose lower end is above the smallest upper end
-    (bottom) the min.  Each chunk keeps the pairs that reach the running top
-    or bottom, and the final ones filter these again; NaN keeps its pair.
-    """
-    top, bottom, kept = -np.inf, np.inf, []
-
-    def reach(bounds: list) -> np.ndarray:
-        ends = zip(bounds, top, bottom)
-        return np.logical_or.reduce([~(hi < t) | ~(lo > b) for (lo, hi), t, b in ends])
-
-    for keys, bounds in _pair_bounds(space, W, aggregator):
-        top = np.maximum(top, [np.max(lo) for lo, _ in bounds])
-        bottom = np.minimum(bottom, [np.min(hi) for _, hi in bounds])
-        keep = reach(bounds)
-        kept.append((keys[keep], [(lo[keep], hi[keep]) for lo, hi in bounds]))
-    survivors = np.concatenate([keys[reach(bounds)] for keys, bounds in kept])
-    return np.divmod(survivors, len(space))
-
-
 def distortion(
     space: PointedMetricSpace,
     image: Mapping,
     target: SumSpaceSpec,
     analytic_bound: float | tuple | None = None,
     aggregator: Fold | None = None,
-    envelope: np.ndarray | None = None,
+    candidates: Callable[[Fold], tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> DistortionReport | tuple[DistortionReport, ...]:
     """Measure bilipschitz distortion of ``image`` over all unordered pairs.
 
@@ -602,12 +455,9 @@ def distortion(
     below 2^-1022, raises ValueError naming the first such pair in
     row-major order.
 
-    ``envelope`` is the (B, n) coefficient array of a pasted
-    distance-vector map (``PastedEmbedding.envelope()``).  With it, each
-    pair's ratio gets a closed-form interval (``_pair_bounds``), and the
-    scan runs only on the pairs whose interval reaches the largest lower
-    end or the smallest upper end.  Every other pair is strictly inside,
-    and the pairs keep their row-major order, so the report is the full
+    ``candidates``, called with the resolved aggregator, returns the pairs
+    (I, J) to scan, I < J in row-major order.  They must include every pair
+    that can set any folded norm's max or min, so the report is the full
     scan's, tie-break included.
     """
     n = len(space)
@@ -620,7 +470,7 @@ def distortion(
             raise ValueError(f"image of {pid!r} does not fit the target block layout")
     if aggregator is None:
         aggregator = sumspace.fold(target.p)
-    I, J = np.triu_indices(n, 1) if envelope is None else _candidates(space, envelope, aggregator)
+    I, J = np.triu_indices(n, 1) if candidates is None else candidates(aggregator)
     with np.errstate(over="ignore", invalid="ignore"):
         folded = aggregator(I.shape, sumspace._pair_distances(vectors, I, J))
         D = space.matrix[I, J]

@@ -16,14 +16,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .errors import ScheduleTooShort
 from .frechet import frechet_embed
 from .metric import PointedMetricSpace, ball, distortion as measure_distortion, DistortionReport
-from .sumspace import BlockVector, SumSpaceSpec, _pair_distances, fold
+from .sumspace import BlockVector, Fold, SumSpaceSpec, _pair_distances, fold
 
 __all__ = [
     "RadiiSchedule",
@@ -218,6 +218,152 @@ def analytic_bound(p: float, epsilon: float) -> float:
     return max(_up(num / den), small_norm_ratio(epsilon))
 
 
+# Pairs per chunk of the envelope pass: 64 KiB per array.  On the 600-point
+# tree the pass took 13-24 ms per (p, eps) at 2^13, 15-29 ms at 2^12 and no
+# less at 2^14 or 2^15, where its peak doubles with each step (medians of 9,
+# 2-CPU Xeon, numpy 2.4).
+_BOUND_CHUNK = 1 << 13
+
+
+def _pair_centres(
+    W: np.ndarray, I: np.ndarray, J: np.ndarray, D: np.ndarray, rho: np.ndarray
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (b, C_b) on pairs (I, J): the closed-form block distances of a pasted distance-vector map.
+
+    With w = W[b - 1], C_b[k] = min(w_x, w_y) D[k] + |w_x - w_y| rho_z for
+    x = I[k], y = J[k] and z the one with the larger w; ``D`` holds the
+    pairs' distances.  A pair with one point outside the support (w = 0) is
+    at the other point's w rho, a pair with both outside at 0, as in
+    ``sumspace._pair_distances``, whose buffer protocol this shares.  I is
+    sorted, so only the blocks some point from I[0] on uses are yielded.
+    """
+    buf, far = np.empty(len(I)), np.empty(len(I))
+    rx, ry = rho[I], -rho[J]
+    for b in np.flatnonzero(W[:, I[0] :].any(axis=1)):
+        wx, wy = W[b, I], W[b, J]
+        np.subtract(wx, wy, out=buf)
+        np.multiply(buf, rx, out=far)
+        buf *= ry
+        np.maximum(buf, far, out=buf)
+        np.minimum(wx, wy, out=far)
+        far *= D
+        buf += far
+        yield int(b) + 1, buf
+
+
+def _pair_bounds(space: PointedMetricSpace, W: np.ndarray, aggregator: Fold) -> Iterator[tuple]:
+    """Yield (keys, [(lo, hi) per folded norm]): bounds on the scanned ratios of a chunk of pairs.
+
+    ``W`` is the (B, n) coefficient array of a pasted distance-vector map:
+    x's image in block b is w_x F_b(x) with w_x = W[b - 1, x], computed as
+    fl(w_x F̂_b(x)), where F̂_b(x)_k = fl(D[k, x] - D[k, base]) for the
+    anchors k of a ball that holds every point with w > 0.  The scan's
+    ratio of a pair x < y, fl(fold(K̂)[x, y] / D[x, y]), lies in [lo, hi].
+
+    Chunks.  The pairs x < y come in row-major order, ``_BOUND_CHUNK`` at
+    a time, and ``keys`` holds x n + y for each, so every pair is in
+    exactly one chunk and the chunks' keys are sorted.
+
+    Block distance.  Say w_x >= w_y, and write f_z = D[:, z] - D[:, base].
+    Then w_x f_x - w_y f_y = w_y (f_x - f_y) + (w_x - w_y) f_x, whose sup
+    norm is at most w_y T[x, y] + (w_x - w_y) T[x, base].  The space's
+    ``_defect`` delta = t + a + g bounds T - D by t, the asymmetry by a and
+    the diagonal by g.  The centre C = w_y D[., .] + (w_x - w_y) rho_x reads
+    D[x, y] or D[y, x], and rho_x = D[base, x]; each is within a of what
+    the bound reads, so the norm is at most C + w_y a + (w_x - w_y) a +
+    w_x t = C + w_x (t + a).  Anchor k = x attains w_x D[x, x] - (w_x -
+    w_y) D[x, base] - w_y D[x, y], so the norm is at least C - w_x (a + g).
+    A point outside the support has w = 0 and the same C.  rho is read
+    clipped at 0: off-diagonal entries are positive, so only the
+    basepoint's own rho can be negative (by at most g), and the basepoint's
+    image is exactly 0, so T[base, base] = 0 is what the bound reads there.
+    So the exact kernel is within max(w_x, w_y) delta of C, and C >= 0 on
+    every pair.  In floating point, the two subtractions and two products
+    before the kernel's subtraction, and that one, err by at most 2u (w_x
+    |f_x| + w_y |f_y|) + u |the difference|, with |f_z| <= rho_z + delta
+    and u = 2^-53: 3u (w_x rho_x + w_y rho_y) up to delta u terms.  The
+    centre's four roundings add 3u C <= 3u (w_x rho_x + w_y rho_y + w_x
+    delta).  An underflowing product errs by 2^-1075 more.  So
+    |K̂_b - C_b| <= 6.5u (w_x rho_x + w_y rho_y) + max(w_x, w_y) delta
+    (1 + 2^-40) + 2^-1072, and since max <= sum, the blocks' half-widths
+    sum to at most r_x + r_y with r = (sum_b W[b]) (6.5u rho + delta (1 +
+    2^-40)) + 2^-1060, rounded up.
+
+    Fold.  ``sumspace.fold``'s p-sum and max, and fdd's (norm_a, ambient)
+    fold, are monotone and 1-Lipschitz in the l1 norm of the block
+    distances, so |fold(K̂) - fold(C)| <= r_x + r_y.  A pair meets at most
+    N = 2 max_x #{b : W[b, x] > 0} nonzero blocks; a zero block is an
+    exact no-op of every fold.  Folded in floating point, each nonzero
+    block after the first costs the p-sum at most (p + 6) u before its
+    closing 1/p power (np.power taken as correct to 4 ulp), so a computed
+    fold is within (7N + 5) u of exact.  The errors of the scan's fold of
+    K̂ and of this fold of C, and the roundings of lo and hi below, fit in
+    mu = (16N + 16) u times the folded centre.
+
+    Range.  Everything is computed in units of a power of two that puts
+    max D below 2^1000, so no centre or fold overflows.  A fold whose upper
+    end reaches 2^1023 might round to inf in the scan, so its hi is inf.
+    Dividing by D is monotone, so the bounds on the fold bound the ratio.
+    """
+    u = 2.0**-53
+    D, rho = space.matrix, np.maximum(space.rho(), 0.0)
+    n = len(D)
+    unit = math.ldexp(1.0, max(0, math.frexp(float(np.max(D)))[1] - 1000))
+    W = W / unit
+    radius = W.sum(axis=0) * (6.5 * u * rho + space._defect * (1.0 + 2.0**-40))
+    radius = radius * (1.0 + 2.0**-36) + 2.0**-1060
+    mu = (32 * int(np.count_nonzero(W, axis=0).max()) + 16) * u
+    # row x's first pair (x, x + 1) is pair number starts[x] in row-major order
+    starts = np.arange(n) * (2 * n - 1 - np.arange(n)) // 2
+    for k0 in range(0, starts[-1], _BOUND_CHUNK):
+        k = np.arange(k0, min(k0 + _BOUND_CHUNK, starts[-1]))
+        I = np.searchsorted(starts, k, side="right") - 1
+        J = k - starts[I] + I + 1
+        d = D[I, J]
+        folded = aggregator(I.shape, _pair_centres(W, I, J, d, rho))
+        bounds = []
+        for hi in folded if isinstance(folded, tuple) else (folded,):
+            lo = np.multiply(hi, mu)
+            lo += radius[I]
+            lo += radius[J]
+            np.add(hi, lo, out=hi)
+            np.multiply(lo, 2.0, out=lo)
+            np.subtract(hi, lo, out=lo)
+            if unit > 1.0:
+                np.minimum(lo, 2.0**1023 / unit, out=lo)
+                hi[hi >= 2.0**1023 / unit] = np.inf
+                lo *= unit
+                hi *= unit
+            with np.errstate(over="ignore"):
+                np.divide(lo, d, out=lo)
+                np.divide(hi, d, out=hi)
+            bounds.append((lo, hi))
+        yield I * n + J, bounds
+
+
+def _candidates(space: PointedMetricSpace, W: np.ndarray, aggregator: Fold) -> tuple:
+    """The pairs (I, J), I < J in row-major order, that can set the scan's max or min ratio.
+
+    A pair whose upper end is below the largest lower end (top) cannot set
+    the max ratio, nor one whose lower end is above the smallest upper end
+    (bottom) the min.  Each chunk keeps the pairs that reach the running top
+    or bottom, and the final ones filter these again; NaN keeps its pair.
+    """
+    top, bottom, kept = -np.inf, np.inf, []
+
+    def reach(bounds: list) -> np.ndarray:
+        ends = zip(bounds, top, bottom)
+        return np.logical_or.reduce([~(hi < t) | ~(lo > b) for (lo, hi), t, b in ends])
+
+    for keys, bounds in _pair_bounds(space, W, aggregator):
+        top = np.maximum(top, [np.max(lo) for lo, _ in bounds])
+        bottom = np.minimum(bottom, [np.min(hi) for _, hi in bounds])
+        keep = reach(bounds)
+        kept.append((keys[keep], [(lo[keep], hi[keep]) for lo, hi in bounds]))
+    survivors = np.concatenate([keys[reach(bounds)] for keys, bounds in kept])
+    return np.divmod(survivors, len(space))
+
+
 @dataclass(frozen=True)
 class BlockLayout:
     """The radii schedule whose even radii R_{2n} bound the ball of block n."""
@@ -244,10 +390,10 @@ class PastedEmbedding:
     def envelope(self) -> np.ndarray | None:
         """``coefficients`` when every image is built from distance vectors, else None.
 
-        Pass it as ``distortion(..., envelope=...)``, whose closed-form pair
-        intervals hold only for such images: x's image has exactly the blocks
-        b with W[b - 1, x] > 0, each fl(W[b - 1, x] F̂_b(x)), with F̂_b(x) read
-        from D over the ball's anchors as ``frechet_embed`` reads it.
+        ``_pair_bounds``' closed-form pair intervals hold only for such
+        images: x's image has exactly the blocks b with W[b - 1, x] > 0, each
+        fl(W[b - 1, x] F̂_b(x)), with F̂_b(x) read from D over the ball's
+        anchors as ``frechet_embed`` reads it.
         """
         W = self.coefficients
         D = self.space.matrix
@@ -267,6 +413,11 @@ class PastedEmbedding:
                 if not np.array_equal([blocks[i].get(b, ()) for i in part], F):
                     return None
         return W
+
+    def candidates(self, aggregator: Fold) -> tuple[np.ndarray, np.ndarray]:
+        """The pairs to pass as ``distortion(..., candidates=...)``: every pair without an envelope."""
+        W = self.envelope()
+        return np.triu_indices(len(self.space), 1) if W is None else _candidates(self.space, W, aggregator)
 
     def norm_preservation_error(self) -> float:
         """max over points of | ||Tx|| - rho(x) |, scaled by max(1, rho_max).
@@ -344,11 +495,12 @@ def seam_check(emb: PastedEmbedding) -> tuple[float, int]:
     """Compare the map's blend placement with the next branch formula on every seam point.
 
     A point with rho in a handover interval [R_{2i}, R_{2i+1}] is in the
-    domains of branches i and i+1.  The map holds branch i's (c, s) in
-    blocks (i, i+1), read from W; branch i+1's formula puts (c', s') in
-    (i+1, i+2).  For ball images of sup norm rho they are
-    rho * max(c, |s - c'|, s') apart, whatever the provider, and exactly 0.0
-    by the clamped blends.  Returns (max gap, number of points checked).
+    domains of branches i and i+1.  The map holds (c, s, t) in blocks (i,
+    i+1, i+2), read from W (t = 0 past the last block); branch i+1's
+    formula puts (0, c', s') there.  For ball images of sup norm rho they
+    are rho * max(c, |s - c'|, |t - s'|) apart, whatever the provider, and
+    exactly 0.0 by the clamped blends.  Returns (max gap, number of points
+    checked).
     """
     sched = emb.layout.schedule
     rho = emb.space.rho()
@@ -361,8 +513,9 @@ def seam_check(emb: PastedEmbedding) -> tuple[float, int]:
         band = emb.band_of[pid]
         if band < sched.band_count and sched.radii[2 * band - 1] <= r:
             c, s = float(W[band - 1, i]), float(W[band, i])
+            t = float(W[band + 1, i]) if band + 1 < len(W) else 0.0
             c_next, s_next = blend(emb.spec.p, sched, band + 1, r)
-            worst = max(worst, r * max(c, abs(s - c_next), s_next))
+            worst = max(worst, r * max(c, abs(s - c_next), abs(t - s_next)))
             checked += 1
     return worst, checked
 

@@ -198,6 +198,29 @@ class TestInputErrors:
     def test_unknown_subcommand(self):
         assert main(["frobnicate"]) == 2
 
+    @pytest.mark.parametrize("text, key", [
+        ('{"basepoint": "o", "metric": "linf", "points": [{"id": "o", "coords": [0]},'
+         ' {"id": "a", "coords": [1], "coords": [3]}]}', "coords"),
+        ('{"basepoint": "o", "basepoint": "a", "metric": "linf", "points": [{"id": "o",'
+         ' "coords": [0]}, {"id": "a", "coords": [1]}]}', "basepoint"),
+    ], ids=["coords", "basepoint"])
+    def test_repeated_key_in_a_space_is_schema_error(self, tmp_path, capsys, text, key):
+        # json.load alone keeps the last of two equal keys
+        bad = tmp_path / "space.json"
+        bad.write_text(text)
+        assert main(["embed", "--input", str(bad), "--p", "2", "--epsilon", "0.2"]) == 2
+        assert capsys.readouterr().err == f"error: JSON in {bad} repeats key {key!r} in one object\n"
+
+    @pytest.mark.parametrize("argv, out", [
+        (["embed", "--p", "2", "--epsilon", "0.2"], "."),
+        (["sweep", "--p", "2", "--eps", "0.2"], "missing/x.csv"),
+    ], ids=["directory", "missing-parent"])
+    def test_unwritable_out_is_input_error(self, line_doc, tmp_path, capsys, argv, out):
+        capsys.readouterr()
+        assert main(argv + ["--input", line_doc, "--out", str(tmp_path / out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_bad_flag_value(self, line_doc):
         assert main(["embed", "--input", line_doc, "--p", "two", "--epsilon", "0.2"]) == 2
 
@@ -395,6 +418,18 @@ class TestDistortionCommand:
         assert main(["distortion", "--input", pair_doc, "--map", str(map_path)]) == 2
         assert capsys.readouterr().err == (
             f"error: block keys {keys[0]!r} and {keys[1]!r} of 'a' both name block 1\n")
+
+    @pytest.mark.parametrize("images, key", [
+        ('{"o": {"1": [0]}, "a": {"1": [5], "1": [1]}}', "1"),
+        ('{"o": {"1": [0]}, "a": {"1": [1]}, "a": {"1": [5]}}', "a"),
+    ], ids=["block", "point"])
+    def test_repeated_json_keys_are_schema_errors(self, pair_doc, tmp_path, capsys, images, key):
+        # json.load alone keeps the last value, which silently sets the report
+        map_path = tmp_path / "map.json"
+        map_path.write_text('{"p": 2, "block_dims": [1], "images": ' + images + "}")
+        assert main(["distortion", "--input", pair_doc, "--map", str(map_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: JSON in {map_path} repeats key {key!r} in one object\n")
 
     def test_missing_image_is_schema_error(self, int_doc, tmp_path):
         path, sp = int_doc

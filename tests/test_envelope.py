@@ -1,9 +1,9 @@
 """The closed-form pair envelope that prunes the distortion scan.
 
-For a pasted distance-vector map, ``metric._pair_bounds`` gives every pair
+For a pasted distance-vector map, ``spiral._pair_bounds`` gives every pair
 an interval that must hold the full scan's ratio, and ``distortion(...,
-envelope=...)`` scans only the pairs whose interval can set the max or the
-min, so its report must be the full scan's.
+candidates=emb.candidates)`` scans only the pairs whose interval can set the
+max or the min, so its report must be the full scan's.
 """
 
 import math
@@ -27,7 +27,7 @@ from spiralpaste import (
     tree_space,
 )
 from spiralpaste.fdd import _norm_a_aggregator
-from spiralpaste.metric import _candidates, _pair_bounds, _pair_centres
+from spiralpaste.spiral import _candidates, _pair_bounds, _pair_centres
 from spiralpaste.sumspace import _pair_distances, _power_fold
 
 P_MENU = (1.0, 1.5, 2.0, 3.0, 10.0)
@@ -134,7 +134,7 @@ def assert_envelope_holds(space, emb, fdd):
     bound = (None, None) if fdd else None
     full = distortion(space, emb.images, spec, bound, aggregator=fold)
     assert distortion(space, emb.images, spec, bound, aggregator=fold,
-                      envelope=emb.envelope()) == full
+                      candidates=emb.candidates) == full
 
 
 @pytest.mark.parametrize("p", P_MENU)
@@ -208,6 +208,9 @@ def test_scaled_provider_gets_no_envelope():
     emb = paste(space, 2.0, 0.2, provider=scaled)
     assert len(calls) >= 2
     assert emb.envelope() is None
+    # so its candidates are every pair, in row-major order
+    I, J = emb.candidates(_power_fold(2.0))
+    assert all(map(np.array_equal, (I, J), np.triu_indices(len(space), 1)))
     assert paste(space, 2.0, 0.2).envelope() is not None
 
 
@@ -218,9 +221,8 @@ def test_envelope_scan_peaks_no_higher_than_the_full_scan(p, eps, fdd):
     emb = paste(space, p, eps)
     spec, fold = _fold(emb, fdd)
     bound = (None, None) if fdd else None
-    envelope = emb.envelope()
     peaks = []
-    for extra in ({}, {"envelope": envelope}):
+    for extra in ({}, {"candidates": emb.candidates}):
         tracemalloc.start()
         try:
             distortion(space, emb.images, spec, bound, aggregator=fold, **extra)
@@ -240,10 +242,9 @@ def test_envelope_scan_at_a_mass_tie_peaks_at_three_pair_matrices():
     space = tree_space(300)
     n = len(space)
     emb = paste(space, 1.0, 0.5)
-    envelope = emb.envelope()
     tracemalloc.start()
     try:
-        distortion(space, emb.images, emb.spec, envelope=envelope)
+        distortion(space, emb.images, emb.spec, candidates=emb.candidates)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -259,10 +260,9 @@ def test_envelope_scan_on_a_600_point_tree_peaks_at_two_pair_matrices(p, fdd):
     emb = paste(space, p, 0.1)
     spec, fold = _fold(emb, fdd)
     bound = (None, None) if fdd else None
-    envelope = emb.envelope()
     tracemalloc.start()
     try:
-        distortion(space, emb.images, spec, bound, aggregator=fold, envelope=envelope)
+        distortion(space, emb.images, spec, bound, aggregator=fold, candidates=emb.candidates)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

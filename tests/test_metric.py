@@ -26,6 +26,7 @@ from spiralpaste import (
 )
 from spiralpaste import metric
 from spiralpaste.fdd import _norm_a_aggregator
+from spiralpaste.sumspace import fold
 
 from .norms import ambient_norm, combine, norm_a, sum_norm
 
@@ -589,6 +590,30 @@ class TestDistortion:
         }
         assert distortion(sp, images, SPEC, analytic_bound=2.5).passed
         assert not distortion(sp, images, SPEC, analytic_bound=1.5).passed
+
+    def test_candidates_are_the_scanned_pairs(self):
+        # on a line, f = (0, 1, 3, 4, 8): the full scan's extremes are (3, 4)
+        # at 4 and (0, 1) at 1; the given pairs hold neither, and (0, 2) and
+        # (1, 3) tie at the min 1.5, which the first in row-major order takes
+        spec = SumSpaceSpec(SUP, (1,))
+        sp = PointedMetricSpace(ids=tuple("abcde"), basepoint="a", kind="linf",
+                                coords=np.arange(5.0)[:, None])
+        images = {pid: BlockVector(spec, {1: np.array([x])})
+                  for pid, x in zip(sp.ids, (0.0, 1.0, 3.0, 4.0, 8.0))}
+        I, J = np.array([0, 0, 1, 2]), np.array([2, 4, 3, 4])
+        seen = []
+
+        def pairs(aggregator):
+            seen.append(aggregator)
+            return I, J
+
+        sup = fold(SUP)
+        rep = distortion(sp, images, spec, analytic_bound=2.0, aggregator=sup, candidates=pairs)
+        assert seen == [sup]
+        assert (rep.max_pair, rep.min_pair) == (("c", "e"), ("a", "c"))
+        assert rep.distortion == 2.5 / 1.5 and rep.scale_r == 1.5 and rep.passed
+        full = distortion(sp, images, spec)
+        assert (full.distortion, full.max_pair, full.min_pair) == (4.0, ("d", "e"), ("a", "b"))
 
     def test_layout_mismatch_rejected(self):
         sp = tri_space()

@@ -389,6 +389,17 @@ class TestPaste:
         gap, checked = seam_check(emb)
         assert gap == float(line.rho()[i]) and math.isclose(gap, 3046.99, rel_tol=1e-5)
 
+    def test_seam_check_reads_block_b_plus_2(self):
+        # a weight planted in block b + 2 of a seam point, after paste, opens a gap
+        line = line_space()
+        emb = paste(line, 2.0, 0.2)
+        i = line.index("x025")
+        b = emb.band_of["x025"]
+        assert b + 1 < len(emb.coefficients) and emb.coefficients[b + 1, i] == 0.0
+        emb.coefficients[b + 1, i] = 0.5
+        gap, checked = seam_check(emb)
+        assert gap == 0.5 * float(line.rho()[i]) and checked == 10
+
     def test_seam_points_by_construction(self):
         # place points exactly inside the handover plateaus
         sched = radii_schedule(0.25, 3)
