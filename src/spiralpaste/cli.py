@@ -225,7 +225,11 @@ def _cmd_distortion(args: argparse.Namespace) -> tuple[dict, bool]:
 
 
 def _cmd_counterexample(args: argparse.Namespace) -> tuple[dict, bool]:
-    c = CounterexampleConfig(N=args.levels, ray_count=args.rays)
+    try:
+        c = CounterexampleConfig(N=args.levels, ray_count=args.rays)
+    except ValueError as exc:
+        # only the last check, after the level widths', reads ray_count
+        raise SchemaError(f"{'--rays' if str(exc).startswith('ray_count') else '--N'}: {exc}") from exc
 
     rays = []
     additive = carried = True
@@ -325,7 +329,11 @@ def _cmd_spiral(args: argparse.Namespace) -> tuple[dict, bool]:
     # the curve turns through the angle epsilon * ln(t) up to t = t_max
     if math.isinf(args.epsilon * math.log(args.tmax)):
         raise SchemaError("--epsilon times ln(--tmax) overflows double range")
-    rep = spiral_distortion(args.epsilon, t_max=args.tmax, samples=args.samples)
+    try:
+        rep = spiral_distortion(args.epsilon, t_max=args.tmax, samples=args.samples)
+    except ValueError as exc:
+        # the flags passed the checks above; what is left is how the curve was sampled
+        raise SchemaError(f"--tmax {args.tmax!r} with --samples {args.samples}: {exc}") from exc
     checks = {"finite": math.isfinite(rep.distortion)}
     if args.epsilon == 0.0:
         checks["identity_exact"] = rep.distortion == 1.0

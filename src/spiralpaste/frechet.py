@@ -1,7 +1,7 @@
 """Exact isometric embedding of a finite metric space into sup-norm space.
 
 Every point goes to its vector of distances to all points of the space
-(anchors in ascending id order), shifted so the basepoint lands at the
+(anchors in the space's row order), shifted so the basepoint lands at the
 origin.  With the full point set as anchors this is an exact isometry
 into R^n under the sup norm, and the image norm of x equals its distance
 to the basepoint.
@@ -36,11 +36,10 @@ class FrechetMap:
 def frechet_embed(space: PointedMetricSpace) -> FrechetMap:
     """Embed ``space`` isometrically into sup-norm R^n, basepoint at 0.
 
-    Coordinate k of x is d(a_k, x) - d(a_k, basepoint), read from the
-    anchor rows of the distance matrix; each image is a column of them.
+    Coordinate k of x is d(a_k, x) - d(a_k, basepoint) for the k-th point
+    a_k of ``space.ids``, read from row k of the distance matrix; each image
+    is a column of D - D[:, base].
     """
-    anchors = sorted(space.ids)
-    F = space.matrix[[space.index(a) for a in anchors]]
-    base = space.index(space.basepoint)
-    F -= F[:, [base]]
-    return FrechetMap(tuple(anchors), dict(zip(space.ids, F.T)))
+    D = space.matrix
+    F = D - D[:, [space.index(space.basepoint)]]
+    return FrechetMap(space.ids, dict(zip(space.ids, F.T)))

@@ -217,8 +217,8 @@ def _triangle_rows(D: np.ndarray, tol: float, proven: Callable[[float], bool]) -
 class PointedMetricSpace:
     """Finite pointed metric space.
 
-    ids: opaque, mutually sortable point identifiers (construction order
-    is preserved; deterministic operations sort by id).
+    ids: opaque, unique, hashable point identifiers, kept in construction
+    order, which is the row order of every matrix and image built here.
     kind: 'matrix' for an explicit distance matrix, 'linf'/'l2' for a
     coordinate-induced metric.
     matrix: the distance matrix, which every distance read uses.  The

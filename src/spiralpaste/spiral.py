@@ -65,7 +65,7 @@ class RadiiSchedule:
         Compared with the odd radii as built, like ``blend`` and
         ``needed_bands``; rho <= R_1 belongs to band 1.
         """
-        j = int(np.searchsorted(self.radii[0::2], rho, side="left"))
+        j = int(np.count_nonzero(self.radii[0::2] < rho))
         if j >= self.band_count:
             raise ScheduleTooShort(
                 f"rho={rho:g} exceeds the last odd radius R_{2 * self.band_count - 1}"
@@ -100,7 +100,7 @@ def needed_bands(epsilon: float, rho_max: float) -> int:
     """
     step = radii_schedule(epsilon, 2).log_radii[2]  # ln R_3, the log step between odd radii
     sched = radii_schedule(epsilon, 2 + int(710.0 / step))
-    return 1 + int(np.searchsorted(sched.radii[0::2], rho_max, side="left"))
+    return 1 + int(np.count_nonzero(sched.radii[0::2] < rho_max))
 
 
 def blend_theta(p: float, theta: float) -> tuple[float, float]:
@@ -317,7 +317,7 @@ def _pair_bounds(space: PointedMetricSpace, W: np.ndarray, aggregator: Fold) -> 
     starts = np.arange(n) * (2 * n - 1 - np.arange(n)) // 2
     for k0 in range(0, starts[-1], _BOUND_CHUNK):
         k = np.arange(k0, min(k0 + _BOUND_CHUNK, starts[-1]))
-        I = np.searchsorted(starts, k, side="right") - 1
+        I = np.digitize(k, starts) - 1
         J = k - starts[I] + I + 1
         d = D[I, J]
         folded = aggregator(I.shape, _pair_centres(W, I, J, d, rho))
@@ -397,16 +397,14 @@ class PastedEmbedding:
         """
         W = self.coefficients
         D = self.space.matrix
-        ids = self.space.ids
         rho = self.space.rho()
         base = self.space.index(self.space.basepoint)
-        by_id = np.array(sorted(range(len(ids)), key=ids.__getitem__))
-        blocks = [self.images[pid].blocks for pid in ids]
+        blocks = [self.images[pid].blocks for pid in self.space.ids]
         if sum(map(len, blocks)) != np.count_nonzero(W):
             return None
         for b in range(1, len(W) + 1):
             used = np.flatnonzero(W[b - 1])
-            anchors = by_id[rho[by_id] <= self.layout.schedule.radii[2 * b - 1]]
+            anchors = np.flatnonzero(rho <= self.layout.schedule.radii[2 * b - 1])
             # 64 points at a time reuse same-sized buffers; a missing block leaves rows ragged
             for part in (used[k:k + 64] for k in range(0, used.size, 64)):
                 F = (D.T[np.ix_(part, anchors)] - D[anchors, base]) * W[b - 1, part][:, None]
@@ -542,6 +540,8 @@ def spiral_distortion(epsilon: float, *, t_max: float = 1e4, samples: int = 512)
     if samples < 2:
         raise ValueError("need at least two samples")
     ts = [t_max ** ((k + 1) / samples) for k in range(samples)]
+    if len(set(ts)) < samples:
+        raise ValueError(f"the {samples} samples t_max^(k/samples) are not distinct doubles")
     ids = tuple(f"t{k:04d}" for k in range(samples))
     space = PointedMetricSpace(ids, ids[0], "l2", coords=np.array(ts)[:, None])
     spec = SumSpaceSpec(2.0, (1, 1))

@@ -478,7 +478,7 @@ class TestOtherCommands:
     def test_counterexample_first_width_one_needs_one_level(self, tmp_path, capsys, argv):
         # the level-2 separation compares the tips of N_1 rays, so N_1 = 1 leaves no pair
         assert main(["counterexample", *argv, "--out", str(tmp_path / "r.json")]) == 2
-        assert capsys.readouterr().err.startswith("error: N_1 must be at least 2")
+        assert capsys.readouterr().err.startswith("error: --N: N_1 must be at least 2")
         assert main(["counterexample", "--N", "1", "--rays", "1",
                      "--out", str(tmp_path / "r.json")]) == 0
 
@@ -512,7 +512,8 @@ class TestOtherCommands:
         assert main(["spiral", "--epsilon", "1", "--tmax", tmax, "--samples", "512",
                      "--out", str(tmp_path / "r.json")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: target distances must be finite: pair ('t05")
+        assert err.startswith(f"error: --tmax {float(tmax)!r} with --samples 512: "
+                              "target distances must be finite: pair ('t05")
         assert "RuntimeWarning" not in err and not (tmp_path / "r.json").exists()
 
     def test_spiral_too_large_to_allocate(self, capsys, tmp_path):
@@ -678,10 +679,23 @@ class TestFlags:
         (["--epsilon=0.1", "--tmax=inf"], "--tmax"), (["--epsilon=0.1", "--tmax=nan"], "--tmax"),
         (["--epsilon=1e308"], "--epsilon times ln(--tmax) overflows"),
         (["--epsilon=0.1", "--tmax=1"], "--tmax"), (["--epsilon=0.1", "--samples=1"], "--samples"),
+        # the samples t_max^(k/samples) coincide as doubles
+        (["--epsilon=0.1", "--tmax=1.0000000000001", "--samples=512"],
+         "--tmax 1.0000000000001 with --samples 512"),
+        (["--epsilon=0.1", "--tmax=1.0000000000000002", "--samples=3"],
+         "--tmax 1.0000000000000002 with --samples 3"),
     ], ids=["epsilon-nan", "epsilon-neg-inf", "tmax-inf", "tmax-nan", "angle-overflow",
-            "tmax-1", "samples-1"])
+            "tmax-1", "samples-1", "samples-coincide-512", "samples-coincide-3"])
     def test_spiral_rejects_by_flag_name(self, capsys, argv, flag):
         assert main(["spiral", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and flag in err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["--rays=3"], "--rays: ray_count 3 cannot cover"), (["--N=0"], "--N: level widths must be positive"),
+    ], ids=["rays-short", "N-zero"])
+    def test_counterexample_rejects_by_flag_name(self, capsys, argv, flag):
+        assert main(["counterexample", *argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and flag in err
 

@@ -312,6 +312,16 @@ def test_every_block_centre_is_within_its_width(make, eps, p):
             pytest.fail(f"block {b}, pair {x}, {y}: gap {gap[out[0]]!r} > width {width[out[0]]!r}")
 
 
+def test_envelope_in_row_order_not_id_order():
+    # ids descending in construction order: each ball's anchors are its rows, in row order
+    tree = tree_space(120, seed=3)
+    ids = tuple(f"p{i}" for i in reversed(range(len(tree))))
+    space = PointedMetricSpace(ids, ids[0], "matrix", matrix=tree.matrix)
+    emb = paste(space, 2.0, 0.2)
+    assert emb.envelope() is emb.coefficients
+    assert_envelope_holds(space, emb, False)
+
+
 def test_envelope_reads_the_images():
     # one ulp in one image block is no longer fl(w F̂): no envelope
     space = line_space(40, r_max=1e6)

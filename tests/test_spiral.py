@@ -305,6 +305,14 @@ class TestPaste:
         assert rep.distortion == 1.0
         assert emb.layout.schedule.band_count == 1
 
+    def test_ids_need_not_be_mutually_sortable(self):
+        # the ball maps read each ball in its row order; no id is compared with another
+        sp = PointedMetricSpace((0, "a", 2.5), 0, "linf", coords=[[0], [1], [3]])
+        emb = paste(sp, 2.0, 0.2)
+        bound = analytic_bound(2.0, 0.2)
+        rep = distortion(sp, emb.images, emb.spec, bound, candidates=emb.candidates)
+        assert emb.envelope() is not None and rep.passed
+
     def test_basepoint_image_is_zero(self, line):
         emb = paste(line, 2.0, 0.2)
         assert sum_norm(emb.images[line.basepoint]) == 0.0
@@ -521,3 +529,8 @@ class TestReferenceCurve:
     def test_distortion_at_least_one(self):
         rep = spiral_distortion(0.15, t_max=100.0, samples=128)
         assert rep.distortion >= 1.0
+
+    def test_samples_that_coincide_are_rejected(self):
+        # 1 + 2^-52 has no double strictly between it and 1 to hold a middle sample
+        with pytest.raises(ValueError, match="the 3 samples .* are not distinct doubles"):
+            spiral_distortion(0.1, t_max=1.0000000000000002, samples=3)
