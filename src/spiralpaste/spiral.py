@@ -128,18 +128,30 @@ def blend(p: float, schedule: RadiiSchedule, band: int, rho: float) -> tuple[flo
 
     rho is clamped to the blend window [R_{2i-1}, R_{2i}]; at or outside
     the endpoints the pair is exactly (1, 0) or (0, 1), which is what
-    makes adjacent branch formulas agree without rounding error.
+    makes adjacent branch formulas agree without rounding error.  Inside,
+    the angle runs from 0 at R_{2i-1} to pi/2 at R_{2i}, both as built:
+    theta = (pi/2) ln(rho / R_{2i-1}) / ln(R_{2i} / R_{2i-1}), or
+    eps ln(rho / R_{2i-1}) where R_{2i} is +inf.  So W is continuous at
+    both ends.  Each log is log1p of an offset, exact near its end, and
+    theta is read from the nearer end (near R_{2i} as pi/2 - theta, with
+    (c, s) swapped), so the small coefficient is accurate to its own size.
     """
     if not 1 <= band <= schedule.band_count:
         raise IndexError(f"band {band} outside 1..{schedule.band_count}")
-    lo = schedule.radii[2 * band - 2]
-    hi = schedule.radii[2 * band - 1]
+    lo = float(schedule.radii[2 * band - 2])
+    hi = float(schedule.radii[2 * band - 1])
     if rho <= lo:
         return 1.0, 0.0
     if rho >= hi:
         return 0.0, 1.0
-    theta = schedule.epsilon * (math.log(rho) - schedule.log_radii[2 * band - 2])
-    return blend_theta(p, theta)
+    up = math.log1p((rho - lo) / lo)  # ln(rho / lo)
+    down = math.log1p((hi - rho) / rho)  # ln(hi / rho), +inf where hi is
+    if down == math.inf:
+        return blend_theta(p, schedule.epsilon * up)
+    if up <= down:
+        return blend_theta(p, math.pi / 2.0 * (up / (up + down)))
+    s, c = blend_theta(p, math.pi / 2.0 * (down / (up + down)))
+    return c, s
 
 
 def c_constant(p: float) -> float:
@@ -188,9 +200,20 @@ def analytic_bound(p: float, epsilon: float) -> float:
     cross-multiplying the two ratios leaves (2r - 4) eps + (r - 1) eps^2 +
     (1 + 3r) eps^3 + 2r eps^4 > 0.  The max is kept so the bound names both.
 
+    The schedule is built in doubles, so the bound reads eps where the
+    construction as built has its own rates.  Its logs stay below 2^10 (past
+    that a radius is +inf), so a window's log width ln(R_{2i} / R_{2i-1})
+    and its shrink log ln(R_{2i+1} / R_{2i}) err by at most 2^-44 plus
+    the roundings of pi / (2 eps), -ln eps and exp.  The blend turns at
+    (pi/2) / ln(R_{2i} / R_{2i-1}), within 2^-44 (2 eps / pi) + 2^-50
+    < 2^-46 relative of eps wherever the band ratio is finite (eps <
+    0.264, as a >= 2 sqrt 2), so the band ratio is taken at eps (1 +
+    2^-46).  Pairs whose norms differ by the shrink gap as built, within
+    2^-43 relative of eps, get the small-norm ratio at eps (1 + 2^-43).
+
     Each rounded step is moved outward, so the result is never below the
-    exact formula at the given doubles; it is +inf where that is, and also a
-    few ulps short of the pole, where that exceeds 1e12.
+    exact formula at those raised epsilons; it is +inf where that is, and
+    also a few ulps short of the pole, where that exceeds 1e12.
     """
     if not 1.0 <= p < math.inf:
         raise ValueError(f"exponent must be a finite real >= 1, got {p}")
@@ -206,16 +229,18 @@ def analytic_bound(p: float, epsilon: float) -> float:
         K = math.inf
     if not math.isfinite(K):
         return math.inf
+    # the blend's rate as built; 1 + 2^-46 is exact
+    eps = _up(epsilon * (1.0 + 2.0**-46))
     # One step up bounds a correctly rounded op and two bound libm pow (error
     # < 1 ulp); 2^x grows with its already raised exponent.
-    a_eps = _up(_up(_up(_up(2.0 ** _up(1.0 / p))) * K) * epsilon)
-    one_eps = _up(1.0 + epsilon)
+    a_eps = _up(_up(_up(_up(2.0 ** _up(1.0 / p))) * K) * eps)
+    one_eps = _up(1.0 + eps)
     # The denominator is lowered: its subtrahend is raised, then 1 - it rounded down.
     den = math.nextafter(1.0 - _up(a_eps * one_eps), -math.inf)
     if den <= 0.0:
         return math.inf
     num = _up(one_eps * _up(1.0 + a_eps))
-    return max(_up(num / den), small_norm_ratio(epsilon))
+    return max(_up(num / den), small_norm_ratio(_up(epsilon * (1.0 + 2.0**-43))))
 
 
 # Pairs per chunk of the envelope pass: 64 KiB per array.  On the 600-point

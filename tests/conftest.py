@@ -1,11 +1,27 @@
 """Shared fixtures: the three standing test spaces and integer-metric helpers."""
 
+import os
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.errors import InvalidArgument
 
 from spiralpaste import PointedMetricSpace, grid_space, line_space, tree_space
+
+# HYPOTHESIS_PROFILE=ci prints the @reproduce_failure blob of a failing
+# example, so a failure in a CI log can be replayed.  Recent hypothesis
+# releases ship a "ci" profile, loaded on CI, that already does; this one
+# extends it, or the default profile where a release has none, and sets
+# nothing else: no example count, deadline, seed or database moves.
+try:
+    _ci_base = settings.get_profile("ci")
+except InvalidArgument:
+    _ci_base = settings.get_profile("default")
+settings.register_profile("ci", _ci_base, print_blob=True)
+if os.environ.get("HYPOTHESIS_PROFILE") == "ci":
+    settings.load_profile("ci")
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

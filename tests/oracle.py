@@ -6,9 +6,9 @@ pasted distance-vector map in mpmath at ``DIGITS`` significant digits.  It
 follows the construction as ``paste`` builds it: the schedule from
 ``needed_bands`` and ``radii_schedule``, each point's band from
 ``band_of``, the blend windows and balls compared with the float radii, and
-the blend angle read from the float ``log_radii`` and clamped to
-[0, pi/2].  Only the arithmetic after those choices is exact: the angle's
-log, the blend pair, the images, the block sup norms, the p-sum and the
+the blend angle running from 0 to pi/2 across the window between those
+radii.  Only the arithmetic after those choices is exact: the angle's
+logs, the blend pair, the images, the block sup norms, the p-sum and the
 ratios.  It shares no code with ``_pair_distances`` or ``sumspace.fold``.
 """
 
@@ -34,14 +34,18 @@ def exact_distances(space) -> list:
 
 
 def _blend(p, eps, schedule, band, rho):
-    """(c, s) of band ``band`` at the exact distance rho, clamped as ``spiral.blend`` clamps."""
+    """(c, s) of band ``band`` at the exact distance rho, as ``spiral.blend`` places it."""
     lo, hi = schedule.radii[2 * band - 2], schedule.radii[2 * band - 1]
     if rho <= lo:
         return mpmath.mpf(1), mpmath.mpf(0)
     if rho >= hi:
         return mpmath.mpf(0), mpmath.mpf(1)
-    theta = eps * (mpmath.log(rho) - mpmath.mpf(float(schedule.log_radii[2 * band - 2])))
-    theta = min(max(theta, mpmath.mpf(0)), mpmath.pi / 2)
+    # (pi/2) ln(rho / lo) / ln(hi / lo), or eps ln(rho / lo) where hi is +inf
+    up = mpmath.log(rho / mpmath.mpf(float(lo)))
+    if np.isinf(hi):
+        theta = min(eps * up, mpmath.pi / 2)
+    else:
+        theta = mpmath.pi / 2 * up / mpmath.log(mpmath.mpf(float(hi)) / mpmath.mpf(float(lo)))
     ct, st = mpmath.cos(theta), mpmath.sin(theta)
     if p <= 2:
         return ct ** (mpmath.mpf(2) / p), st ** (mpmath.mpf(2) / p)

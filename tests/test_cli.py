@@ -134,6 +134,20 @@ class TestEmbed:
         assert main(["embed", "--input", str(path), "--p", "2", "--epsilon", "0.1",
                      "--out", str(tmp_path / "r.json")]) == 0
 
+    def test_point_one_ulp_below_an_even_radius(self, tmp_path):
+        # x is R_4 at eps = 0.1 and y one ulp below it: the blend reaches
+        # (0, 1) at the window's end as built, so the pair keeps its distance
+        doc = {"basepoint": "o", "metric": "linf", "points": [
+            {"id": "m", "coords": [-5.2685179]},
+            {"id": "o", "coords": [0.0]},
+            {"id": "x", "coords": [440315058606318.7]},
+            {"id": "y", "coords": [440315058606318.6]},
+        ]}
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps(doc))
+        assert main(["embed", "--input", str(path), "--p", "2", "--epsilon", "0.1",
+                     "--out", str(tmp_path / "r.json")]) == 0
+
     @pytest.mark.parametrize("x", [5.0, math.exp(math.pi / 0.4)])
     def test_huge_exponent(self, tmp_path, capsys, x):
         # 5 sits early in the first blend window; e^(pi/(4 eps)) at its middle

@@ -8,9 +8,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from spiralpaste import PointedMetricSpace, analytic_bound, distortion, paste, radii_schedule
+from spiralpaste import PointedMetricSpace, analytic_bound, distortion, load_space, paste, radii_schedule
 
 from .oracle import pasted_distortion
 
@@ -70,9 +70,45 @@ def lines_on_the_schedule(draw):
     return PointedMetricSpace(ids, ids[int(np.flatnonzero(coords[:, 0] == 0.0)[0])], "linf", coords=coords), eps
 
 
+# x is R_4 = radii_schedule(0.1, 3).radii[3] and y one ulp below it
+WINDOW_END_LINE = load_space({"basepoint": "o", "metric": "linf", "points": [
+    {"id": "m", "coords": [-5.2685179]},
+    {"id": "o", "coords": [0.0]},
+    {"id": "x", "coords": [440315058606318.7]},
+    {"id": "y", "coords": [440315058606318.6]},
+]})
+
+
 @settings(max_examples=200, deadline=None)
 @given(lines_on_the_schedule(), st.sampled_from([1.0, 1.5, 2.0, 2.5]))
+@example((WINDOW_END_LINE, 0.1), 2.0)
 def test_the_construction_meets_the_bound(case, p):
-    # a violation here is a finding about analytic_bound's proof, not a rounding
+    # a violation here is a finding about the construction as built, float
+    # schedule included, and so about analytic_bound; the oracle adds no rounding
     space, eps = case
     assert pasted_distortion(space, p, eps) <= analytic_bound(p, eps)
+
+
+def window_end_lines():
+    """(space, eps): linf lines {-3, 0, R_k, R_k moved j ulps}, k = 1..5, j = 1, 2, up or down."""
+    for eps in (0.05, 0.1, 0.2, 0.3):
+        for radius in radii_schedule(eps, 3).radii[:5]:
+            for j in (1, 2):
+                for toward in (0.0, math.inf):
+                    moved = float(radius)
+                    for _ in range(j):
+                        moved = math.nextafter(moved, toward)
+                    coords = np.array([[-3.0], [0.0], [float(radius)], [moved]])
+                    yield PointedMetricSpace(("m", "o", "r", "q"), "o", "linf", coords=coords), eps
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 2.5, 3.0])
+def test_window_ends_meet_the_bound(p):
+    # the blend reaches (1, 0) and (0, 1) at the radii as built, so a pair
+    # straddling a radius keeps its distance, in the oracle and in the scan
+    for space, eps in window_end_lines():
+        bound = analytic_bound(p, eps)
+        assert pasted_distortion(space, p, eps) <= bound, (eps, space.coords.ravel())
+        emb = paste(space, p, eps)
+        rep = distortion(space, emb.images, emb.spec, analytic_bound=bound, candidates=emb.candidates)
+        assert rep.passed, (eps, space.coords.ravel(), rep.distortion)
