@@ -20,14 +20,13 @@ __all__ = ["FrechetMap", "frechet_embed"]
 
 @dataclass(frozen=True)
 class FrechetMap:
-    """Distance-vector embedding: anchor order plus per-point images."""
+    """Distance-vector embedding: per-point images, one coordinate per anchor."""
 
-    anchor_order: tuple
     images: dict
 
     @property
     def dimension(self) -> int:
-        return len(self.anchor_order)
+        return len(self.images)
 
     def __getitem__(self, point) -> np.ndarray:
         return self.images[point]
@@ -42,4 +41,4 @@ def frechet_embed(space: PointedMetricSpace) -> FrechetMap:
     """
     D = space.matrix
     F = D - D[:, [space.index(space.basepoint)]]
-    return FrechetMap(space.ids, dict(zip(space.ids, F.T)))
+    return FrechetMap(dict(zip(space.ids, F.T)))

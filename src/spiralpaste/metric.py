@@ -230,7 +230,7 @@ class PointedMetricSpace:
     every pair has T[x, y] = max_k |D[k, x] - D[k, y]| <= D[x, y] + t,
     and delta = t + a + g, where a = max |D - D^T| and g = max |diag D|
     (both 0 for the coordinate kinds, whose kernel output is symmetric
-    with a zero diagonal).  A restriction keeps its parent's delta.
+    with a zero diagonal).  A ``ball`` keeps its parent's delta.
       * 'matrix': t = max(e+ + 2^-53 (max D + g) + 2^-1074 + 3a, a + g),
         rounded up, where e is the largest excess the triangle check's
         proof rows compute; see ``_validate_matrix`` for the proof.
@@ -242,7 +242,6 @@ class PointedMetricSpace:
     kind: str
     coords: np.ndarray | None = None
     matrix: np.ndarray | None = None
-    _rows: dict = field(default_factory=dict, repr=False, compare=False)
     _defect: float = field(default=0.0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -286,23 +285,6 @@ class PointedMetricSpace:
             self._defect = self._validate_matrix(D)
         else:
             self._defect = _coordinate_defect(self.coords, self.kind, float(np.max(D)))
-        self._rows = {pid: i for i, pid in enumerate(self.ids)}
-
-    def _restrict(self, keep: list[int]) -> "PointedMetricSpace":
-        """Subspace on rows ``keep`` (which must hold the basepoint).
-
-        It inherits its distances from this space, which was validated
-        when it was built, so the metric axioms are not checked again.
-        """
-        sub = object.__new__(type(self))
-        sub.ids = tuple(self.ids[i] for i in keep)
-        sub.basepoint = self.basepoint
-        sub.kind = self.kind
-        sub.coords = None if self.coords is None else self.coords[keep]
-        sub.matrix = self.matrix[np.ix_(keep, keep)]
-        sub._rows = {pid: i for i, pid in enumerate(sub.ids)}
-        sub._defect = self._defect
-        return sub
 
     def _validate_matrix(self, D: np.ndarray) -> float:
         """Check the metric axioms within tolerance; returns the conditioning delta.
@@ -382,8 +364,8 @@ class PointedMetricSpace:
 
     def index(self, point) -> int:
         try:
-            return self._rows[point]
-        except KeyError:
+            return self.ids.index(point)
+        except ValueError:
             raise KeyError(f"unknown point {point!r}") from None
 
     def rel_tol(self) -> float:
@@ -427,11 +409,23 @@ class DistortionReport:
 
 
 def ball(space: PointedMetricSpace, radius: float) -> PointedMetricSpace:
-    """Closed ball around the basepoint, as a subspace with the same basepoint."""
+    """Closed ball around the basepoint, as a subspace with the same basepoint.
+
+    It keeps the rows of ``space`` with rho <= radius, and their distances
+    and conditioning delta: ``space`` was validated when it was built, so
+    the metric axioms are not checked again.
+    """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    rho = space.rho()
-    return space._restrict([i for i in range(len(space)) if rho[i] <= radius])
+    keep = np.flatnonzero(space.rho() <= radius)
+    sub = object.__new__(type(space))
+    sub.ids = tuple(space.ids[i] for i in keep)
+    sub.basepoint = space.basepoint
+    sub.kind = space.kind
+    sub.coords = None if space.coords is None else space.coords[keep]
+    sub.matrix = space.matrix[np.ix_(keep, keep)]
+    sub._defect = space._defect
+    return sub
 
 
 def distortion(

@@ -44,19 +44,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RadiiSchedule:
-    """Increasing radii R_1 .. R_{2K} with their logs.
+    """Increasing radii R_1 .. R_{2K}, as built in doubles.
 
     R_1 = 1; eps * ln(R_{2i} / R_{2i-1}) = pi/2 (the blend window spans a
     quarter turn); R_{2i+1} / R_{2i} = 1/eps (the shrink gap).  Band i
     blends over [R_{2i-1}, R_{2i}] and hands over on (R_{2i}, R_{2i+1}].
     Radii past double range are +inf: every rho is a finite double below
-    the true radius, so comparisons and balls come out the same, and the
-    blend angle reads the finite ``log_radii``.
+    the true radius, so comparisons and balls come out the same, and a
+    window that ends at +inf turns at rate eps.
     """
 
     epsilon: float
     band_count: int
-    log_radii: np.ndarray
     radii: np.ndarray
 
     def band_of(self, rho: float) -> int:
@@ -73,10 +72,14 @@ class RadiiSchedule:
         return max(j, 1)
 
 
-def radii_schedule(epsilon: float, band_count: int) -> RadiiSchedule:
-    """Build the radii schedule with ``band_count`` blend windows."""
+def _check_epsilon(epsilon: float) -> None:
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+
+
+def radii_schedule(epsilon: float, band_count: int) -> RadiiSchedule:
+    """Build the radii schedule with ``band_count`` blend windows, each radius exp of its summed log."""
+    _check_epsilon(epsilon)
     if band_count < 1:
         raise ValueError("band_count must be >= 1")
     half_turn = math.pi / (2.0 * epsilon)
@@ -87,7 +90,7 @@ def radii_schedule(epsilon: float, band_count: int) -> RadiiSchedule:
         logs[i] = logs[i - 1] + (half_turn if i % 2 == 1 else shrink)
     with np.errstate(over="ignore"):
         radii = np.exp(logs)
-    return RadiiSchedule(epsilon, band_count, logs, radii)
+    return RadiiSchedule(epsilon, band_count, radii)
 
 
 def needed_bands(epsilon: float, rho_max: float) -> int:
@@ -98,7 +101,8 @@ def needed_bands(epsilon: float, rho_max: float) -> int:
     holds every answer: 1 + the number of odd radii below rho_max, the
     rule of ``band_of``.
     """
-    step = radii_schedule(epsilon, 2).log_radii[2]  # ln R_3, the log step between odd radii
+    _check_epsilon(epsilon)
+    step = math.pi / (2.0 * epsilon) - math.log(epsilon)  # ln R_3, the log step between odd radii
     sched = radii_schedule(epsilon, 2 + int(710.0 / step))
     return 1 + int(np.count_nonzero(sched.radii[0::2] < rho_max))
 
@@ -217,8 +221,7 @@ def analytic_bound(p: float, epsilon: float) -> float:
     """
     if not 1.0 <= p < math.inf:
         raise ValueError(f"exponent must be a finite real >= 1, got {p}")
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+    _check_epsilon(epsilon)
     # c_constant's roundings and pow calls err by < (6.7 + 3.5 p) 2^-53 relative
     # (its second exponent is <= p); 16 + 4p also covers the second order.
     # A K beyond double range (p > ~2050) makes the bound +inf.  Past p ~ 8.99e307

@@ -16,14 +16,18 @@ from .conftest import random_integer_space
 
 def as_images(fm):
     spec = SumSpaceSpec(SUP, (fm.dimension,))
-    return spec, {pid: BlockVector(spec, {1: fm[pid]}) for pid in fm.anchor_order}
+    return spec, {pid: BlockVector(spec, {1: fm[pid]}) for pid in fm.images}
 
 
 def test_anchors_are_the_ids_in_row_order():
     sp = random_integer_space(np.random.default_rng(3), n_max=10)
     fm = frechet_embed(sp)
-    assert fm.anchor_order == sp.ids
+    assert tuple(fm.images) == sp.ids
     assert fm.dimension == len(sp)
+    # coordinate k of x is d(a_k, x) - d(a_k, base) for the k-th row a_k
+    D, base = sp.matrix, sp.index(sp.basepoint)
+    for x in sp.ids:
+        assert fm[x].tolist() == [D[k, sp.index(x)] - D[k, base] for k in range(len(sp))]
 
 
 def test_basepoint_maps_to_zero():
@@ -42,11 +46,11 @@ def test_anchors_index_rows_of_a_nearly_symmetric_matrix():
     fm = frechet_embed(sp)
     base = sp.index("d")
     for x in ids:
-        oracle = [D[sp.index(a), sp.index(x)] - D[sp.index(a), base] for a in fm.anchor_order]
+        oracle = [D[sp.index(a), sp.index(x)] - D[sp.index(a), base] for a in sp.ids]
         assert fm[x].tolist() == oracle
     # the perturbed entry tells the map from its transpose
     assert fm["b"].tolist() != [D[sp.index("b"), sp.index(a)] - D[base, sp.index(a)]
-                                for a in fm.anchor_order]
+                                for a in sp.ids]
 
 
 def test_norm_equals_rho_exactly():
