@@ -204,16 +204,15 @@ def analytic_bound(p: float, epsilon: float) -> float:
     cross-multiplying the two ratios leaves (2r - 4) eps + (r - 1) eps^2 +
     (1 + 3r) eps^3 + 2r eps^4 > 0.  The max is kept so the bound names both.
 
-    The schedule is built in doubles, so the bound reads eps where the
-    construction as built has its own rates.  Its logs stay below 2^10 (past
-    that a radius is +inf), so a window's log width ln(R_{2i} / R_{2i-1})
-    and its shrink log ln(R_{2i+1} / R_{2i}) err by at most 2^-44 plus
-    the roundings of pi / (2 eps), -ln eps and exp.  The blend turns at
-    (pi/2) / ln(R_{2i} / R_{2i-1}), within 2^-44 (2 eps / pi) + 2^-50
-    < 2^-46 relative of eps wherever the band ratio is finite (eps <
-    0.264, as a >= 2 sqrt 2), so the band ratio is taken at eps (1 +
-    2^-46).  Pairs whose norms differ by the shrink gap as built, within
-    2^-43 relative of eps, get the small-norm ratio at eps (1 + 2^-43).
+    The construction runs on the schedule as built in doubles.  Its logs
+    stay below 2^10 (past that a radius is +inf), so a window's log width
+    ln(R_{2i} / R_{2i-1}) and a shrink log ln(R_{2i+1} / R_{2i}) err by at
+    most 2^-44 plus the roundings of pi / (2 eps), -ln eps and exp.  So the
+    blend turns at (pi/2) / ln(R_{2i} / R_{2i-1}), within 2^-44 (2 eps / pi)
+    + 2^-50 < 2^-46 relative of eps wherever the band ratio is finite (eps
+    < 0.277, as a >= 2 sqrt 2), and the band ratio is taken at eps (1 +
+    2^-46).  The shrink gap R_{2i} / R_{2i+1} is within 2^-43 relative of
+    eps, so the small-norm ratio is taken at eps (1 + 2^-43).
 
     Each rounded step is moved outward, so the result is never below the
     exact formula at those raised epsilons; it is +inf where that is, and

@@ -108,6 +108,19 @@ class TestSchedule:
                 assert math.isclose(math.log(sched.radii[2 * i - 1]), want_even, rel_tol=0, abs_tol=1e-12 * (1 + want_even))
         assert radii_schedule(0.2, 3).radii[0] == 1.0
 
+    def test_rates_as_built_within_the_bounds_margins(self):
+        # analytic_bound reads eps (1 + 2^-46) as every finite window's turn
+        # rate wherever its band ratio is finite, and eps (1 + 2^-43) as the
+        # shrink gap R_{2i} / R_{2i+1}
+        with mpmath.workdps(40):
+            for eps in [*np.geomspace(2.3e-3, 0.277, 40), 0.05, 0.1, 0.2, 0.5, 0.9]:
+                r = [mpmath.mpf(float(x)) for x in radii_schedule(eps, needed_bands(eps, 1.7e308)).radii]
+                for i in range(1, len(r) // 2 + 1):
+                    if eps < 0.277 and mpmath.isfinite(r[2 * i - 1]):
+                        assert mpmath.pi / 2 / mpmath.log(r[2 * i - 1] / r[2 * i - 2]) <= eps * (1 + 2.0**-46)
+                    if 2 * i < len(r) and mpmath.isfinite(r[2 * i]):
+                        assert r[2 * i - 1] / r[2 * i] <= eps * (1 + 2.0**-43)
+
     def test_window_and_gap_identities(self):
         sched = radii_schedule(0.2, 3)
         r = sched.radii
