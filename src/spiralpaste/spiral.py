@@ -210,9 +210,13 @@ def analytic_bound(p: float, epsilon: float) -> float:
     most 2^-44 plus the roundings of pi / (2 eps), -ln eps and exp.  So the
     blend turns at (pi/2) / ln(R_{2i} / R_{2i-1}), within 2^-44 (2 eps / pi)
     + 2^-50 < 2^-46 relative of eps wherever the band ratio is finite (eps
-    < 0.277, as a >= 2 sqrt 2), and the band ratio is taken at eps (1 +
-    2^-46).  The shrink gap R_{2i} / R_{2i+1} is within 2^-43 relative of
-    eps, so the small-norm ratio is taken at eps (1 + 2^-43).
+    < 0.277, as a >= 2 sqrt 2), and the shrink gap R_{2i} / R_{2i+1} is
+    within 2^-43 relative of eps.  Each eps of the two ratios stands for
+    one of them.  u = K eps and the K eps in d bound how fast (c, s) moves
+    per unit of ln rho: K times the turn rate, so that eps is taken at eps
+    (1 + 2^-46).  Every other eps (each 1 + eps, and all of
+    ``small_norm_ratio``) is taken at eps (1 + 2^-43), which covers the
+    gap as well as the rate.  Both ratios grow with every eps in them.
 
     Each rounded step is moved outward, so the result is never below the
     exact formula at those raised epsilons; it is +inf where that is, and
@@ -231,18 +235,20 @@ def analytic_bound(p: float, epsilon: float) -> float:
         K = math.inf
     if not math.isfinite(K):
         return math.inf
-    # the blend's rate as built; 1 + 2^-46 is exact
-    eps = _up(epsilon * (1.0 + 2.0**-46))
+    # the blend's rate and, for every other eps, the shrink gap as built;
+    # 1 + 2^-46 and 1 + 2^-43 are exact
+    rate = _up(epsilon * (1.0 + 2.0**-46))
+    gap = _up(epsilon * (1.0 + 2.0**-43))
     # One step up bounds a correctly rounded op and two bound libm pow (error
     # < 1 ulp); 2^x grows with its already raised exponent.
-    a_eps = _up(_up(_up(_up(2.0 ** _up(1.0 / p))) * K) * eps)
-    one_eps = _up(1.0 + eps)
+    a_eps = _up(_up(_up(_up(2.0 ** _up(1.0 / p))) * K) * rate)
+    one_eps = _up(1.0 + gap)
     # The denominator is lowered: its subtrahend is raised, then 1 - it rounded down.
     den = math.nextafter(1.0 - _up(a_eps * one_eps), -math.inf)
     if den <= 0.0:
         return math.inf
     num = _up(one_eps * _up(1.0 + a_eps))
-    return max(_up(num / den), small_norm_ratio(_up(epsilon * (1.0 + 2.0**-43))))
+    return max(_up(num / den), small_norm_ratio(gap))
 
 
 # Pairs per chunk of the envelope pass: 64 KiB per array.  On the 600-point

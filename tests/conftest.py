@@ -1,27 +1,20 @@
-"""Shared fixtures: the three standing test spaces and integer-metric helpers."""
+"""Shared fixtures: the three standing test spaces, integer-metric helpers and the window-end line."""
 
-import os
 import sys
 
 import numpy as np
 import pytest
-from hypothesis import settings
-from hypothesis.errors import InvalidArgument
 
 from spiralpaste import PointedMetricSpace, grid_space, line_space, tree_space
 
-# HYPOTHESIS_PROFILE=ci prints the @reproduce_failure blob of a failing
-# example, so a failure in a CI log can be replayed.  Recent hypothesis
-# releases ship a "ci" profile, loaded on CI, that already does; this one
-# extends it, or the default profile where a release has none, and sets
-# nothing else: no example count, deadline, seed or database moves.
-try:
-    _ci_base = settings.get_profile("ci")
-except InvalidArgument:
-    _ci_base = settings.get_profile("default")
-settings.register_profile("ci", _ci_base, print_blob=True)
-if os.environ.get("HYPOTHESIS_PROFILE") == "ci":
-    settings.load_profile("ci")
+# A linf line that once failed at (p, eps) = (2, 0.1): x is R_4 =
+# radii_schedule(0.1, 3).radii[3] and y one ulp below it
+WINDOW_END_DOC = {"basepoint": "o", "metric": "linf", "points": [
+    {"id": "m", "coords": [-5.2685179]},
+    {"id": "o", "coords": [0.0]},
+    {"id": "x", "coords": [440315058606318.7]},
+    {"id": "y", "coords": [440315058606318.6]},
+]}
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

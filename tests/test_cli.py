@@ -10,7 +10,7 @@ import pytest
 
 from spiralpaste import cli, counterexample, fdd, frechet_embed, line_space, space_to_doc, spiral
 from spiralpaste.cli import main
-from .conftest import random_integer_space
+from .conftest import WINDOW_END_DOC, random_integer_space
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +121,13 @@ class TestEmbed:
                      "--out", str(out)]) == 0
         assert json.loads(out.read_text())["checks"]["seams_exact"] is True
 
+    @staticmethod
+    def embed_at_eps_tenth(tmp_path, doc):
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps(doc))
+        return main(["embed", "--input", str(path), "--p", "2", "--epsilon", "0.1",
+                     "--out", str(tmp_path / "r.json")])
+
     @pytest.mark.parametrize("radius", [66356239.99341138, 4403150586063176.0])
     def test_point_one_ulp_above_an_odd_radius(self, tmp_path, radius):
         # one ulp above R_3 and R_5 at eps = 0.1, the automatic band count's edge
@@ -129,24 +136,12 @@ class TestEmbed:
             {"id": "a", "coords": [1.0]},
             {"id": "b", "coords": [math.nextafter(radius, math.inf)]},
         ]}
-        path = tmp_path / "space.json"
-        path.write_text(json.dumps(doc))
-        assert main(["embed", "--input", str(path), "--p", "2", "--epsilon", "0.1",
-                     "--out", str(tmp_path / "r.json")]) == 0
+        assert self.embed_at_eps_tenth(tmp_path, doc) == 0
 
     def test_point_one_ulp_below_an_even_radius(self, tmp_path):
-        # x is R_4 at eps = 0.1 and y one ulp below it: the blend reaches
-        # (0, 1) at the window's end as built, so the pair keeps its distance
-        doc = {"basepoint": "o", "metric": "linf", "points": [
-            {"id": "m", "coords": [-5.2685179]},
-            {"id": "o", "coords": [0.0]},
-            {"id": "x", "coords": [440315058606318.7]},
-            {"id": "y", "coords": [440315058606318.6]},
-        ]}
-        path = tmp_path / "space.json"
-        path.write_text(json.dumps(doc))
-        assert main(["embed", "--input", str(path), "--p", "2", "--epsilon", "0.1",
-                     "--out", str(tmp_path / "r.json")]) == 0
+        # the blend reaches (0, 1) at the window's end as built, so the pair
+        # one ulp apart at R_4 keeps its distance
+        assert self.embed_at_eps_tenth(tmp_path, WINDOW_END_DOC) == 0
 
     @pytest.mark.parametrize("x", [5.0, math.exp(math.pi / 0.4)])
     def test_huge_exponent(self, tmp_path, capsys, x):

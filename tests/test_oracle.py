@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from spiralpaste import PointedMetricSpace, analytic_bound, distortion, load_space, paste, radii_schedule
 
+from .conftest import WINDOW_END_DOC
 from .oracle import pasted_distortion
 
 
@@ -70,13 +71,7 @@ def lines_on_the_schedule(draw):
     return PointedMetricSpace(ids, ids[int(np.flatnonzero(coords[:, 0] == 0.0)[0])], "linf", coords=coords), eps
 
 
-# x is R_4 = radii_schedule(0.1, 3).radii[3] and y one ulp below it
-WINDOW_END_LINE = load_space({"basepoint": "o", "metric": "linf", "points": [
-    {"id": "m", "coords": [-5.2685179]},
-    {"id": "o", "coords": [0.0]},
-    {"id": "x", "coords": [440315058606318.7]},
-    {"id": "y", "coords": [440315058606318.6]},
-]})
+WINDOW_END_LINE = load_space(WINDOW_END_DOC)
 
 
 @settings(max_examples=200, deadline=None)

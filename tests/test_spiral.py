@@ -83,15 +83,20 @@ def sampled_bound(p, eps):
 
 
 def exact_bound(p, eps):
-    """The closed-form band and small-norm ratios at 60 digits, at the given doubles."""
+    """The closed-form band and small-norm ratios at 60 digits, at the raised epsilons.
+
+    K eps (the turn rate) is read at eps (1 + 2^-46), every other eps (the
+    shrink gap) at eps (1 + 2^-43), as ``analytic_bound`` documents.
+    """
     with mpmath.workdps(60):
         p, e = mpmath.mpf(p), mpmath.mpf(eps)
+        r, g = e * (1 + mpmath.mpf(2) ** -46), e * (1 + mpmath.mpf(2) ** -43)
         K = 2 if p <= 2 else 2 ** (1 - 2 / p) * (1 + 2 ** (1 + (p - 1) * (p - 2) / (2 * p)))
         a = 2 ** (1 / p) * K
-        den = 1 - a * e * (1 + e)
-        band = (1 + e) * (1 + a * e) / den if den > 0 else mpmath.inf
-        small_den = (1 - e) * (1 - e - e * e)
-        small = (1 + e) ** 3 / small_den if small_den > 0 else mpmath.inf
+        den = 1 - a * r * (1 + g)
+        band = (1 + g) * (1 + a * r) / den if den > 0 else mpmath.inf
+        small_den = (1 - g) * (1 - g - g * g)
+        small = (1 + g) ** 3 / small_den if small_den > 0 else mpmath.inf
         return band, small
 
 
