@@ -123,10 +123,10 @@ def _load_map(doc) -> tuple[SumSpaceSpec, dict]:
             raise SchemaError(f"image of {pid!r} must be an object keyed by block index")
         parsed, keys = {}, {}
         for key, vals in blocks.items():
-            try:
-                idx = int(key)
-            except ValueError as exc:
-                raise SchemaError(f"block key {key!r} of {pid!r} is not an integer") from exc
+            # int() alone also reads " 1", "+1", "1_0" and non-ASCII digits
+            if not (key.isascii() and key.isdigit()):
+                raise SchemaError(f"block key {key!r} of {pid!r} is not an integer")
+            idx = int(key)
             if idx in keys:
                 raise SchemaError(
                     f"block keys {keys[idx]!r} and {key!r} of {pid!r} both name block {idx}")

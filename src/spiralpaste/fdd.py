@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ModelInvalid
 from .metric import DistortionReport, PointedMetricSpace, distortion as measure_distortion
 from .spiral import PastedEmbedding, analytic_bound, paste
-from .sumspace import SUP, SumSpaceSpec
+from .sumspace import Fold
 
 __all__ = [
     "FddModel",
@@ -56,39 +56,35 @@ class FddModel:
         object.__setattr__(self, "eps_list", eps)
 
     @property
-    def spec(self) -> SumSpaceSpec:
-        return SumSpaceSpec(SUP, self.block_dims)
-
-    @property
     def num_blocks(self) -> int:
         return len(self.block_dims)
 
     def weights(self) -> np.ndarray:
         return 1.0 - np.asarray(self.eps_list)
 
+    @property
+    def fold(self) -> Fold:
+        """Fold for (norm_a, ambient): max(ambient, running top1 + top2) and the weighted max.
 
-def _norm_a_aggregator(model: FddModel):
-    """Fold for (norm_a, ambient): max(ambient, running top1 + top2) and the weighted max.
+        The ambient norm is max over blocks of (1 - eps_n) ||v_n||_inf, and
+        norm_a is the larger of it and the best sum ||v_j||_inf + ||v_k||_inf
+        over two distinct blocks: on a vector supported in two blocks exactly
+        the sum of the two block norms, on a single block that block's norm.
+        """
+        w = self.weights()
 
-    The ambient norm is max over blocks of (1 - eps_n) ||v_n||_inf, and
-    norm_a is the larger of it and the best sum ||v_j||_inf + ||v_k||_inf
-    over two distinct blocks: on a vector supported in two blocks exactly
-    the sum of the two block norms, on a single block that block's norm.
-    """
-    w = model.weights()
+        def fold(shape: tuple[int, ...], blocks) -> tuple[np.ndarray, np.ndarray]:
+            amb, top1, top2, tmp = (np.zeros(shape) for _ in range(4))
+            for b, d in blocks:
+                np.multiply(d, w[b - 1], out=tmp)
+                np.maximum(amb, tmp, out=amb)
+                np.minimum(top1, d, out=tmp)
+                np.maximum(top2, tmp, out=top2)
+                np.maximum(top1, d, out=top1)
+            np.add(top1, top2, out=top1)
+            return np.maximum(amb, top1, out=top1), amb
 
-    def fold(shape: tuple[int, ...], blocks) -> tuple[np.ndarray, np.ndarray]:
-        amb, top1, top2, tmp = (np.zeros(shape) for _ in range(4))
-        for b, d in blocks:
-            np.multiply(d, w[b - 1], out=tmp)
-            np.maximum(amb, tmp, out=amb)
-            np.minimum(top1, d, out=tmp)
-            np.maximum(top2, tmp, out=top2)
-            np.maximum(top1, d, out=top1)
-        np.add(top1, top2, out=top1)
-        return np.maximum(amb, top1, out=top1), amb
-
-    return fold
+        return fold
 
 
 def _sup(rng: np.random.Generator, dim: int) -> float:
@@ -149,7 +145,7 @@ def equivalence_ratio(
         cands.append(prof)
 
     profiles = np.stack(cands, axis=1)[:, None]
-    a, amb = _norm_a_aggregator(model)((1, len(cands)), zip(range(1, B + 1), profiles))
+    a, amb = model.fold((1, len(cands)), zip(range(1, B + 1), profiles))
     bound = 4.0 * (1.0 + epsilon) / (1.0 - epsilon)
     best = float(np.max(a[amb > 0.0] / amb[amb > 0.0], initial=1.0))
     return EquivalenceReport(best, bound, len(cands))
@@ -168,7 +164,7 @@ def pair_isometry_check(
     prof = np.zeros((2, 1, samples))
     for s in range(samples):
         prof[:, 0, s] = _sup(rng, model.block_dims[j - 1]), _sup(rng, model.block_dims[k - 1])
-    a, _ = _norm_a_aggregator(model)((1, samples), zip((j, k), prof))
+    a, _ = model.fold((1, samples), zip((j, k), prof))
     return float(np.max(np.abs(a - (prof[0] + prof[1])), initial=0.0))
 
 
@@ -210,9 +206,8 @@ def embed_no_cotype(
     report_a, report_ambient = measure_distortion(
         space,
         emb.images,
-        model.spec,
+        model,
         (analytic_bound(1.0, epsilon), 4.0 * (1.0 + epsilon) ** 2 / (1.0 - epsilon)),
-        aggregator=_norm_a_aggregator(model),
         candidates=emb.candidates,
     )
     return NoCotypeReport(emb, model, report_a, report_ambient)

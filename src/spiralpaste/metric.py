@@ -16,9 +16,8 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from . import sumspace
 from .errors import SchemaError
-from .sumspace import Fold, SumSpaceSpec
+from .sumspace import Fold, _pair_distances
 
 __all__ = [
     "PointedMetricSpace",
@@ -431,17 +430,17 @@ def ball(space: PointedMetricSpace, radius: float) -> PointedMetricSpace:
 def distortion(
     space: PointedMetricSpace,
     image: Mapping,
-    target: SumSpaceSpec,
+    target,
     analytic_bound: float | tuple | None = None,
-    aggregator: Fold | None = None,
     candidates: Callable[[Fold], tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> DistortionReport | tuple[DistortionReport, ...]:
     """Measure bilipschitz distortion of ``image`` over all unordered pairs.
 
-    ``image`` maps every point id to a BlockVector of ``target``.  An
-    optional ``aggregator`` folds the per-block pair distances into pair
-    distances, replacing ``sumspace.fold(target.p)`` (used for renormed
-    target models).  A fold that returns a tuple of arrays gets a tuple of
+    ``target`` is anything with ``block_dims`` and a ``fold`` (a
+    ``SumSpaceSpec``, or a renormed model such as ``fdd.FddModel``), and
+    ``image`` maps every point id to a BlockVector of that block layout.
+    The target's fold turns the per-block pair distances into pair
+    distances.  A fold that returns a tuple of arrays gets a tuple of
     reports, one per array, and ``analytic_bound`` is then a tuple of the
     same length.  Extra memory is a few arrays of one entry per scanned
     pair, plus one block's vectors.  A scanned pair whose target distance
@@ -449,9 +448,9 @@ def distortion(
     below 2^-1022, raises ValueError naming the first such pair in
     row-major order.
 
-    ``candidates``, called with the resolved aggregator, returns the pairs
-    (I, J) to scan, I < J in row-major order.  They must include every pair
-    that can set any folded norm's max or min, so the report is the full
+    ``candidates``, called with ``target.fold``, returns the pairs (I, J)
+    to scan, I < J in row-major order.  They must include every pair that
+    can set any folded norm's max or min, so the report is the full
     scan's, tie-break included.
     """
     n = len(space)
@@ -462,11 +461,10 @@ def distortion(
         vectors.append(image[pid])
         if vectors[-1].spec.block_dims != target.block_dims:
             raise ValueError(f"image of {pid!r} does not fit the target block layout")
-    if aggregator is None:
-        aggregator = sumspace.fold(target.p)
-    I, J = np.triu_indices(n, 1) if candidates is None else candidates(aggregator)
+    fold = target.fold
+    I, J = np.triu_indices(n, 1) if candidates is None else candidates(fold)
     with np.errstate(over="ignore", invalid="ignore"):
-        folded = aggregator(I.shape, sumspace._pair_distances(vectors, I, J))
+        folded = fold(I.shape, _pair_distances(vectors, I, J))
         D = space.matrix[I, J]
         ratios, ok = [], np.ones(I.shape, dtype=bool)
         for f in folded if isinstance(folded, tuple) else (folded,):

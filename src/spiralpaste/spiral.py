@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ScheduleTooShort
 from .frechet import frechet_embed
 from .metric import PointedMetricSpace, ball, distortion as measure_distortion, DistortionReport
-from .sumspace import BlockVector, Fold, SumSpaceSpec, _pair_distances, fold
+from .sumspace import BlockVector, Fold, SumSpaceSpec, _pair_distances
 
 __all__ = [
     "RadiiSchedule",
@@ -284,8 +284,8 @@ def _pair_centres(
         yield int(b) + 1, buf
 
 
-def _pair_bounds(space: PointedMetricSpace, W: np.ndarray, aggregator: Fold) -> Iterator[tuple]:
-    """Yield (keys, [(lo, hi) per folded norm]): bounds on the scanned ratios of a chunk of pairs.
+def _pair_bounds(space: PointedMetricSpace, W: np.ndarray, fold: Fold) -> Iterator[tuple]:
+    """Yield (I, J, [(lo, hi) per folded norm]): bounds on the scanned ratios of a chunk of pairs.
 
     ``W`` is the (B, n) coefficient array of a pasted distance-vector map:
     x's image in block b is w_x F_b(x) with w_x = W[b - 1, x], computed as
@@ -293,9 +293,9 @@ def _pair_bounds(space: PointedMetricSpace, W: np.ndarray, aggregator: Fold) -> 
     anchors k of a ball that holds every point with w > 0.  The scan's
     ratio of a pair x < y, fl(fold(K̂)[x, y] / D[x, y]), lies in [lo, hi].
 
-    Chunks.  The pairs x < y come in row-major order, ``_BOUND_CHUNK`` at
-    a time, and ``keys`` holds x n + y for each, so every pair is in
-    exactly one chunk and the chunks' keys are sorted.
+    Chunks.  The pairs x = I[k] < y = J[k] come in row-major order,
+    ``_BOUND_CHUNK`` at a time, so every pair is in exactly one chunk and
+    the chunks follow one another in row-major order.
 
     Block distance.  Say w_x >= w_y, and write f_z = D[:, z] - D[:, base].
     Then w_x f_x - w_y f_y = w_y (f_x - f_y) + (w_x - w_y) f_x, whose sup
@@ -322,8 +322,8 @@ def _pair_bounds(space: PointedMetricSpace, W: np.ndarray, aggregator: Fold) -> 
     sum to at most r_x + r_y with r = (sum_b W[b]) (6.5u rho + delta (1 +
     2^-40)) + 2^-1060, rounded up.
 
-    Fold.  ``sumspace.fold``'s p-sum and max, and fdd's (norm_a, ambient)
-    fold, are monotone and 1-Lipschitz in the l1 norm of the block
+    Fold.  ``SumSpaceSpec.fold``'s p-sum and max, and ``FddModel.fold``'s
+    (norm_a, ambient), are monotone and 1-Lipschitz in the l1 norm of the block
     distances, so |fold(K̂) - fold(C)| <= r_x + r_y.  A pair meets at most
     N = 2 max_x #{b : W[b, x] > 0} nonzero blocks; a zero block is an
     exact no-op of every fold.  Folded in floating point, each nonzero
@@ -353,7 +353,7 @@ def _pair_bounds(space: PointedMetricSpace, W: np.ndarray, aggregator: Fold) -> 
         I = np.digitize(k, starts) - 1
         J = k - starts[I] + I + 1
         d = D[I, J]
-        folded = aggregator(I.shape, _pair_centres(W, I, J, d, rho))
+        folded = fold(I.shape, _pair_centres(W, I, J, d, rho))
         bounds = []
         for hi in folded if isinstance(folded, tuple) else (folded,):
             lo = np.multiply(hi, mu)
@@ -371,30 +371,7 @@ def _pair_bounds(space: PointedMetricSpace, W: np.ndarray, aggregator: Fold) -> 
                 np.divide(lo, d, out=lo)
                 np.divide(hi, d, out=hi)
             bounds.append((lo, hi))
-        yield I * n + J, bounds
-
-
-def _candidates(space: PointedMetricSpace, W: np.ndarray, aggregator: Fold) -> tuple:
-    """The pairs (I, J), I < J in row-major order, that can set the scan's max or min ratio.
-
-    A pair whose upper end is below the largest lower end (top) cannot set
-    the max ratio, nor one whose lower end is above the smallest upper end
-    (bottom) the min.  Each chunk keeps the pairs that reach the running top
-    or bottom, and the final ones filter these again; NaN keeps its pair.
-    """
-    top, bottom, kept = -np.inf, np.inf, []
-
-    def reach(bounds: list) -> np.ndarray:
-        ends = zip(bounds, top, bottom)
-        return np.logical_or.reduce([~(hi < t) | ~(lo > b) for (lo, hi), t, b in ends])
-
-    for keys, bounds in _pair_bounds(space, W, aggregator):
-        top = np.maximum(top, [np.max(lo) for lo, _ in bounds])
-        bottom = np.minimum(bottom, [np.min(hi) for _, hi in bounds])
-        keep = reach(bounds)
-        kept.append((keys[keep], [(lo[keep], hi[keep]) for lo, hi in bounds]))
-    survivors = np.concatenate([keys[reach(bounds)] for keys, bounds in kept])
-    return np.divmod(survivors, len(space))
+        yield I, J, bounds
 
 
 @dataclass(frozen=True)
@@ -445,10 +422,32 @@ class PastedEmbedding:
                     return None
         return W
 
-    def candidates(self, aggregator: Fold) -> tuple[np.ndarray, np.ndarray]:
-        """The pairs to pass as ``distortion(..., candidates=...)``: every pair without an envelope."""
+    def candidates(self, fold: Fold) -> tuple[np.ndarray, np.ndarray]:
+        """The pairs (I, J), I < J in row-major order, that can set the scan's max or min ratio.
+
+        Pass it as ``distortion(..., candidates=...)``.  Without an envelope
+        these are every pair.  Else, by ``_pair_bounds``, a pair whose upper
+        end is below the largest lower end (top) cannot set the max ratio,
+        nor one whose lower end is above the smallest upper end (bottom) the
+        min.  Each chunk keeps the pairs that reach the running top or
+        bottom, and the final ones filter these again; NaN keeps its pair.
+        """
         W = self.envelope()
-        return np.triu_indices(len(self.space), 1) if W is None else _candidates(self.space, W, aggregator)
+        if W is None:
+            return np.triu_indices(len(self.space), 1)
+        top, bottom, kept = -np.inf, np.inf, []
+
+        def reach(bounds: list) -> np.ndarray:
+            ends = zip(bounds, top, bottom)
+            return np.logical_or.reduce([~(hi < t) | ~(lo > b) for (lo, hi), t, b in ends])
+
+        for I, J, bounds in _pair_bounds(self.space, W, fold):
+            top = np.maximum(top, [np.max(lo) for lo, _ in bounds])
+            bottom = np.minimum(bottom, [np.min(hi) for _, hi in bounds])
+            keep = reach(bounds)
+            kept.append((np.stack((I, J))[:, keep], [(lo[keep], hi[keep]) for lo, hi in bounds]))
+        pairs = np.concatenate([IJ[:, reach(bounds)] for IJ, bounds in kept], axis=1)
+        return pairs[0], pairs[1]
 
     def norm_preservation_error(self) -> float:
         """max over points of | ||Tx|| - rho(x) |, scaled by max(1, rho_max).
@@ -460,7 +459,7 @@ class PastedEmbedding:
         rho = self.space.rho()
         vectors = [self.images[pid] for pid in self.space.ids]
         base = np.full(len(rho), self.space.index(self.space.basepoint))
-        norms = fold(self.spec.p)(rho.shape, _pair_distances(vectors, base, np.arange(len(rho))))
+        norms = self.spec.fold(rho.shape, _pair_distances(vectors, base, np.arange(len(rho))))
         return float(np.max(np.abs(norms - rho))) / max(1.0, float(np.max(rho)))
 
 

@@ -50,6 +50,11 @@ class SumSpaceSpec:
     def num_blocks(self) -> int:
         return len(self.block_dims)
 
+    @property
+    def fold(self) -> Fold:
+        """The fold of the target norm: the max under SUP, else the p-sum."""
+        return _max_fold if self.p == SUP else _power_fold(self.p)
+
 
 @dataclass(frozen=True)
 class BlockVector:
@@ -164,8 +169,3 @@ def _power_fold(p: float) -> Fold:
         return np.multiply(M, S, out=S)
 
     return fold
-
-
-def fold(p: float) -> Fold:
-    """The fold of the block sum with exponent ``p``: the max under SUP, else the p-sum."""
-    return _max_fold if p == SUP else _power_fold(p)

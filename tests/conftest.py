@@ -16,6 +16,21 @@ WINDOW_END_DOC = {"basepoint": "o", "metric": "linf", "points": [
     {"id": "y", "coords": [440315058606318.6]},
 ]}
 
+_PAIR = {"basepoint": "o", "metric": "matrix", "points": [{"id": "o"}, {"id": "a"}]}
+
+# Space documents that load_space rejects, each with its message
+SPACE_SCHEMA_ERRORS = [
+    ({"basepoint": "o", "metric": "linf", "points": []}, "points must be a non-empty list"),
+    ({"basepoint": "o", "metric": "linf", "points": [{"coords": [0]}]},
+     "each point entry must be an object with an 'id'"),
+    ({"basepoint": "o", "metric": "linf", "points": [{"id": "o"}]}, "point 'o' missing coords"),
+    (_PAIR, "matrix metric requires a 'matrix' field"),
+    (dict(_PAIR, matrix=[[0, 1], [1, 0.5]]), "self-distances must vanish"),
+    ({"basepoint": "o", "metric": "linf", "points": [
+        {"id": "o", "coords": [0]}, {"id": "a", "coords": [1, 2]}]},
+     "all points must share one coordinate dimension"),
+]
+
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """Replay acceptance verdict lines after the run, past output capture."""

@@ -9,7 +9,7 @@ follows the construction as ``paste`` builds it: the schedule from
 the blend angle running from 0 to pi/2 across the window between those
 radii.  Only the arithmetic after those choices is exact: the angle's
 logs, the blend pair, the images, the block sup norms, the p-sum and the
-ratios.  It shares no code with ``_pair_distances`` or ``sumspace.fold``.
+ratios.  It shares no code with ``_pair_distances`` or ``SumSpaceSpec.fold``.
 """
 
 import mpmath

@@ -10,7 +10,7 @@ import pytest
 
 from spiralpaste import cli, counterexample, fdd, frechet_embed, line_space, space_to_doc, spiral
 from spiralpaste.cli import main
-from .conftest import WINDOW_END_DOC, random_integer_space
+from .conftest import SPACE_SCHEMA_ERRORS, WINDOW_END_DOC, random_integer_space
 
 
 @pytest.fixture(scope="module")
@@ -203,6 +203,16 @@ class TestInputErrors:
                 assert main(argv + ["--input", str(bad)]) == 2, doc
                 err = capsys.readouterr().err
                 assert err.startswith("error:") and "Traceback" not in err and "NaN" not in err
+        for doc, message in SPACE_SCHEMA_ERRORS:
+            bad.write_text(json.dumps(doc))
+            assert main(["embed", "--input", str(bad), "--p", "2", "--epsilon", "0.2"]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+        bad.write_text(json.dumps({"basepoint": "o", "metric": "linf", "points": [
+            {"id": "o", "coords": [0]}, {"id": "a", "coords": [1]}]}))
+        assert main(["embed", "--input", str(bad)]) == 2
+        assert capsys.readouterr().err == "error: the spiral method needs --p and --epsilon\n"
+        assert main(["sweep", "--input", str(bad), "--p", "1,x", "--eps", "0.2"]) == 2
+        assert "error: argument --p: not a comma list of floats: '1,x'" in capsys.readouterr().err
 
     def test_unknown_subcommand(self):
         assert main(["frobnicate"]) == 2
@@ -428,6 +438,34 @@ class TestDistortionCommand:
         assert capsys.readouterr().err == (
             f"error: block keys {keys[0]!r} and {keys[1]!r} of 'a' both name block 1\n")
 
+    @pytest.mark.parametrize("key", [" 1", "+1", "\u0661", "1_0"])
+    def test_block_keys_are_decimal_digits(self, pair_doc, tmp_path, capsys, key):
+        # int() reads the first three as block 1 and "1_0" as block 10; "01" is block 1
+        map_path = tmp_path / "map.json"
+
+        def run(key):
+            doc = {"p": 2, "block_dims": [1] * 10, "images": {"o": {}, "a": {key: [1]}}}
+            map_path.write_text(json.dumps(doc))
+            return main(["distortion", "--input", pair_doc, "--map", str(map_path)])
+
+        assert run(key) == 2
+        assert capsys.readouterr().err == f"error: block key {key!r} of 'a' is not an integer\n"
+        assert run("01") == 0
+
+    @pytest.mark.parametrize("doc, message", [
+        ([], "map document must be an object"),
+        ({"p": 2, "block_dims": [1]}, "map document missing 'images'"),
+        ({"p": 2, "block_dims": [1], "images": []},
+         "map field 'images' must be an object keyed by point id"),
+        ({"p": 2, "block_dims": [1], "images": {"o": {}, "a": [1]}},
+         "image of 'a' must be an object keyed by block index"),
+    ], ids=["not-object", "missing-key", "images-not-object", "image-not-object"])
+    def test_map_schema_errors(self, pair_doc, tmp_path, capsys, doc, message):
+        map_path = tmp_path / "map.json"
+        map_path.write_text(json.dumps(doc))
+        assert main(["distortion", "--input", pair_doc, "--map", str(map_path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("images, key", [
         ('{"o": {"1": [0]}, "a": {"1": [5], "1": [1]}}', "1"),
         ('{"o": {"1": [0]}, "a": {"1": [1]}, "a": {"1": [5]}}', "a"),
@@ -544,10 +582,10 @@ class TestOtherCommands:
     def test_fdd_demo_equivalence_is_judged_by_the_report(self, monkeypatch, tmp_path):
         # a renorming 100x the sup norm escapes [1, 4(1+eps)/(1-eps)]: the report
         # is written and its check fails, rather than the run ending in an error
-        real = fdd._norm_a_aggregator
+        real = fdd.FddModel.fold
 
         def renormed_100x(model):
-            fold = real(model)
+            fold = real.fget(model)
 
             def scaled(shape, blocks):
                 a, amb = fold(shape, blocks)
@@ -555,7 +593,7 @@ class TestOtherCommands:
 
             return scaled
 
-        monkeypatch.setattr(fdd, "_norm_a_aggregator", renormed_100x)
+        monkeypatch.setattr(fdd.FddModel, "fold", property(renormed_100x))
         path = tmp_path / "line3.json"
         path.write_text(json.dumps({"basepoint": "o", "metric": "linf", "points": [
             {"id": "o", "coords": [0.0]}, {"id": "a", "coords": [1.0]},

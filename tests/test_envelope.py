@@ -26,9 +26,8 @@ from spiralpaste import (
     seam_check,
     tree_space,
 )
-from spiralpaste.fdd import _norm_a_aggregator
-from spiralpaste.spiral import _candidates, _pair_bounds, _pair_centres
-from spiralpaste.sumspace import _pair_distances, _power_fold
+from spiralpaste.spiral import _pair_bounds, _pair_centres
+from spiralpaste.sumspace import _pair_distances
 
 P_MENU = (1.0, 1.5, 2.0, 3.0, 10.0)
 
@@ -90,16 +89,14 @@ any_space = st.one_of(scheduled_spaces(), matrix_spaces())
 
 
 def _fold(emb, fdd):
-    """The target spec and fold of a p-sum scan, or of fdd's two-norm scan."""
-    if fdd:
-        model = FddModel(emb.spec.block_dims)
-        return model.spec, _norm_a_aggregator(model)
-    return emb.spec, _power_fold(emb.spec.p)
+    """The target and its fold: the p-sum's, or fdd's two-norm model's."""
+    target = FddModel(emb.spec.block_dims) if fdd else emb.spec
+    return target, target.fold
 
 
 def assert_envelope_holds(space, emb, fdd):
     """(a) every pair's scanned ratio lies in its interval; (b) the pruned report is the full one."""
-    spec, fold = _fold(emb, fdd)
+    target, fold = _fold(emb, fdd)
     n = len(space)
     I, J = np.triu_indices(n, 1)
     folded = fold(I.shape, _pair_distances([emb.images[pid] for pid in space.ids], I, J))
@@ -109,7 +106,8 @@ def assert_envelope_holds(space, emb, fdd):
         ratio[I, J] = f / space.matrix[I, J]
         ratios.append(ratio.reshape(-1))
     chunks, ends = [], []
-    for keys, bounds in _pair_bounds(space, emb.envelope(), fold):
+    for x, y, bounds in _pair_bounds(space, emb.envelope(), fold):
+        keys = x * n + y
         chunks.append(keys)
         ends.append(bounds)
         for ratio, (lo, hi) in zip(ratios, bounds):
@@ -129,12 +127,11 @@ def assert_envelope_holds(space, emb, fdd):
         lo = np.concatenate([chunk[k][0] for chunk in ends])
         hi = np.concatenate([chunk[k][1] for chunk in ends])
         reach |= ~(hi < np.max(lo)) | ~(lo > np.min(hi))
-    x, y = _candidates(space, emb.envelope(), fold)
+    x, y = emb.candidates(fold)
     assert np.array_equal(x * n + y, keys[reach])
     bound = (None, None) if fdd else None
-    full = distortion(space, emb.images, spec, bound, aggregator=fold)
-    assert distortion(space, emb.images, spec, bound, aggregator=fold,
-                      candidates=emb.candidates) == full
+    full = distortion(space, emb.images, target, bound)
+    assert distortion(space, emb.images, target, bound, candidates=emb.candidates) == full
 
 
 @pytest.mark.parametrize("p", P_MENU)
@@ -209,7 +206,7 @@ def test_scaled_provider_gets_no_envelope():
     assert len(calls) >= 2
     assert emb.envelope() is None
     # so its candidates are every pair, in row-major order
-    I, J = emb.candidates(_power_fold(2.0))
+    I, J = emb.candidates(emb.spec.fold)
     assert all(map(np.array_equal, (I, J), np.triu_indices(len(space), 1)))
     assert paste(space, 2.0, 0.2).envelope() is not None
 
@@ -219,13 +216,13 @@ def test_envelope_scan_peaks_no_higher_than_the_full_scan(p, eps, fdd):
     space = tree_space(300)
     n = len(space)
     emb = paste(space, p, eps)
-    spec, fold = _fold(emb, fdd)
+    target, _ = _fold(emb, fdd)
     bound = (None, None) if fdd else None
     peaks = []
     for extra in ({}, {"candidates": emb.candidates}):
         tracemalloc.start()
         try:
-            distortion(space, emb.images, spec, bound, aggregator=fold, **extra)
+            distortion(space, emb.images, target, bound, **extra)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -258,11 +255,11 @@ def test_envelope_scan_on_a_600_point_tree_peaks_at_two_pair_matrices(p, fdd):
     space = tree_space(600, seed=1)
     n = len(space)
     emb = paste(space, p, 0.1)
-    spec, fold = _fold(emb, fdd)
+    target, _ = _fold(emb, fdd)
     bound = (None, None) if fdd else None
     tracemalloc.start()
     try:
-        distortion(space, emb.images, spec, bound, aggregator=fold, candidates=emb.candidates)
+        distortion(space, emb.images, target, bound, candidates=emb.candidates)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -323,16 +320,30 @@ def test_envelope_in_row_order_not_id_order():
 
 
 def test_envelope_reads_the_images():
-    # one ulp in one image block is no longer fl(w F̂): no envelope
+    # one ulp in one image block is no longer fl(w F̂), and a dropped block or
+    # an added block of zeros leaves the images more or fewer blocks than W
+    # has nonzeros: no envelope
     space = line_space(40, r_max=1e6)
-    emb = paste(space, 2.0, 0.2)
-    assert emb.envelope() is not None
     pid = space.ids[-1]
-    blocks = {k: v.copy() for k, v in emb.images[pid].blocks.items()}
-    first = next(iter(blocks.values()))
-    first[0] = np.nextafter(first[0], np.inf)
-    emb.images[pid] = BlockVector(emb.spec, blocks)
-    assert emb.envelope() is None
+    for change in ("ulp", "drop", "zeros"):
+        emb = paste(space, 2.0, 0.2)
+        assert emb.envelope() is not None
+        blocks = {k: v.copy() for k, v in emb.images[pid].blocks.items()}
+        first = next(iter(blocks))
+        if change == "ulp":
+            blocks[first][0] = np.nextafter(blocks[first][0], np.inf)
+        elif change == "drop":
+            del blocks[first]
+        else:
+            free = min(set(range(1, emb.spec.num_blocks + 1)) - set(blocks))
+            blocks[free] = np.zeros(emb.spec.block_dims[free - 1])
+        emb.images[pid] = BlockVector(emb.spec, blocks)
+        assert emb.envelope() is None, change
+        # so its candidates are every pair, in row-major order, and the report is the full scan's
+        I, J = emb.candidates(emb.spec.fold)
+        assert all(map(np.array_equal, (I, J), np.triu_indices(len(space), 1)))
+        full = distortion(space, emb.images, emb.spec)
+        assert distortion(space, emb.images, emb.spec, candidates=emb.candidates) == full
 
 
 @pytest.mark.parametrize("p, eps", [(2.0, 0.2), (1.0, 0.5)])

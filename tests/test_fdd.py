@@ -18,7 +18,6 @@ from spiralpaste import (
     pair_isometry_check,
     validate_model,
 )
-from spiralpaste.fdd import _norm_a_aggregator
 
 from .norms import block_profile, combine, norm_a
 
@@ -26,13 +25,14 @@ MODEL3 = FddModel((2, 2, 3))
 
 
 def mv(model, **blocks):
-    return BlockVector(model.spec, {int(k[1:]): np.array(v, dtype=float) for k, v in blocks.items()})
+    spec = SumSpaceSpec(SUP, model.block_dims)
+    return BlockVector(spec, {int(k[1:]): np.array(v, dtype=float) for k, v in blocks.items()})
 
 
 def folded(model, v):
     """(norm_a, ambient) of one vector: the model's fold on shape (1, 1)."""
     blocks = zip(range(1, model.num_blocks + 1), block_profile(v)[:, None, None])
-    return tuple(float(x[0, 0]) for x in _norm_a_aggregator(model)((1, 1), blocks))
+    return tuple(float(x[0, 0]) for x in model.fold((1, 1), blocks))
 
 
 class TestModel:
@@ -75,7 +75,7 @@ class TestNorms:
         model = FddModel((2, 3), (0.1, 0.2))
         for _ in range(100):
             v = BlockVector(
-                model.spec,
+                SumSpaceSpec(SUP, model.block_dims),
                 {1: rng.normal(size=2), 2: rng.normal(size=3)},
             )
             a, amb = folded(model, v)
@@ -125,7 +125,7 @@ class TestEmbedNoCotype:
         assert res.model.block_dims == res.embedding.spec.block_dims
 
     def test_renormed_measurement_matches_direct_norms(self, line):
-        # the vectorised aggregator must agree with norm_a pair by pair
+        # the vectorised fold must agree with norm_a pair by pair
         res = embed_no_cotype(line, 0.2)
         emb, model = res.embedding, res.model
         ids = line.ids

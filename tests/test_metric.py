@@ -25,9 +25,8 @@ from spiralpaste import (
     tree_space,
 )
 from spiralpaste import metric
-from spiralpaste.fdd import _norm_a_aggregator
-from spiralpaste.sumspace import fold
 
+from .conftest import SPACE_SCHEMA_ERRORS
 from .norms import ambient_norm, combine, norm_a, sum_norm
 
 SPEC = SumSpaceSpec(SUP, (2,))
@@ -603,13 +602,12 @@ class TestDistortion:
         I, J = np.array([0, 0, 1, 2]), np.array([2, 4, 3, 4])
         seen = []
 
-        def pairs(aggregator):
-            seen.append(aggregator)
+        def pairs(fold):
+            seen.append(fold)
             return I, J
 
-        sup = fold(SUP)
-        rep = distortion(sp, images, spec, analytic_bound=2.0, aggregator=sup, candidates=pairs)
-        assert seen == [sup]
+        rep = distortion(sp, images, spec, analytic_bound=2.0, candidates=pairs)
+        assert seen == [spec.fold]
         assert (rep.max_pair, rep.min_pair) == (("c", "e"), ("a", "c"))
         assert rep.distortion == 2.5 / 1.5 and rep.scale_r == 1.5 and rep.passed
         full = distortion(sp, images, spec)
@@ -754,11 +752,11 @@ def _brute_ratios(sp, images, target_norm):
 def test_scan_matches_reference_norms_pair_by_pair(target, case):
     sp, dims, blocks, eps_list = case
     model = FddModel(dims, eps_list)
-    spec = model.spec if isinstance(target, str) else SumSpaceSpec(target, dims)
+    spec = SumSpaceSpec(SUP if isinstance(target, str) else target, dims)
     images = {pid: BlockVector(spec, blocks[i]) for i, pid in enumerate(sp.ids)}
     if isinstance(target, str):
         # one scan of the model's fold gives both reports, norm_a first
-        reps = distortion(sp, images, spec, (None, None), aggregator=_norm_a_aggregator(model))
+        reps = distortion(sp, images, model, (None, None))
         rep = reps[("norm_a", "ambient").index(target)]
         ref_norm = lambda v: (norm_a if target == "norm_a" else ambient_norm)(model, v)
     else:
@@ -797,6 +795,10 @@ class TestInterchange:
         with pytest.raises(SchemaError):
             load_space({"basepoint": "a", "metric": "taxicab",
                         "points": [{"id": "a", "coords": [0.0]}]})
+        for doc, message in SPACE_SCHEMA_ERRORS:
+            with pytest.raises(SchemaError) as exc:
+                load_space(doc)
+            assert str(exc.value) == message
 
     @pytest.mark.parametrize("slab", [None, 460, 620])
     @pytest.mark.parametrize("kind", ["linf", "l2"])

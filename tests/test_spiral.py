@@ -28,7 +28,6 @@ from spiralpaste import (
     spiral_point,
     tree_space,
 )
-from spiralpaste.sumspace import fold
 
 from .norms import block_profile, sum_norm
 
@@ -101,7 +100,7 @@ def exact_bound(p, eps):
 
 
 class TestSchedule:
-    def test_log_radii_closed_form(self):
+    def test_radii_closed_form(self):
         for eps in (0.1, 0.2, 0.5):
             sched = radii_schedule(eps, 4)
             half_turn = math.pi / (2.0 * eps)
@@ -362,7 +361,7 @@ class TestPaste:
         worst = 0.0
         for i, pid in enumerate(sp.ids):
             blocks = enumerate(block_profile(emb.images[pid])[:, None, None], 1)
-            worst = max(worst, abs(float(fold(p)((1, 1), blocks)[0, 0]) - rho[i]))
+            worst = max(worst, abs(float(emb.spec.fold((1, 1), blocks)[0, 0]) - rho[i]))
         assert emb.norm_preservation_error() == worst / max(1.0, float(np.max(rho)))
 
     def test_measured_distortion_under_bound(self, line):

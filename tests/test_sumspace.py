@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spiralpaste import SUP, BlockVector, SumSpaceSpec
-from spiralpaste.sumspace import fold
 
 from .norms import block_profile, combine, sum_norm
 
@@ -20,7 +19,7 @@ def vec(spec, **blocks):
 
 def norm(v):
     """The target norm of one vector: the block sum's fold on shape (1, 1)."""
-    return float(fold(v.spec.p)((1, 1), enumerate(block_profile(v)[:, None, None], 1))[0, 0])
+    return float(v.spec.fold((1, 1), enumerate(block_profile(v)[:, None, None], 1))[0, 0])
 
 
 class TestSpecAndVector:
