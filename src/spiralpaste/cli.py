@@ -33,7 +33,7 @@ from .frechet import frechet_embed
 from .metric import (
     PointedMetricSpace,
     _floats,
-    _is_number,
+    _is_number_type,
     distortion as measure_distortion,
     load_space,
     packing_bound,
@@ -67,12 +67,12 @@ def _jsonify(x):
     return x
 
 
-def _render_report(args: argparse.Namespace, payload: dict, passed: bool) -> str:
+def _render_report(args: argparse.Namespace, payload: dict, ok: bool) -> str:
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": args.subcommand,
         "config": vars(args),
-        "pass": passed,
+        "pass": ok,
     }
     doc.update(payload)
     return json.dumps(_jsonify(doc), sort_keys=True, indent=2) + "\n"
@@ -107,11 +107,12 @@ def _load_map(doc) -> tuple[SumSpaceSpec, dict]:
     p = doc["p"]
     if p == "sup":
         p = SUP
-    if not _is_number(p):
+    if not _is_number_type(type(p)):
         raise SchemaError("map field 'p' must be a number or \"sup\"")
     [p] = _floats([p], "map field 'p'")
     dims = doc["block_dims"]
-    if not isinstance(dims, list) or not all(_is_number(d) and isinstance(d, int) for d in dims):
+    if not isinstance(dims, list) or not all(
+            _is_number_type(type(d)) and isinstance(d, int) for d in dims):
         raise SchemaError("map field 'block_dims' must be a list of integers")
     spec = SumSpaceSpec(p, tuple(dims))
     raw = doc["images"]
@@ -131,7 +132,7 @@ def _load_map(doc) -> tuple[SumSpaceSpec, dict]:
                 raise SchemaError(
                     f"block keys {keys[idx]!r} and {key!r} of {pid!r} both name block {idx}")
             keys[idx] = key
-            if not isinstance(vals, list) or not all(_is_number(v) for v in vals):
+            if not isinstance(vals, list) or not all(_is_number_type(type(v)) for v in vals):
                 raise SchemaError(f"block {key} of {pid!r} must be a list of numbers")
             parsed[idx] = _floats(vals, f"block {key} of {pid!r}")
             if not all(map(math.isfinite, parsed[idx])):

@@ -31,7 +31,7 @@ __all__ = [
 ]
 
 # All distance comparisons share one absolute tolerance, applied to
-# distances rescaled by the space diameter (see rel_tol below).
+# distances rescaled by the space diameter: TOL * max(1, max D).
 TOL = 1e-9
 
 _KINDS = ("matrix", "linf", "l2")
@@ -273,7 +273,8 @@ class PointedMetricSpace:
             # like equal rows; the induced triangle inequality is automatic
             if np.count_nonzero(D == 0.0) != n:
                 raise ValueError("coordinate rows must be distinct points")
-        if not np.isfinite([np.min(D), np.max(D)]).all():
+        top = float(np.max(D))
+        if not np.isfinite([np.min(D), top]).all():
             i, j = divmod(int(np.argmin(np.isfinite(D))), n)
             raise ValueError(
                 f"distances must be finite: entry ({self.ids[i]!r}, {self.ids[j]!r}) "
@@ -281,11 +282,11 @@ class PointedMetricSpace:
             )
         self.matrix = D
         if self.kind == "matrix":
-            self._defect = self._validate_matrix(D)
+            self._defect = self._validate_matrix(D, top)
         else:
-            self._defect = _coordinate_defect(self.coords, self.kind, float(np.max(D)))
+            self._defect = _coordinate_defect(self.coords, self.kind, top)
 
-    def _validate_matrix(self, D: np.ndarray) -> float:
+    def _validate_matrix(self, D: np.ndarray, top: float) -> float:
         """Check the metric axioms within tolerance; returns the conditioning delta.
 
         The checks are judged in a fixed order, so the first that fails
@@ -326,8 +327,7 @@ class PointedMetricSpace:
         min(r, c) < x0 fails, terms at k < x0 make no other entry fail, and
         S over k >= x0 fails where S does.
         """
-        tol = self.rel_tol()
-        top = float(np.max(D))
+        tol = TOL * max(1.0, top)
         asym, gap = _asymmetry_and_gap(D)
         diag = float(np.max(np.abs(np.diag(D))))
         if asym > tol:
@@ -367,10 +367,6 @@ class PointedMetricSpace:
         except ValueError:
             raise KeyError(f"unknown point {point!r}") from None
 
-    def rel_tol(self) -> float:
-        """Absolute tolerance for distances scaled to the space diameter."""
-        return TOL * max(1.0, float(np.max(self.matrix)))
-
     def dist(self, u, v) -> float:
         return float(self.matrix[self.index(u), self.index(v)])
 
@@ -394,7 +390,12 @@ class DistortionReport:
     max_pair: tuple
     min_pair: tuple
     analytic_bound: float | None = None
-    passed: bool = True
+
+    @property
+    def passed(self) -> bool:
+        """The map is injective and, when a bound is given, within it."""
+        bound = self.analytic_bound
+        return self.scale_r != 0.0 and (bound is None or self.distortion <= bound)
 
     def to_doc(self) -> dict:
         return {
@@ -492,8 +493,7 @@ def _report(
     max_pair = (space.ids[I[k_max]], space.ids[J[k_max]])
     min_pair = (space.ids[I[k_min]], space.ids[J[k_min]])
     dist = np.inf if lo == 0.0 else hi / lo
-    passed = lo != 0.0 and (bound is None or dist <= bound)
-    return DistortionReport(dist, lo, max_pair, min_pair, bound, passed)
+    return DistortionReport(dist, lo, max_pair, min_pair, bound)
 
 
 def packing_bound(R: float, delta: float, m: int, C: float) -> float:
@@ -505,12 +505,8 @@ def packing_bound(R: float, delta: float, m: int, C: float) -> float:
 
 # JSON interchange -----------------------------------------------------------
 
-def _is_number(x) -> bool:
-    """A JSON number; JSON true/false load as bool, a subclass of int."""
-    return _is_number_type(type(x))
-
-
 def _is_number_type(t: type) -> bool:
+    """The type of a JSON number; JSON true/false load as bool, a subclass of int."""
     return issubclass(t, (int, float)) and not issubclass(t, bool)
 
 
@@ -545,7 +541,7 @@ def load_space(doc: dict) -> PointedMetricSpace:
             if "coords" not in entry:
                 raise SchemaError(f"point {entry['id']!r} missing coords")
             vals = entry["coords"]
-            if not isinstance(vals, list) or not all(_is_number(c) for c in vals):
+            if not isinstance(vals, list) or not all(_is_number_type(type(c)) for c in vals):
                 raise SchemaError(f"coords of point {entry['id']!r} must be a list of numbers")
             coords.append(_floats(vals, f"coords of point {entry['id']!r}"))
     try:

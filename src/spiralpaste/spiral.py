@@ -55,8 +55,11 @@ class RadiiSchedule:
     """
 
     epsilon: float
-    band_count: int
     radii: np.ndarray
+
+    @property
+    def band_count(self) -> int:
+        return len(self.radii) // 2
 
     def band_of(self, rho: float) -> int:
         """Index i of the branch whose domain (R_{2i-1}, R_{2i+1}] holds rho.
@@ -77,20 +80,20 @@ def _check_epsilon(epsilon: float) -> None:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
 
 
-def radii_schedule(epsilon: float, band_count: int) -> RadiiSchedule:
-    """Build the radii schedule with ``band_count`` blend windows, each radius exp of its summed log."""
+def radii_schedule(epsilon: float, bands: int) -> RadiiSchedule:
+    """Build the radii schedule with ``bands`` blend windows, each radius exp of its summed log."""
     _check_epsilon(epsilon)
-    if band_count < 1:
-        raise ValueError("band_count must be >= 1")
+    if bands < 1:
+        raise ValueError("bands must be >= 1")
     half_turn = math.pi / (2.0 * epsilon)
     shrink = -math.log(epsilon)
-    logs = np.empty(2 * band_count)
+    logs = np.empty(2 * bands)
     logs[0] = 0.0
-    for i in range(1, 2 * band_count):
+    for i in range(1, 2 * bands):
         logs[i] = logs[i - 1] + (half_turn if i % 2 == 1 else shrink)
     with np.errstate(over="ignore"):
         radii = np.exp(logs)
-    return RadiiSchedule(epsilon, band_count, radii)
+    return RadiiSchedule(epsilon, radii)
 
 
 def needed_bands(epsilon: float, rho_max: float) -> int:

@@ -4,8 +4,15 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from spiralpaste import PointedMetricSpace, grid_space, line_space, tree_space
+
+# With CI set, hypothesis loads its "ci" profile, which derandomizes: push and
+# pull-request runs replay one fixed example sequence.  The scheduled workflow
+# runs this profile instead, which draws new examples and prints the blob
+# that replays a failure.
+settings.register_profile("explore", settings.get_profile("ci"), derandomize=False)
 
 # A linf line that once failed at (p, eps) = (2, 0.1): x is R_4 =
 # radii_schedule(0.1, 3).radii[3] and y one ulp below it

@@ -394,6 +394,21 @@ class TestDistortionCommand:
         assert code == 0
         assert json.loads(out.read_text())["report"]["distortion"] == 1.0
 
+    def test_images_of_other_ids_are_ignored(self, int_doc, tmp_path):
+        # a map of a larger space measures its restriction to the input's points
+        path, sp = int_doc
+        doc = self.build_map_doc(sp)
+        extra = dict(doc, images=dict(doc["images"], zzz={"1": [1e6] * doc["block_dims"][0]}))
+        reports = []
+        for map_doc in (doc, extra):
+            map_path = tmp_path / "map.json"
+            map_path.write_text(json.dumps(map_doc))
+            out = tmp_path / "r.json"
+            assert main(["distortion", "--input", path, "--map", str(map_path),
+                         "--out", str(out)]) == 0
+            reports.append(json.loads(out.read_text()))
+        assert reports[0] == reports[1]
+
     def test_bound_violation_exits_one(self, int_doc, tmp_path):
         path, sp = int_doc
         map_path = tmp_path / "map.json"

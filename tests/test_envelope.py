@@ -26,6 +26,7 @@ from spiralpaste import (
     seam_check,
     tree_space,
 )
+from spiralpaste.metric import TOL
 from spiralpaste.spiral import _pair_bounds, _pair_centres
 from spiralpaste.sumspace import _pair_distances
 
@@ -173,7 +174,7 @@ def test_envelope_of_a_matrix_within_tolerance(p):
     # rho is negative, and the scan divides the pair x < y by D[x, y]
     tree = tree_space(40, r_max=1e6, seed=3)
     D = tree.matrix.copy()
-    tol = tree.rel_tol()
+    tol = TOL * max(1.0, float(np.max(tree.matrix)))
     rng = np.random.default_rng(0)
     D += np.triu(rng.uniform(0.0, 0.4 * tol, D.shape), 1)
     np.fill_diagonal(D, -0.4 * tol)

@@ -508,11 +508,8 @@ class TestBasics:
         # distance computed by a second formula can differ by an ulp
         coords = np.random.default_rng(0).uniform(size=(200, 12))
         sp = PointedMetricSpace(ids=tuple(range(200)), basepoint=0, kind="l2", coords=coords)
-        tol = sp.rel_tol()
         dists = [[sp.dist(u, v) for v in range(60)] for u in range(60)]
-        D = sp.matrix
-        assert np.array_equal(dists, D[:60, :60])
-        assert sp.rel_tol() == tol == 1e-9 * max(1.0, float(D.max()))
+        assert np.array_equal(dists, sp.matrix[:60, :60])
 
     def test_ball_membership(self):
         sp = tri_space()

@@ -9,8 +9,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from spiralpaste import (
+    SUP,
+    BlockVector,
     PointedMetricSpace,
     ScheduleTooShort,
+    SumSpaceSpec,
     analytic_bound,
     ball,
     blend,
@@ -524,6 +527,51 @@ def test_finite_determination(tree, n, r_max, seed, p, eps):
                 got, want = part.images[pid].blocks, full.images[pid].blocks
                 assert got.keys() == want.keys()
                 assert all(np.array_equal(got[b], want[b]) for b in want)
+
+
+def landmark_provider(scale, ball_distortions):
+    """Ball maps of distortion C_b >= 1: distance vectors to a greedy net, not to every point.
+
+    The anchors are the basepoint, then, in row order, each point farther
+    than scale * (the ball's smallest pair distance) from every anchor so
+    far.  Each C_b, measured by the generic scan, goes to ``ball_distortions``.
+    """
+    def provider(ball_space):
+        D = ball_space.matrix
+        n, base = len(ball_space), ball_space.index(ball_space.basepoint)
+        anchors = [base]
+        if n > 1:
+            delta = scale * float(np.min(D[~np.eye(n, dtype=bool)]))
+            for x in range(n):
+                if np.min(D[x, anchors]) > delta:
+                    anchors.append(x)
+        images = dict(zip(ball_space.ids, D[:, anchors] - D[base, anchors]))
+        if n > 1:
+            spec = SumSpaceSpec(SUP, (len(anchors),))
+            vectors = {pid: BlockVector(spec, {1: v}) for pid, v in images.items()}
+            ball_distortions.append(distortion(ball_space, vectors, spec).distortion)
+        return images
+
+    return provider
+
+
+@pytest.fixture(scope="module")
+def tree120():
+    return tree_space(120, seed=1)
+
+
+@pytest.mark.parametrize("name", ["tree120", "line"])
+@pytest.mark.parametrize("p, eps", [(2.0, 0.2), (1.0, 0.5), (3.0, 0.1), (1.0, 0.2)])
+@pytest.mark.parametrize("scale", [0.5, 2.0, 8.0, 32.0])
+def test_ball_maps_with_distortion(request, name, p, eps, scale):
+    # Result (1) as the paper states it: ball maps of distortion C paste to
+    # a map of distortion at most C times the bound (+inf at (1, 0.5)).
+    # The tree at (2, 0.2) and scale 8 gives 2.551 <= 2.469 x 5.850.
+    space = request.getfixturevalue(name)
+    ball_distortions = []
+    emb = paste(space, p, eps, provider=landmark_provider(scale, ball_distortions))
+    pasted = distortion(space, emb.images, emb.spec).distortion
+    assert pasted <= max(ball_distortions) * analytic_bound(p, eps)
 
 
 class TestReferenceCurve:
