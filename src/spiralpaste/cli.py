@@ -15,6 +15,7 @@ import io
 import json
 import math
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -137,7 +138,10 @@ def _load_map(doc) -> tuple[SumSpaceSpec, dict]:
             parsed[idx] = _floats(vals, f"block {key} of {pid!r}")
             if not all(map(math.isfinite, parsed[idx])):
                 raise SchemaError(f"block {key} of {pid!r} must hold finite numbers")
-        images[pid] = BlockVector(spec, parsed)
+        try:
+            images[pid] = BlockVector(spec, parsed)
+        except ValueError as exc:
+            raise SchemaError(f"image of {pid!r}: {exc}") from exc
     return spec, images
 
 
@@ -157,9 +161,6 @@ def _spiral_verdict(space: PointedMetricSpace, p: float, epsilon: float) -> tupl
     gap, seam_pairs = seam_check(emb)
     npe = emb.norm_preservation_error()
     sched = emb.layout.schedule
-    band_counts: dict[str, int] = {}
-    for b in emb.band_of.values():
-        band_counts[str(b)] = band_counts.get(str(b), 0) + 1
     checks = {
         "distortion_within_bound": rep.passed,
         "norm_preservation": npe <= 1e-9,
@@ -174,7 +175,7 @@ def _spiral_verdict(space: PointedMetricSpace, p: float, epsilon: float) -> tupl
             "radii": [float(r) for r in sched.radii],
         },
         "block_dims": list(emb.spec.block_dims),
-        "band_counts": band_counts,
+        "band_counts": Counter(emb.band_of.values()),
         "seam": {"max_gap": gap, "pairs_checked": seam_pairs},
         "norm_preservation_error": npe,
         "checks": checks,

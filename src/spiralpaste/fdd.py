@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import ModelInvalid
 from .metric import DistortionReport, PointedMetricSpace, distortion as measure_distortion
-from .spiral import PastedEmbedding, analytic_bound, paste
-from .sumspace import Fold
+from .spiral import PastedEmbedding, _check_epsilon, analytic_bound, paste
+from .sumspace import SUP, Fold, SumSpaceSpec
 
 __all__ = [
     "FddModel",
@@ -44,9 +44,7 @@ class FddModel:
     eps_list: tuple[float, ...] = ()
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.block_dims)
-        if not dims or any(d < 1 for d in dims):
-            raise ValueError("block dims must be positive integers")
+        dims = SumSpaceSpec(SUP, self.block_dims).block_dims
         eps = tuple(float(e) for e in self.eps_list) or (0.0,) * len(dims)
         if len(eps) != len(dims):
             raise ModelInvalid(f"need one eps per block: got {len(eps)} for {len(dims)} blocks")
@@ -92,7 +90,7 @@ def _sup(rng: np.random.Generator, dim: int) -> float:
     return float(np.max(np.abs(rng.uniform(-1.0, 1.0, size=dim))))
 
 
-def validate_model(model: FddModel, epsilon: float) -> bool:
+def validate_model(model: FddModel, epsilon: float) -> None:
     """Check the model's product condition prod(1 - eps_n) > 1 - epsilon,
     compared as 1 - prod < epsilon: 1 - epsilon rounds to 1 at tiny epsilon.
 
@@ -103,12 +101,10 @@ def validate_model(model: FddModel, epsilon: float) -> bool:
     the same, the max is exact and the factor is <= 1).  Raises
     ModelInvalid when the product condition fails.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
+    _check_epsilon(epsilon)
     prod = float(np.prod(model.weights()))
     if not 1.0 - prod < epsilon:
         raise ModelInvalid(f"prod(1 - eps_n) = {prod:.6g} must exceed 1 - eps = 1 - {epsilon:.6g}")
-    return True
 
 
 @dataclass(frozen=True)
@@ -118,9 +114,7 @@ class EquivalenceReport:
     samples: int
 
 
-def equivalence_ratio(
-    model: FddModel, epsilon: float, seed: int = 0, n: int = 200
-) -> EquivalenceReport:
+def equivalence_ratio(model: FddModel, epsilon: float, *, seed: int, n: int) -> EquivalenceReport:
     """Largest norm_a / ambient ratio over seeded random and extremal vectors.
 
     The candidate set always includes every single-block unit and every
@@ -151,9 +145,7 @@ def equivalence_ratio(
     return EquivalenceReport(best, bound, len(cands))
 
 
-def pair_isometry_check(
-    model: FddModel, j: int, k: int, samples: int = 1000, seed: int = 0
-) -> float:
+def pair_isometry_check(model: FddModel, j: int, k: int, *, samples: int, seed: int) -> float:
     """Max |norm_a(v) - (||v_j|| + ||v_k||)| over random two-block vectors."""
     if j == k:
         raise ValueError("the pair must use two distinct blocks")

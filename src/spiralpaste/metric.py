@@ -443,11 +443,11 @@ def distortion(
     The target's fold turns the per-block pair distances into pair
     distances.  A fold that returns a tuple of arrays gets a tuple of
     reports, one per array, and ``analytic_bound`` is then a tuple of the
-    same length.  Extra memory is a few arrays of one entry per scanned
-    pair, plus one block's vectors.  A scanned pair whose target distance
-    or ratio is NaN or overflows, or whose positive distance has a ratio
-    below 2^-1022, raises ValueError naming the first such pair in
-    row-major order.
+    same length, or None for no bound on any of them.  Extra memory is a
+    few arrays of one entry per scanned pair, plus one block's vectors.  A
+    scanned pair whose target distance or ratio is NaN or overflows, or
+    whose positive distance has a ratio below 2^-1022, raises ValueError
+    naming the first such pair in row-major order.
 
     ``candidates``, called with ``target.fold``, returns the pairs (I, J)
     to scan, I < J in row-major order.  They must include every pair that
@@ -480,7 +480,8 @@ def distortion(
             "has a distance or ratio that is NaN or out of double range"
         )
     if isinstance(folded, tuple):
-        return tuple(_report(space, I, J, *pair) for pair in zip(ratios, analytic_bound, strict=True))
+        bounds = (None,) * len(folded) if analytic_bound is None else analytic_bound
+        return tuple(_report(space, I, J, *pair) for pair in zip(ratios, bounds, strict=True))
     return _report(space, I, J, ratios[0], analytic_bound)
 
 

@@ -67,10 +67,13 @@ CASES = [
      "separation level 1 outside 2..6"),
     ("separation past the depth", lambda: separation_witness(CFG, 7), IndexError,
      "separation level 7 outside 2..6"),
+    ("model block dim 2.5", lambda: FddModel((2.5, 3)), ValueError,
+     "block dims must be positive integers, got (2.5, 3)"),
+    ("model without blocks", lambda: FddModel(()), ValueError, "need at least one block"),
     ("model eps 0", lambda: validate_model(FddModel((1, 1)), 0.0), ValueError,
-     "epsilon must lie in (0, 1)"),
+     "epsilon must lie in (0, 1), got 0.0"),
     ("model eps 1", lambda: validate_model(FddModel((1, 1)), 1.0), ValueError,
-     "epsilon must lie in (0, 1)"),
+     "epsilon must lie in (0, 1), got 1.0"),
 ]
 
 

@@ -442,6 +442,17 @@ class TestDistortionCommand:
             "error: target distances must be finite: pair ('x0', 'x1') has a distance or "
             "ratio that is NaN or out of double range\n")
 
+    @pytest.mark.parametrize("pid, blocks, message", [
+        ("zzz", {"1": [1, 2]}, "block 1 has shape (2,), expected (1,)"),
+        ("b", {"3": [1]}, "block index 3 outside 1..1"),
+    ], ids=["shape", "index"])
+    def test_block_errors_name_the_image(self, pair_doc, tmp_path, capsys, pid, blocks, message):
+        doc = {"p": 2, "block_dims": [1], "images": {"o": {"1": [0]}, "a": {"1": [1]}, pid: blocks}}
+        map_path = tmp_path / "map.json"
+        map_path.write_text(json.dumps(doc))
+        assert main(["distortion", "--input", pair_doc, "--map", str(map_path)]) == 2
+        assert capsys.readouterr().err == f"error: image of {pid!r}: {message}\n"
+
     @pytest.mark.parametrize("keys", [("1", "01"), ("01", "1")])
     def test_duplicate_block_keys_are_schema_errors(self, pair_doc, tmp_path, capsys, keys):
         # "1" and "01" both parse to block 1; neither may silently win

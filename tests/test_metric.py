@@ -537,6 +537,15 @@ class TestDistortion:
         assert rep.max_pair == ("a", "b")
         assert rep.min_pair == ("b", "c")
 
+    def test_two_norm_target_without_bounds(self):
+        # a bare call reads as no bound on either folded norm
+        sp = line_space(24)
+        emb = paste(sp, 1.0, 0.2)
+        model = FddModel(emb.spec.block_dims)
+        reps = distortion(sp, emb.images, model)
+        assert reps == distortion(sp, emb.images, model, (None, None))
+        assert all(r.analytic_bound is None for r in reps)
+
     def test_exact_isometry_is_one(self):
         coords = np.array([[0.0, 0.0], [2.0, 1.0], [-3.0, 5.0], [7.0, -2.0]])
         sp = PointedMetricSpace(ids=("o", "u", "v", "w"), basepoint="o", kind="linf",

@@ -555,6 +555,14 @@ def landmark_provider(scale, ball_distortions):
     return provider
 
 
+def check_ball_maps(space, p, eps, scale):
+    """Paste landmark ball maps of distortion C_b; the paste must meet max C_b times the bound."""
+    ball_distortions = []
+    emb = paste(space, p, eps, provider=landmark_provider(scale, ball_distortions))
+    pasted = distortion(space, emb.images, emb.spec).distortion
+    assert pasted <= max(ball_distortions) * analytic_bound(p, eps)
+
+
 @pytest.fixture(scope="module")
 def tree120():
     return tree_space(120, seed=1)
@@ -567,11 +575,22 @@ def test_ball_maps_with_distortion(request, name, p, eps, scale):
     # Result (1) as the paper states it: ball maps of distortion C paste to
     # a map of distortion at most C times the bound (+inf at (1, 0.5)).
     # The tree at (2, 0.2) and scale 8 gives 2.551 <= 2.469 x 5.850.
-    space = request.getfixturevalue(name)
-    ball_distortions = []
-    emb = paste(space, p, eps, provider=landmark_provider(scale, ball_distortions))
-    pasted = distortion(space, emb.images, emb.spec).distortion
-    assert pasted <= max(ball_distortions) * analytic_bound(p, eps)
+    check_ball_maps(request.getfixturevalue(name), p, eps, scale)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    tree=st.booleans(),
+    n=st.integers(min_value=3, max_value=60),
+    r_max=st.sampled_from([1e3, 1e6, 1e9]),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    p=st.sampled_from([1.0, 2.0, 3.0]),
+    eps=st.floats(min_value=0.05, max_value=0.5),
+    scale=st.floats(min_value=0.5, max_value=64.0),
+)
+def test_ball_maps_with_distortion_on_random_spaces(tree, n, r_max, seed, p, eps, scale):
+    space = tree_space(n, r_max=r_max, seed=seed) if tree else line_space(n, r_max=r_max)
+    check_ball_maps(space, p, eps, scale)
 
 
 class TestReferenceCurve:
