@@ -33,8 +33,10 @@ from .metric import (
     PointedMetricSpace,
     ball,
     distortion,
+    load_map,
     load_space,
     packing_bound,
+    read_document,
     space_to_doc,
     sup_pairwise,
 )

@@ -1,4 +1,4 @@
-"""Command-line front door: parse inputs, dispatch, emit reports.
+"""Command-line front door: flags, dispatch, reports (metric.py reads the documents).
 
 Reports are deterministic given (input, flags, seed): keys are sorted,
 floats are emitted verbatim (infinities as the string "inf", which is how
@@ -33,11 +33,11 @@ from .fdd import embed_no_cotype, equivalence_ratio, pair_isometry_check
 from .frechet import frechet_embed
 from .metric import (
     PointedMetricSpace,
-    _floats,
-    _is_number_type,
     distortion as measure_distortion,
+    load_map,
     load_space,
     packing_bound,
+    read_document,
 )
 from .spiral import analytic_bound, paste, seam_check, spiral_distortion
 from .sumspace import SUP, BlockVector, SumSpaceSpec
@@ -79,72 +79,6 @@ def _render_report(args: argparse.Namespace, payload: dict, ok: bool) -> str:
     return json.dumps(_jsonify(doc), sort_keys=True, indent=2) + "\n"
 
 
-def _read_json(path: str):
-    def unique_keys(pairs: list) -> dict:
-        # a key repeated in one object is a schema error, not a silent overwrite
-        doc = dict(pairs)
-        if len(doc) < len(pairs):
-            seen: set = set()
-            key = next(k for k, _ in pairs if k in seen or seen.add(k))
-            raise SchemaError(f"JSON in {path} repeats key {key!r} in one object")
-        return doc
-
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, object_pairs_hook=unique_keys)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON in {path}: {exc}") from exc
-    except RecursionError as exc:
-        raise SchemaError(f"JSON in {path} nests too deeply") from exc
-
-
-def _load_map(doc) -> tuple[SumSpaceSpec, dict]:
-    """Parse a map document: a block-space layout plus one vector per point."""
-    if not isinstance(doc, dict):
-        raise SchemaError("map document must be an object")
-    for key in ("p", "block_dims", "images"):
-        if key not in doc:
-            raise SchemaError(f"map document missing {key!r}")
-    p = doc["p"]
-    if p == "sup":
-        p = SUP
-    if not _is_number_type(type(p)):
-        raise SchemaError("map field 'p' must be a number or \"sup\"")
-    [p] = _floats([p], "map field 'p'")
-    dims = doc["block_dims"]
-    if not isinstance(dims, list) or not all(
-            _is_number_type(type(d)) and isinstance(d, int) for d in dims):
-        raise SchemaError("map field 'block_dims' must be a list of integers")
-    spec = SumSpaceSpec(p, tuple(dims))
-    raw = doc["images"]
-    if not isinstance(raw, dict):
-        raise SchemaError("map field 'images' must be an object keyed by point id")
-    images = {}
-    for pid, blocks in raw.items():
-        if not isinstance(blocks, dict):
-            raise SchemaError(f"image of {pid!r} must be an object keyed by block index")
-        parsed, keys = {}, {}
-        for key, vals in blocks.items():
-            # int() alone also reads " 1", "+1", "1_0" and non-ASCII digits
-            if not (key.isascii() and key.isdigit()):
-                raise SchemaError(f"block key {key!r} of {pid!r} is not an integer")
-            idx = int(key)
-            if idx in keys:
-                raise SchemaError(
-                    f"block keys {keys[idx]!r} and {key!r} of {pid!r} both name block {idx}")
-            keys[idx] = key
-            if not isinstance(vals, list) or not all(_is_number_type(type(v)) for v in vals):
-                raise SchemaError(f"block {key} of {pid!r} must be a list of numbers")
-            parsed[idx] = _floats(vals, f"block {key} of {pid!r}")
-            if not all(map(math.isfinite, parsed[idx])):
-                raise SchemaError(f"block {key} of {pid!r} must hold finite numbers")
-        try:
-            images[pid] = BlockVector(spec, parsed)
-        except ValueError as exc:
-            raise SchemaError(f"image of {pid!r}: {exc}") from exc
-    return spec, images
-
-
 # Subcommands ------------------------------------------------------------------
 
 
@@ -184,7 +118,7 @@ def _spiral_verdict(space: PointedMetricSpace, p: float, epsilon: float) -> tupl
 
 
 def _cmd_embed(args: argparse.Namespace) -> tuple[dict, bool]:
-    space = load_space(_read_json(args.input))
+    space = load_space(read_document(args.input))
     if args.method == "frechet":
         fm = frechet_embed(space)
         spec = SumSpaceSpec(SUP, (fm.dimension,))
@@ -210,8 +144,8 @@ def _cmd_embed(args: argparse.Namespace) -> tuple[dict, bool]:
 
 
 def _cmd_distortion(args: argparse.Namespace) -> tuple[dict, bool]:
-    space = load_space(_read_json(args.input))
-    spec, images = _load_map(_read_json(args.map))
+    space = load_space(read_document(args.input))
+    spec, images = load_map(read_document(args.map))
     missing = [pid for pid in space.ids if pid not in images]
     if missing:
         raise SchemaError(f"map has no image for {missing[0]!r}")
@@ -289,7 +223,7 @@ def _cmd_fdd_demo(args: argparse.Namespace) -> tuple[dict, bool]:
         raise SchemaError(f"--samples must be at least 1, got {args.samples}")
     if args.seed < 0:
         raise SchemaError(f"--seed must be non-negative, got {args.seed}")
-    space = load_space(_read_json(args.input))
+    space = load_space(read_document(args.input))
     try:
         result = embed_no_cotype(space, args.epsilon, eps_list=args.eps_list)
     except ModelInvalid as exc:
@@ -352,7 +286,7 @@ def _cmd_spiral(args: argparse.Namespace) -> tuple[dict, bool]:
 def _render_sweep(args: argparse.Namespace) -> tuple[str, bool]:
     if not args.p_grid or not args.eps_grid:
         raise SchemaError("sweep needs non-empty --p and --eps grids")
-    space = load_space(_read_json(args.input))
+    space = load_space(read_document(args.input))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["p", "epsilon", "distortion", "bound", "margin"])
@@ -399,45 +333,39 @@ def build_parser() -> argparse.ArgumentParser:
         "sums of sup-norm blocks, with measured-vs-analytic distortion reports.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    reads = argparse.ArgumentParser(add_help=False)
+    reads.add_argument("--input", required=True, help="metric-space JSON document")
+    writes = argparse.ArgumentParser(add_help=False)
+    writes.add_argument("--out", default=None, help="report path (default: stdout)")
 
-    embed = sub.add_parser("embed", help="embed a space and report its distortion")
-    embed.add_argument("--input", required=True, help="metric-space JSON document")
+    embed = sub.add_parser("embed", parents=[reads, writes], help="embed a space and report its distortion")
     embed.add_argument("--p", type=float, help="sum exponent (spiral method)")
     embed.add_argument("--epsilon", type=float, help="blend parameter (spiral method)")
     embed.add_argument("--method", choices=("spiral", "frechet"), default="spiral")
-    embed.add_argument("--out", default=None, help="report path (default: stdout)")
 
-    dist = sub.add_parser("distortion", help="measure a user-supplied map")
-    dist.add_argument("--input", required=True, help="metric-space JSON document")
+    dist = sub.add_parser("distortion", parents=[reads, writes], help="measure a user-supplied map")
     dist.add_argument("--map", required=True, help="map JSON document")
     dist.add_argument("--bound", type=float, default=None, help="bound the report must meet")
-    dist.add_argument("--out", default=None)
 
-    cex = sub.add_parser("counterexample", help="build the ray family and its witnesses")
+    cex = sub.add_parser("counterexample", parents=[writes], help="build the ray family and its witnesses")
     cex.add_argument("--rays", type=int, default=CounterexampleConfig.ray_count)
     cex.add_argument("--N", dest="levels", type=_comma_list(int), default=CounterexampleConfig.N,
                      help='level widths N_1..N_T, e.g. "2,3,4" for depth T = 3')
-    cex.add_argument("--out", default=None)
 
-    fdd = sub.add_parser("fdd-demo", help="renormed block model round trip")
-    fdd.add_argument("--input", required=True)
+    fdd = sub.add_parser("fdd-demo", parents=[reads, writes], help="renormed block model round trip")
     fdd.add_argument("--epsilon", type=float, required=True)
     fdd.add_argument("--eps-list", type=_comma_list(float), default=None, help='per-block eps, e.g. "0,0.1"')
     fdd.add_argument("--samples", type=int, default=200)
     fdd.add_argument("--seed", type=int, default=0)
-    fdd.add_argument("--out", default=None)
 
-    spiral = sub.add_parser("spiral", help="distortion of the reference plane spiral")
+    spiral = sub.add_parser("spiral", parents=[writes], help="distortion of the reference plane spiral")
     spiral.add_argument("--epsilon", type=float, required=True)
     spiral.add_argument("--tmax", type=float, default=spiral_distortion.__kwdefaults__["t_max"])
     spiral.add_argument("--samples", type=int, default=spiral_distortion.__kwdefaults__["samples"])
-    spiral.add_argument("--out", default=None)
 
-    sweep = sub.add_parser("sweep", help="distortion-vs-bound table over a (p, eps) grid")
-    sweep.add_argument("--input", required=True)
+    sweep = sub.add_parser("sweep", parents=[reads, writes], help="distortion-vs-bound CSV over a (p, eps) grid")
     sweep.add_argument("--p", dest="p_grid", type=_comma_list(float), default=(), help='e.g. "1,2,3"')
     sweep.add_argument("--eps", dest="eps_grid", type=_comma_list(float), default=(), help='e.g. "0.5,0.2,0.1"')
-    sweep.add_argument("--out", default=None, help="CSV path (default: stdout)")
 
     return parser
 

@@ -5,11 +5,13 @@ as an explicit symmetric matrix or induced by per-point coordinates under
 the sup or Euclidean norm, plus a distinguished basepoint.  Distortion of
 a map into a block sum is measured over every unordered pair, or over a
 caller's candidate pairs that hold every pair able to set the max or the
-min, which gives the same report.
+min, which gives the same report.  The JSON documents of spaces and maps
+are parsed and checked here too.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
@@ -17,7 +19,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import SchemaError
-from .sumspace import Fold, _pair_distances
+from .sumspace import SUP, BlockVector, Fold, SumSpaceSpec, _pair_distances
 
 __all__ = [
     "PointedMetricSpace",
@@ -26,7 +28,9 @@ __all__ = [
     "sup_pairwise",
     "distortion",
     "packing_bound",
+    "read_document",
     "load_space",
+    "load_map",
     "space_to_doc",
 ]
 
@@ -506,34 +510,60 @@ def packing_bound(R: float, delta: float, m: int, C: float) -> float:
 
 # JSON interchange -----------------------------------------------------------
 
+
+def read_document(path: str):
+    """Parse the JSON file at ``path``; bad JSON, deep nesting or a repeated key is a SchemaError."""
+
+    def unique_keys(pairs: list) -> dict:
+        doc = dict(pairs)
+        if len(doc) < len(pairs):
+            seen: set = set()
+            key = next(k for k, _ in pairs if k in seen or seen.add(k))
+            raise SchemaError(f"JSON in {path} repeats key {key!r} in one object")
+        return doc
+
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh, object_pairs_hook=unique_keys)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"invalid JSON in {path}: {exc}") from exc
+    except RecursionError as exc:
+        raise SchemaError(f"JSON in {path} nests too deeply") from exc
+
+
 def _is_number_type(t: type) -> bool:
     """The type of a JSON number; JSON true/false load as bool, a subclass of int."""
     return issubclass(t, (int, float)) and not issubclass(t, bool)
 
 
-def _floats(vals: list, what: str) -> list[float]:
-    """JSON numbers as floats; an integer literal beyond double range is a schema error."""
+def _numbers(vals, what: str, expected: str = "a list of numbers") -> np.ndarray:
+    """A list of JSON numbers as a float array, each entry type checked once; ``what`` names it."""
+    if not (isinstance(vals, list) and all(map(_is_number_type, set(map(type, vals))))):
+        raise SchemaError(f"{what} must be {expected}")
     try:
-        return [float(v) for v in vals]
+        return np.asarray(vals, dtype=float)
     except OverflowError as exc:
         raise SchemaError(f"{what}: a number lies beyond double range") from exc
 
 
+def _check_fields(doc, what: str, keys: tuple) -> None:
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{what} document must be an object")
+    for key in keys:
+        if key not in doc:
+            raise SchemaError(f"{what} document missing {key!r}")
+
+
 def load_space(doc: dict) -> PointedMetricSpace:
     """Build a space from its JSON document form (see README for the schema)."""
-    if not isinstance(doc, dict):
-        raise SchemaError("metric-space document must be an object")
-    for key in ("basepoint", "metric", "points"):
-        if key not in doc:
-            raise SchemaError(f"metric-space document missing {key!r}")
+    _check_fields(doc, "metric-space", ("basepoint", "metric", "points"))
     kind = doc["metric"]
     if kind not in _KINDS:
         raise SchemaError(f"metric must be one of {_KINDS}, got {kind!r}")
     pts = doc["points"]
     if not isinstance(pts, list) or not pts:
         raise SchemaError("points must be a non-empty list")
-    ids = []
-    coords = []
+    ids, coords = [], []
     for entry in pts:
         if not isinstance(entry, dict) or "id" not in entry:
             raise SchemaError("each point entry must be an object with an 'id'")
@@ -541,10 +571,7 @@ def load_space(doc: dict) -> PointedMetricSpace:
         if kind != "matrix":
             if "coords" not in entry:
                 raise SchemaError(f"point {entry['id']!r} missing coords")
-            vals = entry["coords"]
-            if not isinstance(vals, list) or not all(_is_number_type(type(c)) for c in vals):
-                raise SchemaError(f"coords of point {entry['id']!r} must be a list of numbers")
-            coords.append(_floats(vals, f"coords of point {entry['id']!r}"))
+            coords.append(_numbers(entry["coords"], f"coords of point {entry['id']!r}"))
     try:
         if kind == "matrix":
             if "matrix" not in doc:
@@ -571,6 +598,45 @@ def load_space(doc: dict) -> PointedMetricSpace:
         )
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
+
+
+def load_map(doc) -> tuple[SumSpaceSpec, dict]:
+    """Build a map's block layout and its BlockVector per point id from its JSON document form."""
+    _check_fields(doc, "map", ("p", "block_dims", "images"))
+    p = SUP if doc["p"] == "sup" else doc["p"]
+    [p] = _numbers([p], "map field 'p'", 'a number or "sup"').tolist()
+    dims = doc["block_dims"]
+    if not (isinstance(dims, list) and set(map(type, dims)) <= {int}):
+        raise SchemaError("map field 'block_dims' must be a list of integers")
+    try:
+        spec = SumSpaceSpec(p, tuple(dims))
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from exc
+    raw = doc["images"]
+    if not isinstance(raw, dict):
+        raise SchemaError("map field 'images' must be an object keyed by point id")
+    images = {}
+    for pid, blocks in raw.items():
+        if not isinstance(blocks, dict):
+            raise SchemaError(f"image of {pid!r} must be an object keyed by block index")
+        parsed, keys = {}, {}
+        for key, vals in blocks.items():
+            # int() alone also reads " 1", "+1", "1_0" and non-ASCII digits
+            if not (key.isascii() and key.isdigit()):
+                raise SchemaError(f"block key {key!r} of {pid!r} is not an integer")
+            idx = int(key)
+            if idx in keys:
+                raise SchemaError(
+                    f"block keys {keys[idx]!r} and {key!r} of {pid!r} both name block {idx}")
+            keys[idx] = key
+            parsed[idx] = _numbers(vals, f"block {key} of {pid!r}")
+            if not np.isfinite(parsed[idx]).all():
+                raise SchemaError(f"block {key} of {pid!r} must hold finite numbers")
+        try:
+            images[pid] = BlockVector(spec, parsed)
+        except ValueError as exc:
+            raise SchemaError(f"image of {pid!r}: {exc}") from exc
+    return spec, images
 
 
 def space_to_doc(space: PointedMetricSpace) -> dict:

@@ -80,6 +80,11 @@ def _check_epsilon(epsilon: float) -> None:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
 
 
+def _check_exponent(p: float) -> None:
+    if not 1.0 <= p < math.inf:
+        raise ValueError(f"exponent must be a finite real >= 1, got {p}")
+
+
 def radii_schedule(epsilon: float, bands: int) -> RadiiSchedule:
     """Build the radii schedule with ``bands`` blend windows, each radius exp of its summed log."""
     _check_epsilon(epsilon)
@@ -118,8 +123,7 @@ def blend_theta(p: float, theta: float) -> tuple[float, float]:
     dividing both by the larger, so that at large p the two powers cannot
     both underflow to 0.
     """
-    if not 1.0 <= p < math.inf:
-        raise ValueError(f"blend needs a finite exponent p >= 1, got {p}")
+    _check_exponent(p)
     theta = min(max(theta, 0.0), math.pi / 2.0)
     ct, st = math.cos(theta), math.sin(theta)
     if p <= 2.0:
@@ -225,8 +229,7 @@ def analytic_bound(p: float, epsilon: float) -> float:
     exact formula at those raised epsilons; it is +inf where that is, and
     also a few ulps short of the pole, where that exceeds 1e12.
     """
-    if not 1.0 <= p < math.inf:
-        raise ValueError(f"exponent must be a finite real >= 1, got {p}")
+    _check_exponent(p)
     _check_epsilon(epsilon)
     # c_constant's roundings and pow calls err by < (6.7 + 3.5 p) 2^-53 relative
     # (its second exponent is <= p); 16 + 4p also covers the second order.
@@ -481,8 +484,7 @@ def paste(
     the space; an explicit band budget raises ScheduleTooShort when it
     does not.
     """
-    if not 1.0 <= p < math.inf:
-        raise ValueError(f"exponent must be a finite real >= 1, got {p}")
+    _check_exponent(p)
     rho = space.rho()
     rho_max = float(np.max(rho))
     K = needed_bands(epsilon, rho_max) if bands is None else int(bands)

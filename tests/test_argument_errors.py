@@ -1,5 +1,6 @@
 """Library calls with out-of-range arguments raise a named exception and message."""
 
+import math
 import re
 
 import numpy as np
@@ -10,11 +11,13 @@ from spiralpaste import (
     FddModel,
     PointedMetricSpace,
     SumSpaceSpec,
+    analytic_bound,
     ball,
     blend,
     blend_theta,
     grid_space,
     line_space,
+    paste,
     radii_schedule,
     ray_point,
     separation_witness,
@@ -49,7 +52,15 @@ CASES = [
     ("one-node tree", lambda: tree_space(1), ValueError, "need at least two nodes"),
     ("no bands", lambda: radii_schedule(0.2, 0), ValueError, "bands must be >= 1"),
     ("blend p < 1", lambda: blend_theta(0.5, 0.1), ValueError,
-     "blend needs a finite exponent p >= 1, got 0.5"),
+     "exponent must be a finite real >= 1, got 0.5"),
+    ("paste p inf", lambda: paste(line_space(), math.inf, 0.2), ValueError,
+     "exponent must be a finite real >= 1, got inf"),
+    ("paste p nan", lambda: paste(line_space(), math.nan, 0.2), ValueError,
+     "exponent must be a finite real >= 1, got nan"),
+    ("bound p inf", lambda: analytic_bound(math.inf, 0.2), ValueError,
+     "exponent must be a finite real >= 1, got inf"),
+    ("bound p nan", lambda: analytic_bound(math.nan, 0.2), ValueError,
+     "exponent must be a finite real >= 1, got nan"),
     ("band 0", lambda: blend(2.0, radii_schedule(0.2, 2), 0, 1.0), IndexError,
      "band 0 outside 1..2"),
     ("band past the schedule", lambda: blend(2.0, radii_schedule(0.2, 2), 3, 1.0), IndexError,

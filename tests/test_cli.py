@@ -3,14 +3,18 @@
 import csv
 import json
 import math
+import re
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spiralpaste import cli, counterexample, fdd, frechet_embed, line_space, space_to_doc, spiral
+from spiralpaste import (
+    cli, counterexample, fdd, frechet_embed, line_space, load_map, load_space, space_to_doc, spiral,
+)
 from spiralpaste.cli import main
-from .conftest import SPACE_SCHEMA_ERRORS, WINDOW_END_DOC, random_integer_space
+from .conftest import MAP_SCHEMA_ERRORS, SPACE_SCHEMA_ERRORS, WINDOW_END_DOC, random_integer_space
 
 
 @pytest.fixture(scope="module")
@@ -294,35 +298,6 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
-    def test_map_block_not_a_list_of_numbers(self, int_doc, pair_doc, tmp_path, capsys):
-        path, sp = int_doc
-        good = {"p": "sup", "block_dims": [1], "images": {"o": {"1": [0]}, "a": {"1": [1]}}}
-        cases = [
-            (path, {"p": "sup", "block_dims": [1],
-                    "images": {pid: {"1": [[1]]} for pid in sp.ids}}),
-            # JSON true/false load as bool, which Python counts as an int
-            (pair_doc, dict(good, images={"o": {"1": [False]}, "a": {"1": [True]}})),
-            (pair_doc, dict(good, block_dims=[True])),
-            (pair_doc, dict(good, p=True)),
-            # integer literals beyond double range
-            (pair_doc, dict(good, images={"o": {"1": [0]}, "a": {"1": [10**400]}})),
-            (pair_doc, dict(good, p=10**400)),
-        ]
-        map_path = tmp_path / "map.json"
-        map_path.write_text(json.dumps(good))
-        assert main(["distortion", "--input", pair_doc, "--map", str(map_path)]) == 0
-        capsys.readouterr()
-        for space_path, doc in cases:
-            map_path.write_text(json.dumps(doc))
-            assert main(["distortion", "--input", space_path, "--map", str(map_path)]) == 2, doc
-            err = capsys.readouterr().err
-            assert err.startswith("error:") and "Traceback" not in err
-        # json reads the NaN and Infinity literals; they must not reach the scan
-        for bad in (math.nan, math.inf):
-            map_path.write_text(json.dumps(dict(good, images={"o": {"1": [0]}, "a": {"1": [bad]}})))
-            assert main(["distortion", "--input", pair_doc, "--map", str(map_path)]) == 2
-            assert capsys.readouterr().err == "error: block 1 of 'a' must hold finite numbers\n"
-
     def test_deeply_nested_json(self, int_doc, tmp_path, capsys):
         deep = tmp_path / "deep.json"
         deep.write_text("[" * 100_000 + "]" * 100_000)
@@ -478,14 +453,7 @@ class TestDistortionCommand:
         assert capsys.readouterr().err == f"error: block key {key!r} of 'a' is not an integer\n"
         assert run("01") == 0
 
-    @pytest.mark.parametrize("doc, message", [
-        ([], "map document must be an object"),
-        ({"p": 2, "block_dims": [1]}, "map document missing 'images'"),
-        ({"p": 2, "block_dims": [1], "images": []},
-         "map field 'images' must be an object keyed by point id"),
-        ({"p": 2, "block_dims": [1], "images": {"o": {}, "a": [1]}},
-         "image of 'a' must be an object keyed by block index"),
-    ], ids=["not-object", "missing-key", "images-not-object", "image-not-object"])
+    @pytest.mark.parametrize("doc, message", MAP_SCHEMA_ERRORS.values(), ids=MAP_SCHEMA_ERRORS)
     def test_map_schema_errors(self, pair_doc, tmp_path, capsys, doc, message):
         map_path = tmp_path / "map.json"
         map_path.write_text(json.dumps(doc))
@@ -503,6 +471,20 @@ class TestDistortionCommand:
         assert main(["distortion", "--input", pair_doc, "--map", str(map_path)]) == 2
         assert capsys.readouterr().err == (
             f"error: JSON in {map_path} repeats key {key!r} in one object\n")
+
+    def test_readme_examples(self, tmp_path):
+        # the space under "Metric-space documents" and the map under "Map documents"
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        paths = []
+        for title, load in (("Metric-space documents", load_space), ("Map documents", load_map)):
+            doc = json.loads(re.search(r"```json\n(.*?)```", readme.split(f"### {title}")[1], re.S)[1])
+            load(doc)
+            paths.append(tmp_path / f"{load.__name__}.json")
+            paths[-1].write_text(json.dumps(doc))
+        out = tmp_path / "r.json"
+        assert main(["distortion", "--input", str(paths[0]), "--map", str(paths[1]),
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["report"]["distortion"] == 1.0
 
     def test_missing_image_is_schema_error(self, int_doc, tmp_path):
         path, sp = int_doc

@@ -18,6 +18,7 @@ from spiralpaste import (
     ball,
     distortion,
     line_space,
+    load_map,
     load_space,
     packing_bound,
     paste,
@@ -26,7 +27,7 @@ from spiralpaste import (
 )
 from spiralpaste import metric
 
-from .conftest import SPACE_SCHEMA_ERRORS
+from .conftest import MAP_SCHEMA_ERRORS, SPACE_SCHEMA_ERRORS
 from .norms import ambient_norm, combine, norm_a, sum_norm
 
 SPEC = SumSpaceSpec(SUP, (2,))
@@ -805,6 +806,12 @@ class TestInterchange:
             with pytest.raises(SchemaError) as exc:
                 load_space(doc)
             assert str(exc.value) == message
+
+    @pytest.mark.parametrize("doc, message", MAP_SCHEMA_ERRORS.values(), ids=MAP_SCHEMA_ERRORS)
+    def test_map_schema_errors(self, doc, message):
+        with pytest.raises(SchemaError) as exc:
+            load_map(doc)
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize("slab", [None, 460, 620])
     @pytest.mark.parametrize("kind", ["linf", "l2"])
