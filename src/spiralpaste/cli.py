@@ -32,6 +32,8 @@ from .errors import ModelInvalid, SchemaError, SpiralPasteError
 from .fdd import embed_no_cotype, equivalence_ratio, pair_isometry_check
 from .frechet import frechet_embed
 from .metric import (
+    RESOLUTION,
+    TOL,
     PointedMetricSpace,
     distortion as measure_distortion,
     load_map,
@@ -97,7 +99,7 @@ def _spiral_verdict(space: PointedMetricSpace, p: float, epsilon: float) -> tupl
     sched = emb.layout.schedule
     checks = {
         "distortion_within_bound": rep.passed,
-        "norm_preservation": npe <= 1e-9,
+        "norm_preservation": npe <= TOL,
         "seams_exact": gap == 0.0,
     }
     payload = {
@@ -128,7 +130,7 @@ def _cmd_embed(args: argparse.Namespace) -> tuple[dict, bool]:
         # amplified by the smallest pair distance.
         D = space.matrix
         off = D[np.triu_indices(len(space), 1)]
-        allowance = 64.0 * np.finfo(float).eps * float(off.max()) / max(float(off.min()), 1e-300)
+        allowance = RESOLUTION * float(off.max()) / max(float(off.min()), 1e-300)
         checks = {"isometry": rep.distortion <= 1.0 + max(allowance, 1e-12)}
         payload = {
             "method": "frechet",
@@ -146,12 +148,10 @@ def _cmd_embed(args: argparse.Namespace) -> tuple[dict, bool]:
 def _cmd_distortion(args: argparse.Namespace) -> tuple[dict, bool]:
     space = load_space(read_document(args.input))
     spec, images = load_map(read_document(args.map))
-    missing = [pid for pid in space.ids if pid not in images]
-    if missing:
-        raise SchemaError(f"map has no image for {missing[0]!r}")
+    rep = measure_distortion(space, images, spec, analytic_bound=args.bound)
+    # checked after the scan, so that a missing image is named first
     if args.bound is not None and math.isnan(args.bound):
         raise SchemaError("--bound must be a number, got nan")
-    rep = measure_distortion(space, images, spec, analytic_bound=args.bound)
     checks = {
         "injective": math.isfinite(rep.distortion),
         "within_bound": rep.passed,

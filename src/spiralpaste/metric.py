@@ -19,7 +19,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import SchemaError
-from .sumspace import SUP, BlockVector, Fold, SumSpaceSpec, _pair_distances
+from .sumspace import SUP, BlockVector, Fold, SumSpaceSpec, _WORK_CHUNK, _pair_distances
 
 __all__ = [
     "PointedMetricSpace",
@@ -38,16 +38,16 @@ __all__ = [
 # distances rescaled by the space diameter: TOL * max(1, max D).
 TOL = 1e-9
 
+# Machine resolution of a distance relative to its scale: 64 ulps of 1.0.
+# Doubles near the diameter still resolve much finer separations than
+# TOL * diameter, so positivity and the Fréchet isometry are judged at it.
+RESOLUTION = 64.0 * np.finfo(float).eps
+
 _KINDS = ("matrix", "linf", "l2")
 
 # Entries of sup_pairwise's two work buffers together: 1 MiB of doubles.
 # It bounds the extra memory of a coordinate space's distance build.
 _SLAB = 1 << 17
-
-# Entries of each work buffer of the matrix checks: 256 KiB of doubles.  On
-# the 600-point tree the checks were slower at 2^14 and no faster at 2^16 to
-# 2^17 (medians of 6, 2-CPU Xeon, numpy 2.4).
-_ROW_CHUNK = 1 << 15
 
 
 def sup_pairwise(V: np.ndarray, kind: str = "linf") -> np.ndarray:
@@ -153,7 +153,7 @@ def _coordinate_defect(C: np.ndarray, kind: str, top: float) -> float:
 def _asymmetry_and_gap(D: np.ndarray) -> tuple[float, float]:
     """max |D - D^T| and the smallest off-diagonal entry, a slab of rows at a time."""
     n = len(D)
-    rows = max(1, _ROW_CHUNK // n)
+    rows = max(1, _WORK_CHUNK // n)
     buf = np.empty(min(rows, n) * n)
     asym, gap = 0.0, math.inf
     for i0 in range(0, n, rows):
@@ -171,7 +171,7 @@ def _triangle_rows(D: np.ndarray, tol: float, proven: Callable[[float], bool]) -
     """The matrix triangle check's one row loop: proof rows, then the exact tail.
 
     Row x reduces |D[z, k] - D[x, k]| for every z > x along the contiguous
-    k axis, about ``_ROW_CHUNK`` differences per numpy call.  Its k > x
+    k axis, about ``_WORK_CHUNK`` differences per numpy call.  Its k > x
     half reads each triangle {x < z < k} through the two pairs that hold
     its smallest point (n^3 / 3 differences); the loop returns the largest
     fl(max_{k > x} |D[z, k] - D[x, k]| - D[x, z]).  From the first row x0
@@ -182,14 +182,14 @@ def _triangle_rows(D: np.ndarray, tol: float, proven: Callable[[float], bool]) -
     r: the entries (r, c) with c < r are found at rows c < r.
     """
     n = len(D)
-    buf = np.empty(max(_ROW_CHUNK, n))
+    buf = np.empty(max(_WORK_CHUNK, n))
     hi, lo = np.empty(n), np.empty(n)
     worst, first, x0 = -math.inf, n * n, n
     with np.errstate(over="ignore"):
         for x in range(n - 1):
             w, k0 = n - 1 - x, min(x0, x + 1)
             v, far, width, cut = D[x, k0:], D[x + 1 :, k0:], n - k0, x + 1 - k0
-            rows = max(1, _ROW_CHUNK // width)
+            rows = max(1, _WORK_CHUNK // width)
             for z0 in range(0, w, rows):
                 z1 = min(z0 + rows, w)
                 diff = buf[: (z1 - z0) * width].reshape(z1 - z0, width)
@@ -338,10 +338,7 @@ class PointedMetricSpace:
             raise ValueError("distance matrix asymmetry exceeds tolerance")
         if diag > tol:
             raise ValueError("self-distances must vanish")
-        # Positivity is judged at machine resolution, not at the report
-        # tolerance: doubles near the diameter still resolve much finer
-        # separations than TOL * diameter.
-        if gap <= 64.0 * np.finfo(float).eps * max(1.0, top):
+        if gap <= RESOLUTION * max(1.0, top):
             raise ValueError("distinct points must be at positive distance")
         rounding = 2.0**-53 * (top + diag) + 2.0**-1074
         limit = tol - 2.0**-50 * (top + tol)
@@ -443,7 +440,8 @@ def distortion(
 
     ``target`` is anything with ``block_dims`` and a ``fold`` (a
     ``SumSpaceSpec``, or a renormed model such as ``fdd.FddModel``), and
-    ``image`` maps every point id to a BlockVector of that block layout.
+    ``image`` maps every point id to a BlockVector of that block layout; a
+    point without an image raises ValueError naming the first in id order.
     The target's fold turns the per-block pair distances into pair
     distances.  A fold that returns a tuple of arrays gets a tuple of
     reports, one per array, and ``analytic_bound`` is then a tuple of the
@@ -458,14 +456,16 @@ def distortion(
     can set any folded norm's max or min, so the report is the full
     scan's, tie-break included.
     """
-    n = len(space)
-    if n < 2:
-        raise ValueError("distortion needs at least two points")
     vectors = []
     for pid in space.ids:
+        if pid not in image:
+            raise ValueError(f"map has no image for {pid!r}")
         vectors.append(image[pid])
         if vectors[-1].spec.block_dims != target.block_dims:
             raise ValueError(f"image of {pid!r} does not fit the target block layout")
+    n = len(space)
+    if n < 2:
+        raise ValueError("distortion needs at least two points")
     fold = target.fold
     I, J = np.triu_indices(n, 1) if candidates is None else candidates(fold)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -20,10 +20,12 @@ __all__ = ["SUP", "SumSpaceSpec", "BlockVector"]
 # p-comparisons stay ordinary comparisons.
 SUP = math.inf
 
-# Entries of each work buffer of the pair kernel's gathers: 256 KiB of doubles.
-# A scan of all the 600-point tree's pairs took 0.37 s at 2^17, not 0.27 s
-# (medians of 6, 2-CPU Xeon, numpy 2.4).
-_PAIR_CHUNK = 1 << 15
+# Entries of each work buffer of the pair kernel's gathers and of metric's
+# matrix checks: 256 KiB of doubles.  A scan of all the 600-point tree's
+# pairs took 0.37 s at 2^17, not 0.27 s; on the same tree the matrix checks
+# were slower at 2^14 and no faster at 2^16 to 2^17 (medians of 6, 2-CPU
+# Xeon, numpy 2.4).
+_WORK_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -90,7 +92,7 @@ def _pair_distances(
     ``vectors`` is indexed like I and J.  A pair with one vector outside the
     block's support (the vectors that have it) is at the other's block norm,
     a pair with both outside at 0.  Pairs with both inside gather both
-    vectors, ``_PAIR_CHUNK`` entries at a time.  Blocks come in index order;
+    vectors, ``_WORK_CHUNK`` entries at a time.  Blocks come in index order;
     d_b is one buffer, overwritten for every block.
     """
     support: dict[int, list[tuple[int, np.ndarray]]] = {}
@@ -106,10 +108,10 @@ def _pair_distances(
         at, norm = np.full(len(vectors), -1), np.zeros(len(vectors))
         at[rows] = np.arange(len(rows))
         norm[rows] = np.max(np.abs(V), axis=1)
-        step = max(1, _PAIR_CHUNK // V.shape[1])
-        for k0 in range(0, len(I), _PAIR_CHUNK):
-            i, j = I[k0 : k0 + _PAIR_CHUNK], J[k0 : k0 + _PAIR_CHUNK]
-            part = d[k0 : k0 + _PAIR_CHUNK]
+        step = max(1, _WORK_CHUNK // V.shape[1])
+        for k0 in range(0, len(I), _WORK_CHUNK):
+            i, j = I[k0 : k0 + _WORK_CHUNK], J[k0 : k0 + _WORK_CHUNK]
+            part = d[k0 : k0 + _WORK_CHUNK]
             np.maximum(norm[i], norm[j], out=part)
             both = np.flatnonzero((at[i] >= 0) & (at[j] >= 0))
             for s0 in range(0, len(both), step):

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from spiralpaste import (
+    SUP,
+    BlockVector,
     CounterexampleConfig,
     FddModel,
     PointedMetricSpace,
@@ -15,6 +17,7 @@ from spiralpaste import (
     ball,
     blend,
     blend_theta,
+    distortion,
     grid_space,
     line_space,
     paste,
@@ -28,6 +31,7 @@ from spiralpaste import (
 
 PAIR = ("o", "a")
 CFG = CounterexampleConfig()  # depth 6, 8 rays
+SUP_1 = SumSpaceSpec(SUP, (1,))
 
 
 def _pair(kind, **arrays):
@@ -46,6 +50,9 @@ CASES = [
     ("coords ndim", lambda: _pair("linf", coords=np.zeros(2)), ValueError,
      "coords shape (2,) does not match 2 points"),
     ("unknown point", lambda: line_space().index("zzz"), KeyError, "unknown point 'zzz'"),
+    ("map without an image", lambda: distortion(
+        _pair("linf", coords=np.array([[0.0], [1.0]])), {"o": BlockVector(SUP_1, {1: [0.0]})}, SUP_1),
+     ValueError, "map has no image for 'a'"),
     ("negative radius", lambda: ball(line_space(), -1.0), ValueError, "radius must be nonnegative"),
     ("short line", lambda: line_space(2), ValueError, "need at least three points"),
     ("small grid", lambda: grid_space(1), ValueError, "need at least a 2 x 2 grid"),

@@ -486,13 +486,13 @@ class TestDistortionCommand:
                      "--out", str(out)]) == 0
         assert json.loads(out.read_text())["report"]["distortion"] == 1.0
 
-    def test_missing_image_is_schema_error(self, int_doc, tmp_path):
-        path, sp = int_doc
-        doc = self.build_map_doc(sp)
-        doc["images"].pop(sorted(doc["images"])[1])
+    def test_missing_image_is_schema_error(self, pair_doc, tmp_path, capsys):
+        # metric.distortion owns the rule; a missing image is named before a NaN --bound
         map_path = tmp_path / "map.json"
-        map_path.write_text(json.dumps(doc))
-        assert main(["distortion", "--input", path, "--map", str(map_path)]) == 2
+        map_path.write_text(json.dumps(dict(PAIR_MAP, images={"o": {"1": [0]}})))
+        for bound in ([], ["--bound", "nan"]):
+            assert main(["distortion", "--input", pair_doc, "--map", str(map_path), *bound]) == 2
+            assert capsys.readouterr().err == "error: map has no image for 'a'\n"
 
 
 class TestOtherCommands:

@@ -17,7 +17,9 @@ from spiralpaste import (
     BlockVector,
     FddModel,
     PointedMetricSpace,
+    analytic_bound,
     distortion,
+    embed_no_cotype,
     frechet_embed,
     line_space,
     needed_bands,
@@ -361,3 +363,40 @@ def test_paste_keeps_no_ball_maps(p, eps):
         tracemalloc.stop()
     image_bytes = sum(a.nbytes for img in emb.images.values() for a in img.blocks.values())
     assert held <= 1.25 * image_bytes + emb.coefficients.nbytes
+
+
+def _pair_ratio(space, emb, target, pair, k):
+    """The ratio of one pair, read through a one-pair ``candidates=``; k picks a tuple fold's report."""
+    i, j = sorted(map(space.index, pair))
+    rep = distortion(space, emb.images, target, candidates=lambda fold: (np.array([i]), np.array([j])))
+    return (rep[k] if isinstance(rep, tuple) else rep).scale_r
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_verdicts_do_not_depend_on_the_row_order(seed):
+    # Only the reported pair may change, where two pairs tie at the max or the
+    # min (seen at p = 1 only); the new pair then has exactly the old one's ratio.
+    space = tree_space(120, seed=seed)
+    perm = np.random.default_rng(seed).permutation(len(space))
+    shuffled = PointedMetricSpace(tuple(space.ids[i] for i in perm), space.basepoint, "matrix",
+                                  matrix=space.matrix[np.ix_(perm, perm)])
+    verdicts = []  # (report, pasted map, target, report index) on the space, then shuffled
+    for p, eps in [(2.0, 0.2), (1.0, 0.5), (3.0, 0.1), (1.5, 0.3), (1.0, 0.1)]:
+        pair = []
+        for sp in (space, shuffled):
+            emb = paste(sp, p, eps)
+            rep = distortion(sp, emb.images, emb.spec, analytic_bound(p, eps), candidates=emb.candidates)
+            pair.append((rep, emb, emb.spec, 0))
+        verdicts.append(pair)
+        a, b = (rep for rep, *_ in pair)
+        assert (a.distortion, a.scale_r, a.analytic_bound) == (b.distortion, b.scale_r, b.analytic_bound)
+    for eps in (0.2, 0.1):
+        a, b = embed_no_cotype(space, eps), embed_no_cotype(shuffled, eps)
+        assert (a.report_a.distortion, a.report_ambient.distortion) == (
+            b.report_a.distortion, b.report_ambient.distortion)
+        for k, name in enumerate(("report_a", "report_ambient")):
+            verdicts.append([(getattr(r, name), r.embedding, r.model, k) for r in (a, b)])
+    for (rep, emb, target, k), (rep2, emb2, target2, _) in verdicts:
+        for old, new in ((rep.max_pair, rep2.max_pair), (rep.min_pair, rep2.min_pair)):
+            if set(old) != set(new):
+                assert _pair_ratio(shuffled, emb2, target2, new, k) == _pair_ratio(space, emb, target, old, k)

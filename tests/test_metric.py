@@ -648,7 +648,7 @@ class TestDistortion:
 
     def test_matrix_validation_holds_one_pair_matrix(self):
         # the space keeps the input itself, and the checks hold a few
-        # buffers of _ROW_CHUNK entries besides it
+        # buffers of _WORK_CHUNK entries besides it
         D = tree_space(400).matrix
         n = len(D)
         tracemalloc.start()
@@ -658,12 +658,12 @@ class TestDistortion:
         finally:
             tracemalloc.stop()
         assert sp.matrix is D
-        assert peak < 4 * metric._ROW_CHUNK * 8
+        assert peak < 4 * metric._WORK_CHUNK * 8
 
     def test_matrix_validation_allocates_no_pair_matrix(self):
-        # the checks hold a few buffers of _ROW_CHUNK entries; at n = 800
+        # the checks hold a few buffers of _WORK_CHUNK entries; at n = 800
         # one (n, n) array is more than 4 times that allowance
-        allowance = 4 * metric._ROW_CHUNK * 8
+        allowance = 4 * metric._WORK_CHUNK * 8
         D = tree_space(800).matrix
         n = len(D)
         assert n * n * 8 >= 4 * allowance
@@ -679,7 +679,7 @@ class TestDistortion:
         # a short pair moved to one ulp below fl(d + tol) is accepted, but
         # only the exact tail, from row 0, can tell; it stays within the
         # allowance of an accepted input
-        allowance = 4 * metric._ROW_CHUNK * 8
+        allowance = 4 * metric._WORK_CHUNK * 8
         D = tree_space(800).matrix.copy()
         n = len(D)
         tol = 1e-9 * max(1.0, float(np.max(D)))
