@@ -181,7 +181,7 @@ def main(argv=None) -> int:
     try:
         if args.base:
             _git("worktree", "add", "--detach", str(worktree), args.base)
-            sides.append(Side("parent", worktree, _git("rev-parse", args.base)))
+            sides.append(Side("parent", worktree, _git("rev-parse", f"{args.base}^{{commit}}")))
         workloads = record(sides, args.rounds, args.seconds, spec)
     finally:
         if worktree.exists():
