@@ -442,10 +442,11 @@ def distortion(
     ``SumSpaceSpec``, or a renormed model such as ``fdd.FddModel``), and
     ``image`` maps every point id to a BlockVector of that block layout; a
     point without an image raises ValueError naming the first in id order.
-    The target's fold turns the per-block pair distances into pair
-    distances.  A fold that returns a tuple of arrays gets a tuple of
-    reports, one per array, and ``analytic_bound`` is then a tuple of the
-    same length, or None for no bound on any of them.  Extra memory is a
+    The target's fold turns the per-block pair distances into a tuple of
+    pair distance arrays, one per target norm.  A target with one norm
+    gets one report; a target with several gets a tuple of reports, one
+    per norm, and ``analytic_bound`` is then a tuple of the same length,
+    or None for no bound on any of them.  Extra memory is a
     few arrays of one entry per scanned pair, plus one block's vectors.  A
     scanned pair whose target distance or ratio is NaN or overflows, or
     whose positive distance has a ratio below 2^-1022, raises ValueError
@@ -472,7 +473,7 @@ def distortion(
         folded = fold(I.shape, _pair_distances(vectors, I, J))
         D = space.matrix[I, J]
         ratios, ok = [], np.ones(I.shape, dtype=bool)
-        for f in folded if isinstance(folded, tuple) else (folded,):
+        for f in folded:
             zero = f == 0.0
             ratios.append(np.divide(f, D, out=f))
             # a positive distance whose ratio is below the normal doubles underflowed
@@ -483,10 +484,10 @@ def distortion(
             f"target distances must be finite: pair ({space.ids[I[k]]!r}, {space.ids[J[k]]!r}) "
             "has a distance or ratio that is NaN or out of double range"
         )
-    if isinstance(folded, tuple):
-        bounds = (None,) * len(folded) if analytic_bound is None else analytic_bound
-        return tuple(_report(space, I, J, *pair) for pair in zip(ratios, bounds, strict=True))
-    return _report(space, I, J, ratios[0], analytic_bound)
+    if len(ratios) == 1:
+        return _report(space, I, J, ratios[0], analytic_bound)
+    bounds = (None,) * len(ratios) if analytic_bound is None else analytic_bound
+    return tuple(_report(space, I, J, *pair) for pair in zip(ratios, bounds, strict=True))
 
 
 def _report(
@@ -577,18 +578,13 @@ def load_space(doc: dict) -> PointedMetricSpace:
             if "matrix" not in doc:
                 raise SchemaError("matrix metric requires a 'matrix' field")
             rows, n = doc["matrix"], len(ids)
-            # one check per distinct entry type, not per entry: 360,000 at 600 points
-            if not (
-                isinstance(rows, list)
-                and len(rows) == n
-                and all(isinstance(row, list) and len(row) == n for row in rows)
-                and all(map(_is_number_type, set().union(*(map(type, row) for row in rows))))
-            ):
-                raise SchemaError(f"matrix must be a list of {n} rows of {n} numbers")
-            try:
-                matrix = np.asarray(rows, dtype=float)
-            except OverflowError as exc:
-                raise SchemaError("a matrix entry lies beyond double range") from exc
+            expected = f"a list of {n} rows of {n} numbers"
+            if not (isinstance(rows, list) and len(rows) == n
+                    and all(isinstance(row, list) and len(row) == n for row in rows)):
+                raise SchemaError(f"matrix must be {expected}")
+            matrix = np.empty((n, n))
+            for i, row in enumerate(rows):
+                matrix[i] = _numbers(row, "matrix", expected)
             return PointedMetricSpace(tuple(ids), str(doc["basepoint"]), "matrix", matrix=matrix)
         lens = {len(c) for c in coords}
         if len(lens) != 1:

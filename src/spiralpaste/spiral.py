@@ -361,7 +361,7 @@ def _pair_bounds(space: PointedMetricSpace, W: np.ndarray, fold: Fold) -> Iterat
         d = D[I, J]
         folded = fold(I.shape, _pair_centres(W, I, J, d, rho))
         bounds = []
-        for hi in folded if isinstance(folded, tuple) else (folded,):
+        for hi in folded:
             lo = np.multiply(hi, mu)
             lo += radius[I]
             lo += radius[J]
@@ -465,7 +465,7 @@ class PastedEmbedding:
         rho = self.space.rho()
         vectors = [self.images[pid] for pid in self.space.ids]
         base = np.full(len(rho), self.space.index(self.space.basepoint))
-        norms = self.spec.fold(rho.shape, _pair_distances(vectors, base, np.arange(len(rho))))
+        [norms] = self.spec.fold(rho.shape, _pair_distances(vectors, base, np.arange(len(rho))))
         return float(np.max(np.abs(norms - rho))) / max(1.0, float(np.max(rho)))
 
 

@@ -123,24 +123,22 @@ def _pair_distances(
 
 
 # A fold turns a stream of per-block sup norms into norms of the target:
-# fold(shape, blocks) -> array of ``shape``, where ``blocks`` yields (block
-# index, array of that shape) and may reuse the array, so a fold must use it
-# before asking for the next block.  A block that is zero everywhere is an
-# exact no-op of every fold here, so it may be left out.  The distortion scan
-# and the norm check fold m pairs' ``_pair_distances`` on shape (m,).  A fold
-# that measures several norms in one pass returns a tuple of arrays, one per
-# norm.
-Fold = Callable[
-    [tuple[int, ...], Iterator[tuple[int, np.ndarray]]], np.ndarray | tuple[np.ndarray, ...]
-]
+# fold(shape, blocks) -> a tuple of arrays of ``shape``, one per norm that the
+# target measures in one pass (one for a block sum, two for fdd's model),
+# where ``blocks`` yields (block index, array of that shape) and may reuse
+# the array, so a fold must use it before asking for the next block.  A block
+# that is zero everywhere is an exact no-op of every fold here, so it may be
+# left out.  The distortion scan and the norm check fold m pairs'
+# ``_pair_distances`` on shape (m,).
+Fold = Callable[[tuple[int, ...], Iterator[tuple[int, np.ndarray]]], tuple[np.ndarray, ...]]
 
 
-def _max_fold(shape: tuple[int, ...], blocks: Iterator[tuple[int, np.ndarray]]) -> np.ndarray:
+def _max_fold(shape: tuple[int, ...], blocks: Iterator[tuple[int, np.ndarray]]) -> tuple[np.ndarray]:
     """Sup aggregation: the running max over blocks."""
     out = np.zeros(shape)
     for _, d in blocks:
         np.maximum(out, d, out=out)
-    return out
+    return (out,)
 
 
 def _power_fold(p: float) -> Fold:
@@ -153,7 +151,7 @@ def _power_fold(p: float) -> Fold:
 
     tiny = math.ulp(0.0)
 
-    def fold(shape: tuple[int, ...], blocks: Iterator[tuple[int, np.ndarray]]) -> np.ndarray:
+    def fold(shape: tuple[int, ...], blocks: Iterator[tuple[int, np.ndarray]]) -> tuple[np.ndarray]:
         M, S = np.zeros(shape), np.zeros(shape)
         grown, safe = np.empty(shape), np.empty(shape)
         for _, d in blocks:
@@ -168,6 +166,6 @@ def _power_fold(p: float) -> Fold:
             np.add(S, safe, out=S)
             M, grown = grown, M
         np.power(S, 1.0 / p, out=S)
-        return np.multiply(M, S, out=S)
+        return (np.multiply(M, S, out=S),)
 
     return fold

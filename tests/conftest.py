@@ -25,6 +25,7 @@ WINDOW_END_DOC = {"basepoint": "o", "metric": "linf", "points": [
 ]}
 
 _PAIR = {"basepoint": "o", "metric": "matrix", "points": [{"id": "o"}, {"id": "a"}]}
+_TRIPLE = dict(_PAIR, points=[{"id": "o"}, {"id": "a"}, {"id": "b"}])
 
 # Space documents that load_space rejects, each with its message
 SPACE_SCHEMA_ERRORS = [
@@ -48,7 +49,15 @@ SPACE_SCHEMA_ERRORS = [
      "coords of point 'a': a number lies beyond double range"),
     *((dict(_PAIR, matrix=matrix), "matrix must be a list of 2 rows of 2 numbers")
       for matrix in ([[0, True], [1, 0]], [[0, 1], [1]])),
-    (dict(_PAIR, matrix=[[0, 10**400], [10**400, 0]]), "a matrix entry lies beyond double range"),
+    (dict(_PAIR, matrix=[[0, 10**400], [10**400, 0]]), "matrix: a number lies beyond double range"),
+    # the matrix is read a row at a time: a bad entry in the last row is still found
+    (dict(_TRIPLE, matrix=[[0, 1, 2], [1, 0, 1], [2, True, 0]]),
+     "matrix must be a list of 3 rows of 3 numbers"),
+    (dict(_TRIPLE, matrix=[[0, 1, 2], [1, 0, 1], [2, 10**400, 0]]),
+     "matrix: a number lies beyond double range"),
+    # the shape is checked before any entry: a ragged row after a bool is a shape error
+    (dict(_TRIPLE, matrix=[[0, True, 2], [1, 0], [2, 1, 0]]),
+     "matrix must be a list of 3 rows of 3 numbers"),
 ]
 
 # Map documents that load_map rejects, by id, each with its message; the

@@ -56,3 +56,26 @@ def test_a_regression_past_the_bound_is_flagged():
     assert got["losses"] == 3 and got["worse_by"] == pytest.approx(0.3) and not got["within_bound"]
     got = bench_record.compare([70.0] * 3, [100.0] * 3, "higher", 0.24)
     assert got["worse_by"] == pytest.approx(0.3) and not got["within_bound"]
+
+
+def test_a_zero_parent_median_is_compared_without_dividing_by_it():
+    # a run in which every op fails the gate counts no pairs: its pairs_per_s is 0
+    got = bench_record.compare([1.0] * 10, [0.0] * 10, "higher", 0.24)
+    assert got["ratios"] == [None] * 10 and got["worse_by"] is None
+    assert got["wins"] == 10 and got["within_bound"] and got["claim_holds"]
+    got = bench_record.compare([1.0] * 3, [0.0] * 3, "lower", 0.24)
+    assert got["losses"] == 3 and got["worse_by"] is None and not got["within_bound"]
+
+
+def test_both_medians_zero_is_no_change():
+    got = bench_record.compare([0.0] * 3, [0.0] * 3, "higher", 0.24)
+    assert got["ratios"] == [1.0] * 3 and got["worse_by"] == 0.0
+    assert got["ties"] == 3 and got["within_bound"] and not got["claim_holds"]
+    # a zero change against a nonzero parent is an ordinary ratio
+    got = bench_record.compare([0.0] * 3, [2.0] * 3, "higher", 0.24)
+    assert got["ratios"] == [0.0] * 3 and got["worse_by"] == 1.0 and not got["within_bound"]
+
+
+def test_rounds_must_pair_up():
+    with pytest.raises(ValueError):
+        bench_record.compare([1.0] * 3, [1.0] * 2, "lower", 0.24)

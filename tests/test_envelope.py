@@ -104,7 +104,7 @@ def assert_envelope_holds(space, emb, fdd):
     I, J = np.triu_indices(n, 1)
     folded = fold(I.shape, _pair_distances([emb.images[pid] for pid in space.ids], I, J))
     ratios = []
-    for f in folded if fdd else (folded,):
+    for f in folded:
         ratio = np.full((n, n), np.nan)
         ratio[I, J] = f / space.matrix[I, J]
         ratios.append(ratio.reshape(-1))

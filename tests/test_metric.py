@@ -777,6 +777,30 @@ def test_scan_matches_reference_norms_pair_by_pair(target, case):
         assert rep.distortion == pytest.approx(hi / lo, rel=1e-12)
 
 
+@pytest.mark.parametrize("target, norms", [
+    (SumSpaceSpec(SUP, (2, 1)), 1), (SumSpaceSpec(2.0, (2, 1)), 1), (FddModel((2, 1)), 2),
+])
+def test_every_fold_returns_a_tuple_of_norm_arrays(target, norms):
+    blocks = [(1, np.array([3.0, 0.0, 1.0])), (2, np.array([4.0, 1.0, 0.0]))]
+    folded = target.fold((3,), iter(blocks))
+    assert type(folded) is tuple and len(folded) == norms
+    assert all(type(f) is np.ndarray and f.shape == (3,) for f in folded)
+
+
+def test_distortion_reports_one_norm_bare_and_two_norms_as_a_pair():
+    sp = tri_space()
+    spec = SumSpaceSpec(SUP, (2, 1))
+    images = {"a": BlockVector(spec), "b": BlockVector(spec, {1: [3.0, 0.0]}),
+              "c": BlockVector(spec, {1: [3.0, 4.0], 2: [5.0]})}
+    for target in (spec, SumSpaceSpec(2.0, (2, 1))):
+        rep = distortion(sp, images, target, 7.0)
+        assert type(rep) is metric.DistortionReport and rep.analytic_bound == 7.0
+    reps = distortion(sp, images, FddModel((2, 1)), (7.0, 8.0))
+    assert type(reps) is tuple and [rep.analytic_bound for rep in reps] == [7.0, 8.0]
+    # with zero weights the model's ambient norm is the sup aggregation
+    assert reps[1] == distortion(sp, images, spec, 8.0)
+
+
 class TestSeparatedSets:
     def test_packing_bound_oracle(self):
         assert packing_bound(9.0, 3.0, 2, 4.0) == 144.0

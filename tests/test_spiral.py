@@ -364,7 +364,8 @@ class TestPaste:
         worst = 0.0
         for i, pid in enumerate(sp.ids):
             blocks = enumerate(block_profile(emb.images[pid])[:, None, None], 1)
-            worst = max(worst, abs(float(emb.spec.fold((1, 1), blocks)[0, 0]) - rho[i]))
+            [folded] = emb.spec.fold((1, 1), blocks)
+            worst = max(worst, abs(float(folded[0, 0]) - rho[i]))
         assert emb.norm_preservation_error() == worst / max(1.0, float(np.max(rho)))
 
     def test_measured_distortion_under_bound(self, line):

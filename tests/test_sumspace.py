@@ -19,7 +19,8 @@ def vec(spec, **blocks):
 
 def norm(v):
     """The target norm of one vector: the block sum's fold on shape (1, 1)."""
-    return float(v.spec.fold((1, 1), enumerate(block_profile(v)[:, None, None], 1))[0, 0])
+    [folded] = v.spec.fold((1, 1), enumerate(block_profile(v)[:, None, None], 1))
+    return float(folded[0, 0])
 
 
 class TestSpecAndVector:

@@ -71,22 +71,35 @@ def summarize(values: list[float]) -> dict:
     return {"values": values, "median": median, "q1": q1, "q3": q3}
 
 
+def _ratio(x: float, y: float) -> float | None:
+    """x / y of two nonnegative values: 1.0 when both are 0, None when only y is (an infinite ratio)."""
+    return x / y if y else (1.0 if x == 0 else None)
+
+
 def compare(change: list[float], parent: list[float], better: str, bound: float) -> dict:
-    """Paired rounds of one metric: ratios, the sign count, the bound and the claim rule."""
+    """Paired rounds of one metric: ratios, the sign count, the bound and the claim rule.
+
+    A parent value can be 0: a run in which every op fails the gate counts
+    no pairs, so its ``pairs_per_s`` is 0.  Then a ratio is ``_ratio``'s,
+    ``worse_by`` is 0.0 when the change's median is 0 too and None when it
+    is not, and a None ``worse_by`` is within the bound when the change's
+    median is the better one.
+    """
     sign = 1.0 if better == "higher" else -1.0
     gains = [sign * (c - p) for c, p in zip(change, parent, strict=True)]
     wins, losses = sum(g > 0 for g in gains), sum(g < 0 for g in gains)
     c, p = summarize(change), summarize(parent)
-    worse_by = sign * (p["median"] - c["median"]) / p["median"]
+    cm, pm = c["median"], p["median"]
+    worse_by = sign * (pm - cm) / pm if pm else (0.0 if cm == 0 else None)
     return {
-        "ratios": [x / y for x, y in zip(change, parent)],
+        "ratios": [_ratio(x, y) for x, y in zip(change, parent, strict=True)],
         "wins": wins,
         "losses": losses,
         "ties": len(gains) - wins - losses,
         "worse_by": worse_by,
-        "within_bound": worse_by <= bound,
+        "within_bound": sign * (cm - pm) > 0 if worse_by is None else worse_by <= bound,
         "claim_holds": len(gains) >= 10 and wins >= 0.9 * len(gains)
-        and sign * (c["median"] - p["median"]) > p["q3"] - p["q1"],
+        and sign * (cm - pm) > p["q3"] - p["q1"],
     }
 
 
