@@ -4,8 +4,11 @@ from .counterexample import (
     CounterexampleConfig,
     SeparationWitness,
     ball_point_count,
+    family_report,
     in_carrier,
     linf_distance,
+    packing_bound,
+    ray_norm,
     ray_point,
     separation_witness,
     to_metric_space,
@@ -35,7 +38,6 @@ from .metric import (
     distortion,
     load_map,
     load_space,
-    packing_bound,
     read_document,
     space_to_doc,
     sup_pairwise,

@@ -19,15 +19,7 @@ from collections import Counter
 
 import numpy as np
 
-from .counterexample import (
-    CounterexampleConfig,
-    ball_point_count,
-    in_carrier,
-    ray_point,
-    separation_witness,
-    verify_metric_ray,
-    verify_separation_epsilon,
-)
+from .counterexample import CounterexampleConfig, family_report
 from .errors import ModelInvalid, SchemaError, SpiralPasteError
 from .fdd import embed_no_cotype, equivalence_ratio, pair_isometry_check
 from .frechet import frechet_embed
@@ -38,7 +30,6 @@ from .metric import (
     distortion as measure_distortion,
     load_map,
     load_space,
-    packing_bound,
     read_document,
 )
 from .spiral import analytic_bound, paste, seam_check, spiral_distortion
@@ -166,56 +157,7 @@ def _cmd_counterexample(args: argparse.Namespace) -> tuple[dict, bool]:
     except ValueError as exc:
         # only the last check, after the level widths', reads ray_count
         raise SchemaError(f"{'--rays' if str(exc).startswith('ray_count') else '--N'}: {exc}") from exc
-
-    rays = []
-    additive = carried = True
-    for j in range(1, c.ray_count + 1):
-        pts = [ray_point(c, j, t) for t in range(c.depth + 1)]
-        additive &= verify_metric_ray(pts)
-        carried &= all(in_carrier(c, pt) for pt in pts)
-        rays.append({"ray": j, "points": pts})
-
-    separations, packing = [], []
-    for t in range(2, c.depth + 1):
-        w = separation_witness(c, t)
-        separations.append(
-            {
-                "level": w.level,
-                "rays": list(w.rays),
-                "count": len(w.points),
-                "min_distance": w.min_distance,
-                "bound": w.bound,
-            }
-        )
-        # How the witness counts stack up against fixed-dimension packing limits,
-        # at the separation 3^(t-2) that survives projecting onto finitely many
-        # blocks with tails <= 1/9 (the equality verify_separation_epsilon checks).
-        radius = (3**t - 1) / 2
-        delta = float(3 ** (t - 2))
-        row = {"level": t, "radius": radius, "delta": delta, "count": c.N[t - 2]}
-        for m in (1, 2, 3):
-            row[f"bound_dim_{m}"] = packing_bound(radius, delta, m, 4.0)
-        packing.append(row)
-
-    eps_exact = verify_separation_epsilon()
-    checks = {
-        "rays_additive": bool(additive),
-        "rays_in_carrier": carried,
-        "separations_at_bound": all(s["min_distance"] >= s["bound"] for s in separations),
-        "epsilon_exact": eps_exact,
-    }
-    payload = {
-        "levels": list(c.N),
-        "depth": c.depth,
-        "ray_count": c.ray_count,
-        "rays": rays,
-        "separations": separations,
-        "packing": packing,
-        "tail_epsilon": "1/9",
-        "ball_points": ball_point_count(c, (3**c.depth - 1) // 2),
-        "checks": checks,
-    }
-    return payload, all(checks.values())
+    return family_report(c)
 
 
 def _cmd_fdd_demo(args: argparse.Namespace) -> tuple[dict, bool]:

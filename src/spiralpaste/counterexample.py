@@ -22,6 +22,7 @@ from .metric import PointedMetricSpace
 
 __all__ = [
     "CounterexampleConfig",
+    "ray_norm",
     "ray_point",
     "in_carrier",
     "linf_distance",
@@ -30,8 +31,14 @@ __all__ = [
     "separation_witness",
     "verify_separation_epsilon",
     "ball_point_count",
+    "packing_bound",
     "to_metric_space",
+    "family_report",
 ]
+
+# The largest tail eps whose cut leaves the level-t tips 3^(t-1) - 2 eps 3^t
+# = 3^(t-2) apart; verify_separation_epsilon checks it exactly
+TAIL_EPSILON = Fraction(1, 9)
 
 
 @dataclass(frozen=True)
@@ -74,13 +81,18 @@ class CounterexampleConfig:
         return self.starts[t - 1] + (j - 1) % self.N[t - 1]
 
 
+def ray_norm(t: int) -> int:
+    """The sup norm (3^t - 1)/2 of every ray's t-th point, held at position 1."""
+    return (3**t - 1) // 2
+
+
 def ray_point(cfg: CounterexampleConfig, j: int, t: int) -> dict[int, int]:
     """The t-th point of ray j, as a sparse {position: value} integer vector.
 
-    t = 0 is the origin and t = 1 the first unit vector; beyond that the
-    point carries (3^t - 1)/2 at position 1 and (3^t - 3^u)/2 at the
-    ray's level-u position for u = 1..t-1.  Every value is a nonnegative
-    multiple of 3^level, so the point lies in the carrier set.
+    t = 0 is the origin; beyond that the point carries ray_norm(t) at
+    position 1 and ray_norm(t) - ray_norm(u) = (3^t - 3^u)/2 at the ray's
+    level-u position for u = 1..t-1.  Every value is a nonnegative multiple
+    of 3^level, so the point lies in the carrier set.
     """
     if not 1 <= j <= cfg.ray_count:
         raise IndexError(f"ray index {j} outside 1..{cfg.ray_count}")
@@ -88,11 +100,10 @@ def ray_point(cfg: CounterexampleConfig, j: int, t: int) -> dict[int, int]:
         raise IndexError(f"ray step {t} outside 0..{cfg.depth}")
     if t == 0:
         return {}
-    if t == 1:
-        return {1: 1}
-    vec = {1: (3**t - 1) // 2}
+    norm = ray_norm(t)
+    vec = {1: norm}
     for u in range(1, t):
-        vec[cfg.choice(j, u)] = (3**t - 3**u) // 2
+        vec[cfg.choice(j, u)] = norm - ray_norm(u)
     return vec
 
 
@@ -165,9 +176,9 @@ def separation_witness(cfg: CounterexampleConfig, t: int) -> SeparationWitness:
 
 
 def verify_separation_epsilon() -> bool:
-    """Exact check (fractions) that eps = 1/9 gives equality at t = 1..12
-    and that any larger eps fails at every one of those levels."""
-    eps = Fraction(1, 9)
+    """Exact check (fractions) that eps = TAIL_EPSILON gives equality at
+    t = 1..12 and that any larger eps fails at every one of those levels."""
+    eps = TAIL_EPSILON
     for t in range(1, 13):
         lhs = Fraction(3) ** (t - 1) - 2 * eps * Fraction(3) ** t
         rhs = Fraction(3) ** (t - 2)
@@ -199,7 +210,7 @@ def _all_points(cfg: CounterexampleConfig):
 def ball_point_count(cfg: CounterexampleConfig, radius: int) -> int:
     """How many distinct ray points lie in the closed ball around the origin.
 
-    Point norms are (3^t - 1)/2, so only the first few steps of each ray
+    Point norms are ray_norm(t), so only the first few steps of each ray
     can lie in the ball (local finiteness)."""
     return sum(1 for _, vec in _all_points(cfg) if linf_distance(vec, {}) <= radius)
 
@@ -214,3 +225,54 @@ def to_metric_space(cfg: CounterexampleConfig) -> PointedMetricSpace:
         for b in range(a + 1, n):
             D[a, b] = D[b, a] = float(linf_distance(pts[a][1], pts[b][1]))
     return PointedMetricSpace(ids, ids[0], "matrix", matrix=D)
+
+
+def packing_bound(R: float, delta: float, m: int, C: float) -> float:
+    """Cardinality bound (C * R / delta)^m for delta-separated sets in a ball."""
+    if R <= 0 or delta <= 0 or C <= 0 or m < 1:
+        raise ValueError("packing bound needs positive R, delta, C and m >= 1")
+    return (C * R / delta) ** m
+
+
+def family_report(cfg: CounterexampleConfig) -> tuple[dict, bool]:
+    """The family's report and whether its checks all pass: every ray, the
+    separation witnesses, their counts against fixed-dimension packing limits
+    at radius ray_norm(t) and the separation 3^(t-2) that TAIL_EPSILON leaves,
+    and the number of points within ray_norm(depth) of the origin."""
+    rays = []
+    additive = carried = True
+    for j in range(1, cfg.ray_count + 1):
+        pts = [ray_point(cfg, j, t) for t in range(cfg.depth + 1)]
+        additive &= verify_metric_ray(pts)
+        carried &= all(in_carrier(cfg, pt) for pt in pts)
+        rays.append({"ray": j, "points": pts})
+
+    separations, packing = [], []
+    for t in range(2, cfg.depth + 1):
+        w = separation_witness(cfg, t)
+        separations.append({"level": w.level, "rays": list(w.rays), "count": len(w.points),
+                            "min_distance": w.min_distance, "bound": w.bound})
+        radius, delta = float(ray_norm(t)), float(3 ** (t - 2))
+        row = {"level": t, "radius": radius, "delta": delta, "count": len(w.points)}
+        for m in (1, 2, 3):
+            row[f"bound_dim_{m}"] = packing_bound(radius, delta, m, 4.0)
+        packing.append(row)
+
+    checks = {
+        "rays_additive": additive,
+        "rays_in_carrier": carried,
+        "separations_at_bound": all(s["min_distance"] >= s["bound"] for s in separations),
+        "epsilon_exact": verify_separation_epsilon(),
+    }
+    payload = {
+        "levels": list(cfg.N),
+        "depth": cfg.depth,
+        "ray_count": cfg.ray_count,
+        "rays": rays,
+        "separations": separations,
+        "packing": packing,
+        "tail_epsilon": str(TAIL_EPSILON),
+        "ball_points": ball_point_count(cfg, ray_norm(cfg.depth)),
+        "checks": checks,
+    }
+    return payload, all(checks.values())

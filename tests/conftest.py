@@ -2,6 +2,7 @@
 
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +24,9 @@ WINDOW_END_DOC = {"basepoint": "o", "metric": "linf", "points": [
     {"id": "x", "coords": [440315058606318.7]},
     {"id": "y", "coords": [440315058606318.6]},
 ]}
+
+# The stdout of `spiralpaste counterexample` at its default flags, byte for byte
+COUNTEREXAMPLE_DEFAULT = Path(__file__).parent / "data" / "counterexample_default.json"
 
 _PAIR = {"basepoint": "o", "metric": "matrix", "points": [{"id": "o"}, {"id": "a"}]}
 _TRIPLE = dict(_PAIR, points=[{"id": "o"}, {"id": "a"}, {"id": "b"}])

@@ -14,7 +14,9 @@ from spiralpaste import (
     cli, counterexample, fdd, frechet_embed, line_space, load_map, load_space, space_to_doc, spiral,
 )
 from spiralpaste.cli import main
-from .conftest import MAP_SCHEMA_ERRORS, SPACE_SCHEMA_ERRORS, WINDOW_END_DOC, random_integer_space
+from .conftest import (
+    COUNTEREXAMPLE_DEFAULT, MAP_SCHEMA_ERRORS, SPACE_SCHEMA_ERRORS, WINDOW_END_DOC, random_integer_space,
+)
 
 
 @pytest.fixture(scope="module")
@@ -510,6 +512,10 @@ class TestOtherCommands:
         assert [rows[t]["delta"] for t in range(2, 7)] == [1.0, 3.0, 9.0, 27.0, 81.0]
         assert rows[6]["radius"] == 364.0
         assert rows[6]["bound_dim_1"] == 4 * 364 / 81
+
+    def test_counterexample_stdout_is_the_pinned_report(self, capsys):
+        assert main(["counterexample"]) == 0
+        assert capsys.readouterr().out.encode("utf-8") == COUNTEREXAMPLE_DEFAULT.read_bytes()
 
     def test_counterexample_depth_is_width_count(self, tmp_path):
         out = tmp_path / "r.json"

@@ -1,5 +1,6 @@
 """The sparse integer carrier, its ray family, and the exact witnesses."""
 
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -11,14 +12,19 @@ from spiralpaste import (
     ball,
     ball_point_count,
     counterexample,
+    family_report,
     in_carrier,
     linf_distance,
+    packing_bound,
+    ray_norm,
     ray_point,
     separation_witness,
     to_metric_space,
     verify_metric_ray,
     verify_separation_epsilon,
 )
+
+from .conftest import COUNTEREXAMPLE_DEFAULT
 
 
 def level_oracle(N):
@@ -99,6 +105,11 @@ class TestRayPoints:
                 for u in range(1, t):
                     assert pt[cfg.choice(j, u)] == (3**t - 3**u) // 2
 
+    def test_ray_norm_is_every_points_norm(self, cfg):
+        for t in range(cfg.depth + 1):
+            for j in range(1, cfg.ray_count + 1):
+                assert ray_norm(t) == linf_distance(ray_point(cfg, j, t), {})
+
     def test_known_point(self, cfg):
         # ray 1 chooses positions 2, 4, 7, ... round robin
         assert ray_point(cfg, 1, 3) == {1: 13, 2: 12, 4: 9}
@@ -170,6 +181,23 @@ class TestWholeSpace:
         sp = to_metric_space(cfg)
         D = sp.matrix
         assert np.array_equal(D, np.round(D))
+
+
+class TestSeparatedSets:
+    def test_packing_bound_oracle(self):
+        assert packing_bound(9.0, 3.0, 2, 4.0) == 144.0
+        with pytest.raises(ValueError):
+            packing_bound(-1.0, 1.0, 1, 4.0)
+
+
+def test_family_report_is_the_pinned_report_less_the_cli_keys(cfg):
+    payload, passed = family_report(cfg)
+    pinned = json.loads(COUNTEREXAMPLE_DEFAULT.read_text(encoding="utf-8"))
+    assert passed is pinned.pop("pass") is True
+    for key in ("schema_version", "command", "config"):
+        del pinned[key]
+    # a JSON round trip turns the sparse points' integer keys into strings
+    assert json.loads(json.dumps(payload)) == pinned
 
 
 @st.composite

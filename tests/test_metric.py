@@ -20,7 +20,6 @@ from spiralpaste import (
     line_space,
     load_map,
     load_space,
-    packing_bound,
     paste,
     space_to_doc,
     tree_space,
@@ -799,13 +798,6 @@ def test_distortion_reports_one_norm_bare_and_two_norms_as_a_pair():
     assert type(reps) is tuple and [rep.analytic_bound for rep in reps] == [7.0, 8.0]
     # with zero weights the model's ambient norm is the sup aggregation
     assert reps[1] == distortion(sp, images, spec, 8.0)
-
-
-class TestSeparatedSets:
-    def test_packing_bound_oracle(self):
-        assert packing_bound(9.0, 3.0, 2, 4.0) == 144.0
-        with pytest.raises(ValueError):
-            packing_bound(-1.0, 1.0, 1, 4.0)
 
 
 class TestInterchange:
