@@ -27,10 +27,11 @@ from .fdd import (
     NoCotypeReport,
     embed_no_cotype,
     equivalence_ratio,
+    fdd_report,
     pair_isometry_check,
     validate_model,
 )
-from .frechet import FrechetMap, frechet_embed
+from .frechet import FrechetMap, frechet_embed, frechet_report
 from .metric import (
     DistortionReport,
     PointedMetricSpace,

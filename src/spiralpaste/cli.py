@@ -21,10 +21,9 @@ import numpy as np
 
 from .counterexample import CounterexampleConfig, family_report
 from .errors import ModelInvalid, SchemaError, SpiralPasteError
-from .fdd import embed_no_cotype, equivalence_ratio, pair_isometry_check
-from .frechet import frechet_embed
+from .fdd import fdd_report
+from .frechet import frechet_report
 from .metric import (
-    RESOLUTION,
     TOL,
     PointedMetricSpace,
     distortion as measure_distortion,
@@ -33,7 +32,6 @@ from .metric import (
     read_document,
 )
 from .spiral import analytic_bound, paste, seam_check, spiral_distortion
-from .sumspace import SUP, BlockVector, SumSpaceSpec
 
 SCHEMA_VERSION = "1"
 
@@ -113,24 +111,7 @@ def _spiral_verdict(space: PointedMetricSpace, p: float, epsilon: float) -> tupl
 def _cmd_embed(args: argparse.Namespace) -> tuple[dict, bool]:
     space = load_space(read_document(args.input))
     if args.method == "frechet":
-        fm = frechet_embed(space)
-        spec = SumSpaceSpec(SUP, (fm.dimension,))
-        images = {pid: BlockVector(spec, {1: fm[pid]}) for pid in space.ids}
-        rep = measure_distortion(space, images, spec)
-        # Exact on integer metrics; float inputs round at ulp(diameter),
-        # amplified by the smallest pair distance.
-        D = space.matrix
-        off = D[np.triu_indices(len(space), 1)]
-        allowance = RESOLUTION * float(off.max()) / max(float(off.min()), 1e-300)
-        checks = {"isometry": rep.distortion <= 1.0 + max(allowance, 1e-12)}
-        payload = {
-            "method": "frechet",
-            "dimension": fm.dimension,
-            "report": rep.to_doc(),
-            "checks": checks,
-        }
-        return payload, all(checks.values())
-
+        return frechet_report(space)
     if args.p is None or args.epsilon is None:
         raise SchemaError("the spiral method needs --p and --epsilon")
     return _spiral_verdict(space, args.p, args.epsilon)
@@ -167,34 +148,10 @@ def _cmd_fdd_demo(args: argparse.Namespace) -> tuple[dict, bool]:
         raise SchemaError(f"--seed must be non-negative, got {args.seed}")
     space = load_space(read_document(args.input))
     try:
-        result = embed_no_cotype(space, args.epsilon, eps_list=args.eps_list)
+        return fdd_report(space, args.epsilon, args.eps_list, samples=args.samples, seed=args.seed)
     except ModelInvalid as exc:
         # --eps-list's length, range and product checks raise here: bad input, not a failed check
         raise SchemaError(f"--eps-list: {exc}") from exc
-    model = result.model
-    eq = equivalence_ratio(model, args.epsilon, seed=args.seed, n=args.samples)
-    pair_dev = 0.0
-    if model.num_blocks >= 2:
-        pair_dev = pair_isometry_check(model, 1, 2, samples=args.samples, seed=args.seed)
-    checks = {
-        "pair_isometry": pair_dev <= 1e-12,
-        "equivalence_within_bound": eq.max_ratio <= eq.bound + 1e-12,
-        "renormed_within_bound": result.report_a.passed,
-        "ambient_within_bound": result.report_ambient.passed,
-    }
-    payload = {
-        "model": {"block_dims": list(model.block_dims), "eps_list": list(model.eps_list)},
-        "equivalence": {
-            "max_ratio": eq.max_ratio,
-            "bound": eq.bound,
-            "samples": eq.samples,
-        },
-        "pair_isometry_deviation": pair_dev,
-        "report_renormed": result.report_a.to_doc(),
-        "report_ambient": result.report_ambient.to_doc(),
-        "checks": checks,
-    }
-    return payload, all(checks.values())
 
 
 def _cmd_spiral(args: argparse.Namespace) -> tuple[dict, bool]:
@@ -297,8 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
     fdd = sub.add_parser("fdd-demo", parents=[reads, writes], help="renormed block model round trip")
     fdd.add_argument("--epsilon", type=float, required=True)
     fdd.add_argument("--eps-list", type=_comma_list(float), default=None, help='per-block eps, e.g. "0,0.1"')
-    fdd.add_argument("--samples", type=int, default=200)
-    fdd.add_argument("--seed", type=int, default=0)
+    fdd.add_argument("--samples", type=int, default=fdd_report.__kwdefaults__["samples"])
+    fdd.add_argument("--seed", type=int, default=fdd_report.__kwdefaults__["seed"])
 
     spiral = sub.add_parser("spiral", parents=[writes], help="distortion of the reference plane spiral")
     spiral.add_argument("--epsilon", type=float, required=True)

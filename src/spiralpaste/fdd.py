@@ -29,6 +29,7 @@ __all__ = [
     "pair_isometry_check",
     "NoCotypeReport",
     "embed_no_cotype",
+    "fdd_report",
 ]
 
 
@@ -119,8 +120,17 @@ def equivalence_ratio(model: FddModel, epsilon: float, *, seed: int, n: int) -> 
 
     The candidate set always includes every single-block unit and every
     equal two-block pair, so the structural maximum (exactly 2 in the
-    unweighted model) is attained, not merely approached.  The caller
-    judges max_ratio against bound = 4 (1 + eps) / (1 - eps).
+    unweighted model) is attained, not merely approached.
+
+    Why ``max_ratio <= bound`` needs no slack once ``validate_model`` has
+    passed.  Let w be the weights 1 - eps_n, u = 2^-53, and t1 >= t2 a
+    candidate's two largest block norms, t1 in block m.  The fold's pair
+    term fl(t1 + t2) is at most 2 t1, and the ambient norm is at least
+    fl(w_m t1) >= min(w) t1 (1 - u), so the computed ratio is at most
+    (2 / min(w)) (1 + u) / (1 - u); on the unit candidates (t1 = 1) it is
+    at most fl(2 / min(w)).  The product condition gives min(w) >= prod(w)
+    > 1 - eps, and the bound 4 (1 + eps) / (1 - eps) is 2 (1 + eps) times
+    2 / (1 - eps): a factor above 2 that a few ulps cannot close.
     """
     rng = np.random.default_rng(seed)
     B = model.num_blocks
@@ -146,16 +156,23 @@ def equivalence_ratio(model: FddModel, epsilon: float, *, seed: int, n: int) -> 
 
 
 def pair_isometry_check(model: FddModel, j: int, k: int, *, samples: int, seed: int) -> float:
-    """Max |norm_a(v) - (||v_j|| + ||v_k||)| over random two-block vectors."""
+    """Max |norm_a(v) - (||v_j|| + ||v_k||)| over random two-block vectors.
+
+    It is exactly 0.0 for every model.  With a = ||v_j|| and b = ||v_k||,
+    the fold gives top1 + top2 = fl(a + b) and an ambient norm amb =
+    max(fl(w_j a), fl(w_k b)) <= max(a, b), since no weight exceeds 1; and
+    max(a, b) <= fl(a + b), as rounding is monotone.  So norm_a =
+    max(amb, fl(a + b)) is the reference fl(a + b) itself.  Each sample
+    draws v_j's coordinates, then v_k's, from one seeded stream.
+    """
     if j == k:
         raise ValueError("the pair must use two distinct blocks")
     for b in (j, k):
         if not 1 <= b <= model.num_blocks:
             raise IndexError(f"block {b} outside 1..{model.num_blocks}")
-    rng = np.random.default_rng(seed)
-    prof = np.zeros((2, 1, samples))
-    for s in range(samples):
-        prof[:, 0, s] = _sup(rng, model.block_dims[j - 1]), _sup(rng, model.block_dims[k - 1])
+    dj, dk = model.block_dims[j - 1], model.block_dims[k - 1]
+    draws = np.abs(np.random.default_rng(seed).uniform(-1.0, 1.0, size=(samples, dj + dk)))
+    prof = np.stack([draws[:, :dj].max(axis=1), draws[:, dj:].max(axis=1)])[:, None]
     a, _ = model.fold((1, samples), zip((j, k), prof))
     return float(np.max(np.abs(a - (prof[0] + prof[1])), initial=0.0))
 
@@ -203,3 +220,38 @@ def embed_no_cotype(
         candidates=emb.candidates,
     )
     return NoCotypeReport(emb, model, report_a, report_ambient)
+
+
+def fdd_report(
+    space: PointedMetricSpace,
+    epsilon: float,
+    eps_list: tuple[float, ...] | None = None,
+    *,
+    samples: int = 200,
+    seed: int = 0,
+) -> tuple[dict, bool]:
+    """Result (3)'s report and whether its checks all pass: the pasted map's
+    distortion in both norms of the model, the sampled norm equivalence and
+    the pair isometry of blocks 1 and 2.  The two sampled checks are judged
+    exactly, as ``equivalence_ratio`` and ``pair_isometry_check`` prove."""
+    result = embed_no_cotype(space, epsilon, eps_list=eps_list)
+    model = result.model
+    eq = equivalence_ratio(model, epsilon, seed=seed, n=samples)
+    pair_dev = 0.0
+    if model.num_blocks >= 2:
+        pair_dev = pair_isometry_check(model, 1, 2, samples=samples, seed=seed)
+    checks = {
+        "pair_isometry": pair_dev == 0.0,
+        "equivalence_within_bound": eq.max_ratio <= eq.bound,
+        "renormed_within_bound": result.report_a.passed,
+        "ambient_within_bound": result.report_ambient.passed,
+    }
+    payload = {
+        "model": {"block_dims": list(model.block_dims), "eps_list": list(model.eps_list)},
+        "equivalence": {"max_ratio": eq.max_ratio, "bound": eq.bound, "samples": eq.samples},
+        "pair_isometry_deviation": pair_dev,
+        "report_renormed": result.report_a.to_doc(),
+        "report_ambient": result.report_ambient.to_doc(),
+        "checks": checks,
+    }
+    return payload, all(checks.values())

@@ -13,9 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metric import PointedMetricSpace
+from .metric import RESOLUTION, PointedMetricSpace, distortion as measure_distortion
+from .sumspace import SUP, BlockVector, SumSpaceSpec
 
-__all__ = ["FrechetMap", "frechet_embed"]
+__all__ = ["FrechetMap", "frechet_embed", "frechet_report"]
 
 
 @dataclass(frozen=True)
@@ -42,3 +43,21 @@ def frechet_embed(space: PointedMetricSpace) -> FrechetMap:
     D = space.matrix
     F = D - D[:, [space.index(space.basepoint)]]
     return FrechetMap(dict(zip(space.ids, F.T)))
+
+
+def frechet_report(space: PointedMetricSpace) -> tuple[dict, bool]:
+    """The distance-vector map's report and whether it is an isometry.
+
+    Exact on integer metrics; float inputs round at ulp(diameter), which the
+    smallest pair distance amplifies, so the distortion may exceed 1 by that
+    allowance (and by 1e-12 at least).
+    """
+    fm = frechet_embed(space)
+    spec = SumSpaceSpec(SUP, (fm.dimension,))
+    images = {pid: BlockVector(spec, {1: fm[pid]}) for pid in space.ids}
+    rep = measure_distortion(space, images, spec)
+    off = space.matrix[np.triu_indices(len(space), 1)]
+    allowance = RESOLUTION * float(off.max()) / max(float(off.min()), 1e-300)
+    checks = {"isometry": bool(rep.distortion <= 1.0 + max(allowance, 1e-12))}
+    payload = {"method": "frechet", "dimension": fm.dimension, "report": rep.to_doc(), "checks": checks}
+    return payload, all(checks.values())

@@ -1,5 +1,6 @@
 """Shared fixtures: the three standing test spaces, integer-metric helpers and the window-end line."""
 
+import json
 import math
 import sys
 from pathlib import Path
@@ -25,8 +26,26 @@ WINDOW_END_DOC = {"basepoint": "o", "metric": "linf", "points": [
     {"id": "y", "coords": [440315058606318.6]},
 ]}
 
+DATA = Path(__file__).parent / "data"
+
 # The stdout of `spiralpaste counterexample` at its default flags, byte for byte
-COUNTEREXAMPLE_DEFAULT = Path(__file__).parent / "data" / "counterexample_default.json"
+COUNTEREXAMPLE_DEFAULT = DATA / "counterexample_default.json"
+
+# space_to_doc(line_space(24, r_max=1e6)), and the stdout, byte for byte, of
+# `spiralpaste fdd-demo --epsilon 0.2` and `spiralpaste embed --method frechet`
+# on it, each run from the repo root with `--input tests/data/line24.json`
+LINE24 = DATA / "line24.json"
+FDD_DEMO_LINE24 = DATA / "fdd_demo_line24.json"
+FRECHET_LINE24 = DATA / "frechet_line24.json"
+
+
+def pinned_payload(path: Path) -> tuple[dict, bool]:
+    """A pinned report less the keys the CLI adds, and its pass flag."""
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    passed = doc.pop("pass")
+    for key in ("schema_version", "command", "config"):
+        del doc[key]
+    return doc, passed
 
 _PAIR = {"basepoint": "o", "metric": "matrix", "points": [{"id": "o"}, {"id": "a"}]}
 _TRIPLE = dict(_PAIR, points=[{"id": "o"}, {"id": "a"}, {"id": "b"}])

@@ -15,7 +15,8 @@ from spiralpaste import (
 )
 from spiralpaste.cli import main
 from .conftest import (
-    COUNTEREXAMPLE_DEFAULT, MAP_SCHEMA_ERRORS, SPACE_SCHEMA_ERRORS, WINDOW_END_DOC, random_integer_space,
+    COUNTEREXAMPLE_DEFAULT, FDD_DEMO_LINE24, FRECHET_LINE24, LINE24, MAP_SCHEMA_ERRORS, SPACE_SCHEMA_ERRORS,
+    WINDOW_END_DOC, random_integer_space,
 )
 
 
@@ -516,6 +517,16 @@ class TestOtherCommands:
     def test_counterexample_stdout_is_the_pinned_report(self, capsys):
         assert main(["counterexample"]) == 0
         assert capsys.readouterr().out.encode("utf-8") == COUNTEREXAMPLE_DEFAULT.read_bytes()
+
+    @pytest.mark.parametrize("argv, pinned", [
+        (["fdd-demo", "--epsilon", "0.2"], FDD_DEMO_LINE24),
+        (["embed", "--method", "frechet"], FRECHET_LINE24),
+    ], ids=["fdd-demo", "frechet"])
+    def test_stdout_on_line24_is_the_pinned_report(self, monkeypatch, capsys, argv, pinned):
+        # from the repo root, as the fixture was written, so config.input is the relative path
+        monkeypatch.chdir(LINE24.parents[2])
+        assert main([*argv, "--input", "tests/data/line24.json"]) == 0
+        assert capsys.readouterr().out.encode("utf-8") == pinned.read_bytes()
 
     def test_counterexample_depth_is_width_count(self, tmp_path):
         out = tmp_path / "r.json"

@@ -24,7 +24,7 @@ from spiralpaste import (
     verify_separation_epsilon,
 )
 
-from .conftest import COUNTEREXAMPLE_DEFAULT
+from .conftest import COUNTEREXAMPLE_DEFAULT, pinned_payload
 
 
 def level_oracle(N):
@@ -192,10 +192,8 @@ class TestSeparatedSets:
 
 def test_family_report_is_the_pinned_report_less_the_cli_keys(cfg):
     payload, passed = family_report(cfg)
-    pinned = json.loads(COUNTEREXAMPLE_DEFAULT.read_text(encoding="utf-8"))
-    assert passed is pinned.pop("pass") is True
-    for key in ("schema_version", "command", "config"):
-        del pinned[key]
+    pinned, pinned_passed = pinned_payload(COUNTEREXAMPLE_DEFAULT)
+    assert passed is pinned_passed is True
     # a JSON round trip turns the sparse points' integer keys into strings
     assert json.loads(json.dumps(payload)) == pinned
 

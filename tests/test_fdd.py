@@ -1,9 +1,12 @@
 """The renormed block model: weighted ambient norm, pair sums, the no-cotype embedding."""
 
+import json
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spiralpaste import (
     BlockVector,
@@ -15,10 +18,14 @@ from spiralpaste import (
     distortion,
     embed_no_cotype,
     equivalence_ratio,
+    fdd_report,
+    load_space,
     pair_isometry_check,
+    read_document,
     validate_model,
 )
 
+from .conftest import FDD_DEMO_LINE24, LINE24, pinned_payload
 from .norms import block_profile, combine, norm_a
 
 MODEL3 = FddModel((2, 2, 3))
@@ -82,6 +89,17 @@ class TestNorms:
             assert a >= amb - 1e-15
 
 
+@st.composite
+def valid_weighted_models(draw):
+    """(model, eps): 2-5 blocks of 1-6 coordinates whose weights keep prod(1 - eps_n) > 1 - eps."""
+    eps = draw(st.floats(min_value=1e-6, max_value=0.9))
+    dims = draw(st.lists(st.integers(min_value=1, max_value=6), min_size=2, max_size=5))
+    # each eps_n below 1 - (1 - eps)^(1/B), so the product clears 1 - eps
+    cap = 0.999 * -math.expm1(math.log1p(-eps) / len(dims))
+    shares = draw(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=len(dims), max_size=len(dims)))
+    return FddModel(tuple(dims), tuple(cap * f for f in shares)), eps
+
+
 class TestValidateAndEquivalence:
     def test_valid_model_passes(self):
         validate_model(FddModel((2, 2, 2), (0.01, 0.02, 0.03)), 0.1)
@@ -103,6 +121,42 @@ class TestValidateAndEquivalence:
     def test_pair_isometry_exact_when_unweighted(self):
         for j, k in ((1, 2), (1, 3), (2, 3)):
             assert pair_isometry_check(MODEL3, j, k, samples=200, seed=1) == 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(valid_weighted_models(), st.integers(min_value=0, max_value=2**32 - 1))
+    def test_sampled_checks_are_exact_on_valid_models(self, case, seed):
+        # the docstrings' proofs: the pair deviation is exactly 0.0, and the
+        # ratio is at most (2 / min(w)) (1 + u) / (1 - u), u = 2^-53, under half the bound
+        model, eps = case
+        validate_model(model, eps)
+        for j, k in combinations(range(1, model.num_blocks + 1), 2):
+            assert pair_isometry_check(model, j, k, samples=40, seed=seed) == 0.0
+        rep = equivalence_ratio(model, eps, seed=seed, n=40)
+        assert rep.max_ratio <= 2.0 / float(np.min(model.weights())) * (1.0 + 2.0**-50)
+        assert rep.max_ratio <= rep.bound / 2.0
+
+    def test_pair_isometry_folds_the_per_sample_draws(self, monkeypatch):
+        # the one (samples, d_j + d_k) draw reads the stream a per-sample loop
+        # reads: v_j's coordinates, then v_k's, sample after sample
+        real, folded_blocks = FddModel.fold, []
+
+        def recording(model):
+            fold = real.fget(model)
+
+            def record(shape, blocks):
+                blocks = [(b, d.copy()) for b, d in blocks]
+                folded_blocks.append(blocks)
+                return fold(shape, blocks)
+
+            return record
+
+        monkeypatch.setattr(FddModel, "fold", property(recording))
+        assert pair_isometry_check(MODEL3, 3, 1, samples=50, seed=7) == 0.0
+        rng = np.random.default_rng(7)
+        loop = [[np.max(np.abs(rng.uniform(-1.0, 1.0, size=d))) for d in (3, 2)] for _ in range(50)]
+        [blocks] = folded_blocks
+        assert [b for b, _ in blocks] == [3, 1]
+        assert np.array_equal(np.stack([d[0] for _, d in blocks], axis=1), loop)
 
     def test_pair_isometry_rejects_equal_blocks(self):
         with pytest.raises(ValueError):
@@ -169,3 +223,10 @@ class TestEmbedNoCotype:
         k = len(res.model.block_dims)
         with pytest.raises(ModelInvalid):
             embed_no_cotype(line, 0.2, eps_list=tuple(0.15 for _ in range(k)))
+
+
+def test_fdd_report_is_the_pinned_report_less_the_cli_keys():
+    payload, passed = fdd_report(load_space(read_document(str(LINE24))), 0.2)
+    pinned, pinned_passed = pinned_payload(FDD_DEMO_LINE24)
+    assert passed is pinned_passed is True
+    assert json.loads(json.dumps(payload)) == pinned

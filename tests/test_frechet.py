@@ -1,5 +1,7 @@
 """Distance-vector embedding: exact isometry on integer metrics."""
 
+import json
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
@@ -10,8 +12,12 @@ from spiralpaste import (
     SUP,
     distortion,
     frechet_embed,
+    frechet_report,
+    load_space,
+    read_document,
+    tree_space,
 )
-from .conftest import random_integer_space
+from .conftest import FRECHET_LINE24, LINE24, pinned_payload, random_integer_space
 
 
 def as_images(fm):
@@ -93,3 +99,21 @@ def test_float_space_is_isometric_to_rounding(line):
     off = D[np.triu_indices(len(line), 1)]
     allowance = 64.0 * np.finfo(float).eps * float(off.max()) / float(off.min())
     assert rep.distortion <= 1.0 + allowance
+
+
+def test_frechet_report_is_the_pinned_report_less_the_cli_keys():
+    payload, passed = frechet_report(load_space(read_document(str(LINE24))))
+    pinned, pinned_passed = pinned_payload(FRECHET_LINE24)
+    assert passed is pinned_passed is True
+    assert json.loads(json.dumps(payload)) == pinned
+
+
+def test_frechet_report_fails_a_matrix_off_by_more_than_rounding():
+    # one distance raised by 1e-11 of the diameter still loads, but no map is
+    # then an isometry within the report's rounding allowance
+    sp = tree_space(40, seed=3)
+    D = sp.matrix.copy()
+    D[1, 2] = D[2, 1] = D[1, 2] + 1e-11 * D.max()
+    payload, passed = frechet_report(PointedMetricSpace(sp.ids, sp.basepoint, "matrix", matrix=D))
+    assert payload["report"]["distortion"] > 1.01
+    assert passed is payload["checks"]["isometry"] is False
